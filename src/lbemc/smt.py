@@ -1,13 +1,16 @@
 """Satisfiability, entailment, and AllSAT for quantifier-free linear formulas.
 
 The internal engine searches the propositional skeleton of a formula
-(Tseitin CNF, chronological DPLL) and checks each candidate model's implied
-atom conjunction with a Fourier-Motzkin procedure over the rationals.
+(Tseitin CNF, CDCL with first-UIP backjumping) and keeps the atoms the
+search asserts in a backtrackable theory over the rationals: equalities are
+solved into a substitution map as they are asserted, inequalities are
+decided by Fourier-Motzkin, and backjumps pop the theory with the trail.
 Negated literals are folded into positive atoms up front using the
 integer-exact complements from the formula module, so the theory layer only
 ever sees conjunctions of canonical atoms.  Theory conflicts are turned
-into blocking clauses over the conflicting atoms, which keeps enumeration
-on heavily disjunctive inputs polynomial in practice.
+into clauses over the conflicting atoms, which keeps enumeration on heavily
+disjunctive inputs polynomial in practice.  A model returned by
+`check_sat` is solved from scratch over the final true atoms.
 
 An SMT-LIB2 process backend is provided as an alternative; it receives the
 same literal-normalized formulas as the internal engine, so the two agree
@@ -40,6 +43,7 @@ from .formula import (
     f_or,
     negate_atom,
     nnf,
+    propvars,
     var_sort_key,
     variables,
 )
@@ -130,6 +134,105 @@ def _substitute(c: _Lin, v: VariableRef, expr: dict[VariableRef, Fraction],
     return _Lin(coeffs, c.const + b * expr_const, c.is_eq, c.origins | origins)
 
 
+class _LinTheory:
+    """Backtrackable conjunction of linear constraints over the rationals.
+
+    Constraints are pushed one at a time and popped back to any earlier
+    length (Dutertre & de Moura, CAV 2006).  Each equality is reduced by
+    the substitutions before it and then solved for one of its variables
+    (a unit coefficient first, in variable order), giving a triangular
+    substitution map: the expression of an eliminated variable mentions
+    only variables eliminated after it, so an entry stays valid when later
+    ones are popped.  An equality that reduces to `0 = c != 0` is refused
+    on push.  Inequalities are only recorded; `check` reduces them and runs
+    Fourier-Motzkin over the result.  Every pushed constraint has one undo
+    record, so pop costs are proportional to what is popped.
+    """
+
+    _INEQ = object()  # undo record of a pushed inequality
+
+    def __init__(self) -> None:
+        # eliminated variable -> (elimination rank, expression, constant, origins)
+        self._subst: dict[VariableRef, tuple[int, dict[VariableRef, Fraction],
+                                             Fraction, frozenset[int]]] = {}
+        self._order: list[VariableRef] = []
+        self._ineqs: list[_Lin] = []
+        self._undo: list = []  # eliminated variable, _INEQ, or None (redundant)
+
+    def __len__(self) -> int:
+        return len(self._undo)
+
+    def push(self, c: _Lin) -> None:
+        """Assert c; raises _TheoryConflict, leaving the state unchanged, when
+        c is an equality that contradicts the equalities before it."""
+        if not c.is_eq:
+            self._ineqs.append(c)
+            self._undo.append(self._INEQ)
+            return
+        c = self._reduce(c)
+        if _const_check(c):
+            self._undo.append(None)
+            return
+        vs = sorted(c.coeffs, key=var_sort_key)
+        v = next((w for w in vs if abs(c.coeffs[w]) == 1), vs[0])
+        a = c.coeffs[v]
+        expr = {w: -cw / a for w, cw in c.coeffs.items() if w != v}
+        self._subst[v] = (len(self._order), expr, -c.const / a, c.origins)
+        self._order.append(v)
+        self._undo.append(v)
+
+    def pop_to(self, n: int) -> None:
+        while len(self._undo) > n:
+            rec = self._undo.pop()
+            if rec is self._INEQ:
+                self._ineqs.pop()
+            elif rec is not None:
+                del self._subst[rec]
+                self._order.pop()
+
+    def _reduce(self, c: _Lin) -> _Lin:
+        """Substitute eliminated variables in elimination order."""
+        subst = self._subst
+        while True:
+            ranked = [(subst[w][0], w) for w in c.coeffs if w in subst]
+            if not ranked:
+                return c
+            _, v = min(ranked)
+            _, expr, expr_const, origins = subst[v]
+            c = _substitute(c, v, expr, expr_const, origins)
+
+    def check(self) -> list[tuple[VariableRef, list[_Lin]]]:
+        """Fourier-Motzkin levels of the reduced inequalities; raises
+        _TheoryConflict with a core if the constraints are unsatisfiable."""
+        reduced = []
+        for c in self._ineqs:
+            c = self._reduce(c)
+            if not _const_check(c):
+                reduced.append(c)
+        return _fourier_motzkin(reduced)
+
+    def model(self) -> dict[VariableRef, Fraction]:
+        """A witness: FM levels solved backwards, then the substitutions."""
+        env: dict[VariableRef, Fraction] = {}
+        for v, with_v in reversed(self.check()):
+            lo = hi = None
+            for c in with_v:
+                a = c.coeffs[v]
+                rest_val = c.const + sum(
+                    cw * env.get(w, Fraction(0)) for w, cw in c.coeffs.items() if w != v
+                )
+                bound = -rest_val / a
+                if a > 0:
+                    hi = bound if hi is None else min(hi, bound)
+                else:
+                    lo = bound if lo is None else max(lo, bound)
+            env[v] = _pick_value(lo, hi)
+        for v in reversed(self._order):
+            _, expr, expr_const, _ = self._subst[v]
+            env[v] = expr_const + sum(c * env.get(w, Fraction(0)) for w, c in expr.items())
+        return env
+
+
 def _solve_lin(constraints: list[_Lin]):
     """Decide a conjunction of linear constraints over the rationals.
 
@@ -137,28 +240,19 @@ def _solve_lin(constraints: list[_Lin]):
     set of a contradiction otherwise.  Equalities are used for substitution
     first, then inequalities are eliminated variable by variable.
     """
-    eqs = [c for c in constraints if c.is_eq]
-    ineqs = [c for c in constraints if not c.is_eq]
-    subst: list[tuple[VariableRef, dict[VariableRef, Fraction], Fraction]] = []
+    theory = _LinTheory()
+    for c in constraints:
+        theory.push(c)
+    return theory.model()
 
-    while eqs:
-        eq = eqs.pop(0)
-        if _const_check(eq):
-            continue
-        vs = sorted(eq.coeffs, key=var_sort_key)
-        v = next((w for w in vs if abs(eq.coeffs[w]) == 1), vs[0])
-        a = eq.coeffs[v]
-        expr = {w: -c / a for w, c in eq.coeffs.items() if w != v}
-        expr_const = -eq.const / a
-        eqs = [_substitute(c, v, expr, expr_const, eq.origins) for c in eqs]
-        new_ineqs = []
-        for c in ineqs:
-            c2 = _substitute(c, v, expr, expr_const, eq.origins)
-            if not _const_check(c2):
-                new_ineqs.append(c2)
-        ineqs = new_ineqs
-        subst.append((v, expr, expr_const))
 
+def _fourier_motzkin(ineqs: list[_Lin]) -> list[tuple[VariableRef, list[_Lin]]]:
+    """Eliminate the variables of `ineqs` (all `<= 0`) in variable order.
+
+    Returns one level per variable: the constraints mentioning it when it
+    was eliminated, from which a model is solved backwards.  Raises
+    _TheoryConflict when a contradiction `0 < c <= 0` is derived.
+    """
     cur = []
     seen = set()
     for c in ineqs:
@@ -199,24 +293,7 @@ def _solve_lin(constraints: list[_Lin]):
                     seen.add(k)
                     derived.append(comb)
         cur = rest + derived
-
-    env: dict[VariableRef, Fraction] = {}
-    for v, with_v in reversed(levels):
-        lo = hi = None
-        for c in with_v:
-            a = c.coeffs[v]
-            rest_val = c.const + sum(
-                cw * env.get(w, Fraction(0)) for w, cw in c.coeffs.items() if w != v
-            )
-            bound = -rest_val / a
-            if a > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        env[v] = _pick_value(lo, hi)
-    for v, expr, expr_const in reversed(subst):
-        env[v] = expr_const + sum(c * env.get(w, Fraction(0)) for w, c in expr.items())
-    return env
+    return levels
 
 
 def _pick_value(lo: Fraction | None, hi: Fraction | None) -> Fraction:
@@ -286,7 +363,7 @@ def normalize(f: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Tseitin CNF + chronological DPLL with theory blocking clauses
+# Tseitin CNF + CDCL with an incremental theory
 # ---------------------------------------------------------------------------
 
 class _Cnf:
@@ -394,24 +471,36 @@ class _Dpll:
     -point clause and the search backjumps non-chronologically; satisfying
     assignments are excluded with blocking clauses, which makes the
     enumeration complete.
+
+    The true atoms are kept in trail order and mirrored by a _LinTheory,
+    so a theory check pushes only the atoms asserted since the last one,
+    after popping those the search has retracted.  A per-variable count of
+    the true atoms' arithmetic variables scores the selection clauses.
     """
 
     EAGER_BATCH = 4
     _EXHAUSTED = object()
 
-    def __init__(self, cnf: _Cnf, theory_cb) -> None:
+    def __init__(self, cnf: _Cnf) -> None:
         self.cnf = cnf
-        self.theory_cb = theory_cb  # list of true Atoms -> (model | None, core | None)
         self.assign: dict[int, bool] = {}
         self.level_of: dict[int, int] = {}
         self.reason: dict[int, list[int] | None] = {}
         self.trail: list[int] = []
         self.level = 0
-        self.last_theory_model: dict[VariableRef, Fraction] = {}
+        self.theory_checks = 0
         self._n_true: list[int] = [0] * len(cnf.clauses)
         self._n_false: list[int] = [0] * len(cnf.clauses)
         self._n_true_atoms_checked = -1
         self._decide_head = 0
+        self._theory = _LinTheory()
+        self._lins: dict[int, _Lin] = {}
+        # true atom variables in trail order; the first _synced of them are
+        # the first constraints of the theory
+        self._true_atoms: list[int] = []
+        self._synced = 0
+        # arithmetic variable -> number of true atoms mentioning it
+        self._asserted: dict[VariableRef, int] = {}
 
     # -- assignment bookkeeping ---------------------------------------------
 
@@ -421,6 +510,11 @@ class _Dpll:
         self.level_of[var] = self.level
         self.reason[var] = reason
         self.trail.append(var)
+        if value and var in self.cnf.atom_of:
+            self._true_atoms.append(var)
+            asserted = self._asserted
+            for v in self._lin(var).coeffs:
+                asserted[v] = asserted.get(v, 0) + 1
         conflict = None
         for idx in self.cnf.occ[var if value else -var]:
             self._n_true[idx] += 1
@@ -438,6 +532,15 @@ class _Dpll:
         value = self.assign.pop(var)
         del self.level_of[var]
         del self.reason[var]
+        if value and var in self.cnf.atom_of:
+            self._true_atoms.pop()
+            self._synced = min(self._synced, len(self._true_atoms))
+            asserted = self._asserted
+            for v in self._lins[var].coeffs:
+                if asserted[v] == 1:
+                    del asserted[v]
+                else:
+                    asserted[v] -= 1
         for idx in self.cnf.occ[var if value else -var]:
             self._n_true[idx] -= 1
         for idx in self.cnf.occ[-var if value else var]:
@@ -606,24 +709,36 @@ class _Dpll:
 
     # -- theory integration ----------------------------------------------------
 
+    def _lin(self, var: int) -> _Lin:
+        lin = self._lins.get(var)
+        if lin is None:
+            lin = self._lins[var] = _lin_of_atom(self.cnf.atom_of[var], var)
+        return lin
+
     def _theory_conflict(self, force: bool = False) -> list[int] | None:
         """Check the currently-true atoms; learn the core on conflict.
 
         Between forced checks the full consistency check runs only once per
-        EAGER_BATCH newly asserted atoms.
+        EAGER_BATCH newly asserted atoms.  The theory is popped back to the
+        atoms still true since the last check, and only the atoms asserted
+        after them are pushed.
         """
-        true_atoms = [
-            (v, atom) for v, atom in self.cnf.atom_of.items() if self.assign.get(v)
-        ]
+        true_atoms = self._true_atoms
         grown = len(true_atoms) - self._n_true_atoms_checked
         if grown == 0 or (not force and 0 < grown < self.EAGER_BATCH):
             return None
         self._n_true_atoms_checked = len(true_atoms)
-        model, core = self.theory_cb([a for _, a in true_atoms],
-                                     [v for v, _ in true_atoms])
-        if core is not None:
-            return self.add_clause([-v for v in sorted(core)])
-        self.last_theory_model = model
+        self.theory_checks += 1
+        theory = self._theory
+        theory.pop_to(self._synced)
+        try:
+            for var in true_atoms[len(theory):]:
+                theory.push(self._lin(var))
+            theory.check()
+        except _TheoryConflict as exc:
+            return self.add_clause([-v for v in sorted(exc.core)])
+        finally:
+            self._synced = len(theory)
         return None
 
     # -- decisions --------------------------------------------------------------
@@ -636,10 +751,7 @@ class _Dpll:
             if v not in self.assign:
                 return v, True
             self._decide_head += 1
-        asserted_vars: set[VariableRef] = set()
-        for v, atom in self.cnf.atom_of.items():
-            if self.assign.get(v):
-                asserted_vars.update(atom.term.variables())
+        asserted_vars = self._asserted.keys()
         best = None
         best_score = -1
         for idx in self.cnf.select_clauses:
@@ -736,7 +848,7 @@ class InternalSolver:
         if prep != TRUE:
             cnf.add_clause([cnf.literal(prep)])
         results: list[dict[str, bool]] = []
-        dpll = _Dpll(cnf, self._theory_cb)
+        dpll = _Dpll(cnf)
 
         def on_model() -> list[int] | None:
             assignment = {
@@ -750,6 +862,7 @@ class InternalSolver:
             ]
 
         dpll.run(on_model)
+        self.theory_checks += dpll.theory_checks
         return results
 
     def theory_check(self, atoms) -> SatResult:
@@ -760,16 +873,6 @@ class InternalSolver:
         pass
 
     # -- internals ----------------------------------------------------------
-
-    def _theory_cb(self, atoms: list[Atom], var_ids: list[int]):
-        self.theory_checks += 1
-        try:
-            env = _solve_lin(
-                [_lin_of_atom(a, var_ids[i]) for i, a in enumerate(atoms)]
-            )
-        except _TheoryConflict as exc:
-            return None, exc.core
-        return env, None
 
     def _solve(self, phi: Formula) -> SatResult:
         prep = normalize(phi)
@@ -782,15 +885,15 @@ class InternalSolver:
             atoms, pos, neg = lits
             if pos & neg:
                 return UNSAT
+            self.theory_checks += 1
             try:
                 env = _solve_lin([_lin_of_atom(a, i) for i, a in enumerate(atoms)])
             except _TheoryConflict:
                 return UNSAT
-            self.theory_checks += 1
             return self._fill(phi, env, {n: True for n in pos} | {n: False for n in neg})
         cnf = _Cnf()
         cnf.add_clause([cnf.literal(prep)])
-        dpll = _Dpll(cnf, self._theory_cb)
+        dpll = _Dpll(cnf)
         found: list[SatResult] = []
 
         def on_model() -> None:
@@ -799,10 +902,16 @@ class InternalSolver:
                 for f, v in cnf.var_of_input.items()
                 if isinstance(f, PropVar)
             }
-            found.append(self._fill(phi, dpll.last_theory_model, bools))
+            # the witness is solved from scratch over the final true atoms in
+            # input order, independent of the order the search asserted them
+            env = _solve_lin([
+                _lin_of_atom(a, v) for v, a in cnf.atom_of.items() if dpll.assign.get(v)
+            ])
+            found.append(self._fill(phi, env, bools))
             return None
 
         dpll.run(on_model)
+        self.theory_checks += dpll.theory_checks
         return found[0] if found else UNSAT
 
     @staticmethod
@@ -960,8 +1069,6 @@ class Smtlib2Solver:
             if sym not in self._declared:
                 self._declared.add(sym)
                 self._send(f"(declare-fun {sym} () Real)")
-        from .formula import propvars
-
         for name in sorted(propvars(phi)):
             sym = f"|{name}|"
             if sym not in self._declared:
@@ -984,7 +1091,7 @@ class Smtlib2Solver:
             self._send("(pop 1)")
             raise RuntimeError(f"unexpected solver reply: {verdict!r}")
         arith = sorted(variables(prep), key=var_sort_key)
-        bools = sorted({p for p in _collect_propvars(prep)})
+        bools = sorted(propvars(prep))
         model: dict[VariableRef, Fraction] = {}
         bvals: dict[str, bool] = {}
         if arith or bools:
@@ -1054,12 +1161,6 @@ class Smtlib2Solver:
             self.proc.terminate()
             self.proc.wait(timeout=5)
             self.proc = None
-
-
-def _collect_propvars(f: Formula) -> set[str]:
-    from .formula import propvars
-
-    return propvars(f)
 
 
 def _unquote(sym: str) -> str:

@@ -182,6 +182,14 @@ class TestVerify:
             assert r.path is not None and r.model is not None
             assert r.integral_witness and r.replayed
 
+    def test_lbe_boolean_headline_at_twenty_locks(self):
+        p, _ = summarize(parse_program(gen_test_locks(20)))
+        r = verify(p, mode=BOOLEAN)
+        assert r.verdict == "safe"
+        assert r.stats.art_size == 4
+        assert r.stats.refinement_steps == 0
+        assert r.stats.solver_queries == 4
+
     def test_refinement_bound_returns_unknown(self):
         p, _ = summarize(parse_program(gen_test_locks(3)))
         r = verify(p, mode=CARTESIAN, max_refinements=50)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lbemc.formula import (
+    Atom,
     PropVar,
     TRUE,
     FALSE,
@@ -16,8 +17,17 @@ from lbemc.formula import (
     f_not,
     f_or,
 )
-from lbemc.oracle import random_formula
-from lbemc.smt import InternalSolver, Smtlib2Solver, make_solver, theory_check
+from lbemc.oracle import _eliminate, random_formula
+from lbemc.smt import (
+    InternalSolver,
+    Smtlib2Solver,
+    _LinTheory,
+    _TheoryConflict,
+    _lin_of_atom,
+    _solve_lin,
+    make_solver,
+    theory_check,
+)
 
 from conftest import MOCK_SOLVER_CMD, const, tvar
 
@@ -44,6 +54,91 @@ class TestTheoryCheck:
 
     def test_empty_conjunction(self):
         assert theory_check([]).is_sat
+
+
+def _ssa_atom(rng: random.Random):
+    """An atom of the shape SSA path encodings produce, mostly equalities."""
+    name = rng.choice("xy")
+    i = rng.randrange(6)
+    k = const(rng.randint(-3, 3))
+    roll = rng.random()
+    if roll < 0.45:
+        return compare("==", tvar(name, i + 1), tvar(name, i) + k)
+    if roll < 0.6:
+        return compare("==", tvar(name, i), k)
+    if roll < 0.75:
+        return compare(rng.choice(["<=", ">="]), tvar(name, i), k)
+    if roll < 0.9:
+        j = rng.randrange(7)
+        return compare("==", tvar(name, i).scale(rng.choice([2, -3])), tvar("yx"[name == "y"], j))
+    return compare("<=", tvar("x", i) + tvar("y", i), k)
+
+
+def _from_scratch(lins):
+    try:
+        return "sat", _solve_lin(lins)
+    except _TheoryConflict as exc:
+        return "unsat", exc.core
+
+
+def _answer(theory):
+    try:
+        return "sat", theory.model()
+    except _TheoryConflict as exc:
+        return "unsat", exc.core
+
+
+class TestLinTheory:
+    """The backtrackable theory against from-scratch solving."""
+
+    def test_push_pop_agrees_with_from_scratch(self):
+        rng = random.Random(41)
+        unsat_seen = 0
+        for _ in range(60):
+            theory = _LinTheory()
+            stack = []  # the _Lin constraints the theory holds, in order
+            origin = 0
+            for _ in range(40):
+                if stack and rng.random() < 0.25:
+                    keep = rng.randrange(len(stack))
+                    theory.pop_to(keep)
+                    del stack[keep:]
+                    fresh = _LinTheory()
+                    for lin in stack:
+                        fresh.push(lin)
+                    assert _answer(theory) == _answer(fresh)
+                    continue
+                atom = _ssa_atom(rng)
+                if not isinstance(atom, Atom):
+                    continue
+                origin += 1
+                lin = _lin_of_atom(atom, origin)
+                pushed = stack + [lin]
+                try:
+                    theory.push(lin)
+                except _TheoryConflict as exc:
+                    got = "unsat", exc.core  # refused: the theory is unchanged
+                else:
+                    stack.append(lin)
+                    got = _answer(theory)
+                assert got[0] == _from_scratch(pushed)[0]
+                assert len(theory) == len(stack)
+                if got[0] == "sat":
+                    for c in pushed:
+                        value = c.const + sum(a * got[1].get(v, 0) for v, a in c.coeffs.items())
+                        assert value == 0 if c.is_eq else value <= 0
+                    continue
+                unsat_seen += 1
+                core = got[1]
+                assert core <= {o for c in pushed for o in c.origins}
+                core_lins = [c for c in pushed if c.origins <= core]
+                assert _from_scratch(core_lins)[0] == "unsat"
+                # an independent eliminator agrees that the atoms are unsat
+                with pytest.raises(_TheoryConflict):
+                    _eliminate(core_lins, {v for c in core_lins for v in c.coeffs})
+                theory.pop_to(len(pushed) - 1)  # back to a satisfiable state
+                del stack[len(pushed) - 1:]
+        assert unsat_seen > 20
 
 
 class TestCheckSat:
@@ -207,3 +302,11 @@ def test_query_counter(solver):
     solver.check_sat(TRUE)
     solver.entails(TRUE, TRUE)
     assert solver.queries == before + 2
+
+
+def test_theory_check_counter_counts_unsat_conjunctions():
+    solver = InternalSolver()
+    solver.check_sat(f_and(compare(">", tvar("x"), const(0)), compare("<", tvar("x"), const(0))))
+    assert solver.theory_checks == 1
+    solver.check_sat(compare(">", tvar("x"), const(0)))
+    assert solver.theory_checks == 2
