@@ -73,7 +73,6 @@ from .smt import (
     InternalSolver,
     SatResult,
     Smtlib2Solver,
-    SolverBackend,
     make_solver,
     theory_check,
 )
@@ -92,6 +91,6 @@ __all__ = [
     "semantically_equivalent",
     "Assign", "Assume", "Choice", "Havoc", "Operation", "Seq", "encode_edge",
     "sp",
-    "InternalSolver", "SatResult", "Smtlib2Solver", "SolverBackend",
-    "make_solver", "theory_check",
+    "InternalSolver", "SatResult", "Smtlib2Solver", "make_solver",
+    "theory_check",
 ]

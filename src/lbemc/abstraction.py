@@ -155,32 +155,11 @@ class Abstractor:
 
     def cartesian_abstract(self, phi: Formula, pi: Precision) -> AbstractFormula:
         """Conjunction of exactly the precision predicates entailed by phi."""
-        if not self.solver.check_sat(phi).is_sat:
-            return self.false_state()
-        node = Bdd.TRUE
-        for p in pi:
-            if self.solver.entails(phi, p):
-                node = self.bdd.apply_and(node, self.bdd.var(self.pred_id(p)))
-        return AbstractFormula(self, node)
+        return self._cartesian_on(phi, pi.preds, pi)
 
     def boolean_abstract(self, phi: Formula, pi: Precision) -> AbstractFormula:
-        """Strongest Boolean combination of precision predicates entailed by phi.
-
-        Per-predicate propositional variables are linked to the predicates
-        and every satisfying assignment over them becomes one full minterm
-        (negative literals included); the result is their disjunction.
-        """
-        names = [f"@p{self.pred_id(p)}" for p in pi]
-        query = f_and(
-            phi, *(f_iff(p, PropVar(n)) for p, n in zip(pi, names))
-        )
-        assignments = self.solver.all_sat(query, names)
-        node = Bdd.FALSE
-        ids = [self.pred_id(p) for p in pi]
-        for assignment in assignments:
-            cube = self.bdd.cube([(i, assignment[n]) for i, n in zip(ids, names)])
-            node = self.bdd.apply_or(node, cube)
-        return AbstractFormula(self, node)
+        """Strongest Boolean combination of precision predicates entailed by phi."""
+        return self._boolean_on(phi, pi.preds, pi)
 
     def concretize(self, state: AbstractFormula) -> Formula:
         """Substitute predicate formulas for their ids (Shannon expansion)."""
@@ -225,18 +204,22 @@ class Abstractor:
         edges; collapsing a composite operation into one Cartesian
         abstraction query would hide it.
         """
+        # nested Cartesian posts recurse through _post, so a wrapper around
+        # abstract_post sees exactly one call per tree edge
+        return self._post(state, op, pi, mode)
+
+    def _post(self, state: AbstractFormula, op: Operation, pi: Precision,
+              mode: str) -> AbstractFormula:
         if state.is_false:
             return self.false_state()
         key = (state.node, op, pi, mode)
-        cached = self._post_memo.get(key)
-        if cached is not None:
-            return cached
+        out = self._post_memo.get(key)
+        if out is not None:
+            return out
         if mode == CARTESIAN:
             out = self._cartesian_post(state, op, pi)
         elif mode == BOOLEAN:
-            edge_formula, out_map = encode_edge(op, {})
-            base = f_and(at_indices(self.concretize(state), {}), edge_formula)
-            out = self._boolean_on(base, [at_indices(p, out_map) for p in pi], pi)
+            out = self._boolean_on(*self._post_query(state, op, pi), pi)
         else:
             raise ValueError(f"unknown abstraction mode {mode!r}")
         self._post_memo[key] = out
@@ -244,27 +227,23 @@ class Abstractor:
 
     def _cartesian_post(self, state: AbstractFormula, op: Operation,
                         pi: Precision) -> AbstractFormula:
-        if state.is_false:
-            return self.false_state()
-        key = (state.node, op, pi, CARTESIAN)
-        cached = self._post_memo.get(key)
-        if cached is not None:
-            return cached
         if isinstance(op, Seq):
-            out = self._cartesian_post(self._cartesian_post(state, op.first, pi),
-                                       op.second, pi)
-        elif isinstance(op, Choice):
-            out = self._conjunction_join(
-                self._cartesian_post(state, op.left, pi),
-                self._cartesian_post(state, op.right, pi),
+            return self._post(self._post(state, op.first, pi, CARTESIAN),
+                              op.second, pi, CARTESIAN)
+        if isinstance(op, Choice):
+            return self._conjunction_join(
+                self._post(state, op.left, pi, CARTESIAN),
+                self._post(state, op.right, pi, CARTESIAN),
                 pi,
             )
-        else:
-            edge_formula, out_map = encode_edge(op, {})
-            base = f_and(at_indices(self.concretize(state), {}), edge_formula)
-            out = self._cartesian_on(base, [at_indices(p, out_map) for p in pi], pi)
-        self._post_memo[key] = out
-        return out
+        return self._cartesian_on(*self._post_query(state, op, pi), pi)
+
+    def _post_query(self, state: AbstractFormula, op: Operation, pi: Precision):
+        """The incoming region at index 0 conjoined with op's SSA constraint,
+        and the precision predicates read at op's output indices."""
+        edge_formula, out_map = encode_edge(op, {})
+        base = f_and(at_indices(self.concretize(state), {}), edge_formula)
+        return base, [at_indices(p, out_map) for p in pi]
 
     def _conjunction_join(self, a: AbstractFormula, b: AbstractFormula,
                           pi: Precision) -> AbstractFormula:
@@ -281,6 +260,7 @@ class Abstractor:
         return AbstractFormula(self, node)
 
     def _cartesian_on(self, phi: Formula, shifted, pi: Precision) -> AbstractFormula:
+        """Conjunction of the predicates of pi whose shifted form phi entails."""
         if not self.solver.check_sat(phi).is_sat:
             return self.false_state()
         node = Bdd.TRUE
@@ -290,6 +270,12 @@ class Abstractor:
         return AbstractFormula(self, node)
 
     def _boolean_on(self, phi: Formula, shifted, pi: Precision) -> AbstractFormula:
+        """Disjunction of one full minterm over pi per satisfying assignment.
+
+        Each predicate of pi gets a propositional variable linked to its
+        shifted form; every assignment to them that extends to a model of
+        phi becomes a cube, negative literals included.
+        """
         names = [f"@p{self.pred_id(p)}" for p in pi]
         query = f_and(phi, *(f_iff(q, PropVar(n)) for q, n in zip(shifted, names)))
         assignments = self.solver.all_sat(query, names)

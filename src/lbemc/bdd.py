@@ -39,27 +39,31 @@ class Bdd:
         return self._nodes[u][0] if u > 1 else 2**31
 
     def apply_and(self, a: int, b: int) -> int:
-        if a == self.FALSE or b == self.FALSE:
-            return self.FALSE
-        if a == self.TRUE:
+        return self._apply(self.FALSE, a, b)
+
+    def apply_or(self, a: int, b: int) -> int:
+        return self._apply(self.TRUE, a, b)
+
+    def _apply(self, zero: int, a: int, b: int) -> int:
+        """a AND b when zero is FALSE, a OR b when zero is TRUE: zero absorbs,
+        the other terminal is the identity, and inner nodes are combined by
+        Shannon expansion on the lower top variable."""
+        if a == zero or b == zero:
+            return zero
+        if a == 1 - zero or a == b:
             return b
-        if b == self.TRUE:
+        if b == 1 - zero:
             return a
-        if a == b:
-            return a
-        key = ("and", min(a, b), max(a, b))
+        key = (zero, min(a, b), max(a, b))
         out = self._memo.get(key)
         if out is None:
             va, vb = self._top(a), self._top(b)
             v = min(va, vb)
             a_lo, a_hi = (self._nodes[a][1], self._nodes[a][2]) if va == v else (a, a)
             b_lo, b_hi = (self._nodes[b][1], self._nodes[b][2]) if vb == v else (b, b)
-            out = self._mk(v, self.apply_and(a_lo, b_lo), self.apply_and(a_hi, b_hi))
+            out = self._mk(v, self._apply(zero, a_lo, b_lo), self._apply(zero, a_hi, b_hi))
             self._memo[key] = out
         return out
-
-    def apply_or(self, a: int, b: int) -> int:
-        return self.apply_not(self.apply_and(self.apply_not(a), self.apply_not(b)))
 
     def apply_not(self, a: int) -> int:
         if a == self.FALSE:

@@ -140,21 +140,18 @@ class TraceEntry:
         return json.dumps({"rule": self.rule, **self.detail}, sort_keys=True)
 
 
-SummarizationTrace = list
-
-
-def rule_count(trace: SummarizationTrace) -> int:
+def rule_count(trace: list[TraceEntry]) -> int:
     return sum(1 for t in trace if t.rule in (1, 2))
 
 
-def summarize(p: Program) -> tuple[Program, SummarizationTrace]:
+def summarize(p: Program) -> tuple[Program, list[TraceEntry]]:
     """Apply rule 0 once, then rules 1 and 2 to fixpoint.
 
     Schedule: scan locations in ascending id order; at each location first
     exhaust rule 2 over its outgoing edge pairs, then attempt rule 1 with
     the location as the fused target; restart the scan after any change.
     """
-    trace: SummarizationTrace = []
+    trace: list[TraceEntry] = []
     q = apply_rule0(p)
     removed0 = len(p.cfa.edges) - len(q.cfa.edges)
     if removed0:
@@ -216,5 +213,5 @@ def to_dot(p: Program) -> str:
     return "\n".join(lines)
 
 
-def trace_to_json_lines(trace: SummarizationTrace) -> str:
+def trace_to_json_lines(trace: list[TraceEntry]) -> str:
     return "\n".join(t.to_json() for t in trace)

@@ -1,7 +1,7 @@
 """Command-line driver: parse, encode, verify, report.
 
-Exit codes: 0 safe, 1 unsafe, 2 unknown, 3 usage or I/O error,
-4 crosscheck disagreement.
+Exit codes: 0 safe, 1 unsafe, 2 unknown, 3 usage, I/O, solver or internal
+error, 4 crosscheck disagreement.
 """
 
 from __future__ import annotations
@@ -280,7 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    return run(config)
+    try:
+        return run(config)
+    except Exception as exc:  # never let a crash exit 1, the "unsafe" code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

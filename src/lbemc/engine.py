@@ -25,7 +25,9 @@ from .abstraction import (
     ProgramPrecision,
 )
 from .cfa import Edge, Program, program_variables
-from .formula import Formula, VariableRef, f_and, formula_infix
+from .formula import (
+    Atom, Formula, VariableRef, _dag_nodes, f_and, formula_infix, strip_indices_atom,
+)
 from .oracle import replay_path
 from .semantics import encode_edge, op_label
 from .smt import make_solver
@@ -46,12 +48,14 @@ class Art:
 
     def __init__(self) -> None:
         self.nodes: list[ArtNode] = []
+        self.by_location: dict[int, list[ArtNode]] = {}  # in id order
         self.waitlist: list[int] = []
 
     def add(self, location: int, abstract: AbstractFormula, precision: Precision,
             parent: tuple[int, Edge] | None = None) -> ArtNode:
         node = ArtNode(len(self.nodes), location, abstract, precision, parent)
         self.nodes.append(node)
+        self.by_location.setdefault(location, []).append(node)
         return node
 
     def __len__(self) -> int:
@@ -69,16 +73,11 @@ class Art:
         return out
 
 
-CounterexamplePath = list  # of (Edge, node id) pairs
-
-
 def is_covered(node: ArtNode, art: Art) -> int | None:
     """Lowest-id non-covered node at the same location whose abstract state
     is entailed by node's; None when no such coverer exists."""
-    for cand in art.nodes:
-        if cand.id == node.id or cand.location != node.location:
-            continue
-        if cand.covered_by is not None:
+    for cand in art.by_location[node.location]:
+        if cand.id == node.id or cand.covered_by is not None:
             continue
         if node.abstract.entails(cand.abstract):
             return cand.id
@@ -119,19 +118,26 @@ def build_art(p: Program, precisions: ProgramPrecision, mode: str,
 # counterexample analysis
 # ---------------------------------------------------------------------------
 
-def path_formula(path: CounterexamplePath, variable_names: list[str]):
-    """SSA encoding of the path: (formula, per-position index maps)."""
+def _encode_path(path: list[tuple[Edge, int]], variable_names: list[str]):
+    """Per-edge SSA constraints of the path and the index map at each
+    position (maps[i] holds after the first i edges)."""
     ssa = {n: 0 for n in variable_names}
     maps = [dict(ssa)]
-    conjuncts = []
+    per_edge = []
     for edge, _ in path:
         f, ssa = encode_edge(edge.op, ssa)
-        conjuncts.append(f)
+        per_edge.append(f)
         maps.append(dict(ssa))
-    return f_and(*conjuncts), maps
+    return per_edge, maps
 
 
-def check_path(path: CounterexamplePath, variable_names: list[str], solver):
+def path_formula(path: list[tuple[Edge, int]], variable_names: list[str]):
+    """SSA encoding of the path: (formula, per-position index maps)."""
+    per_edge, maps = _encode_path(path, variable_names)
+    return f_and(*per_edge), maps
+
+
+def check_path(path: list[tuple[Edge, int]], variable_names: list[str], solver):
     """("feasible", model) when the SSA path formula is satisfiable, else
     ("infeasible", None)."""
     formula, _ = path_formula(path, variable_names)
@@ -141,7 +147,7 @@ def check_path(path: CounterexamplePath, variable_names: list[str], solver):
     return "infeasible", None
 
 
-def extract_predicates(path: CounterexamplePath, variable_names: list[str],
+def extract_predicates(path: list[tuple[Edge, int]], variable_names: list[str],
                        solver=None) -> dict[int, list[Formula]]:
     """Atoms harvested from the path constraints, per location.
 
@@ -150,39 +156,33 @@ def extract_predicates(path: CounterexamplePath, variable_names: list[str],
     position is stripped of indices and attached to the position's
     location.  Intended for infeasible paths; passing a solver enforces
     that precondition (ValueError on a feasible path).
+
+    SSA indices never decrease along the path, so an atom that is not live
+    at one position is not live at any later one: the scan keeps the live
+    atoms of the edges seen so far, in edge order, and drops the dead ones.
     """
     if solver is not None and check_path(path, variable_names, solver)[0] == "feasible":
         raise ValueError("refinement requires an infeasible path")
-    ssa = {n: 0 for n in variable_names}
-    per_edge: list[Formula] = []
-    maps = [dict(ssa)]
-    for edge, _ in path:
-        f, ssa = encode_edge(edge.op, ssa)
-        per_edge.append(f)
-        maps.append(dict(ssa))
-
-    from .formula import Atom, _dag_nodes, strip_indices_atom
-
-    def indexed_atoms(f: Formula) -> list:
-        return [g for g in _dag_nodes(f) if isinstance(g, Atom)]
-
+    per_edge, maps = _encode_path(path, variable_names)
     harvested: dict[int, list[Formula]] = {}
-    for i in range(1, len(path) + 1):
-        location = path[i - 1][0].target
-        current = maps[i]
-        bucket = harvested.setdefault(location, [])
-        for j in range(i):
-            for atom in indexed_atoms(per_edge[j]):
-                live = all(
-                    (v.index or 0) == current.get(v.name, 0)
-                    for v in atom.term.variables()
-                )
-                if not live:
-                    continue
-                stripped = strip_indices_atom(atom)
-                if isinstance(stripped, Atom) and stripped not in bucket:
-                    bucket.append(stripped)
+    live: list[tuple[Atom, Atom]] = []  # (indexed atom, stripped atom)
+    for (edge, _), f, current in zip(path, per_edge, maps[1:]):
+        live = [(atom, stripped) for atom, stripped in live if _is_live(atom, current)]
+        for g in _dag_nodes(f):
+            if isinstance(g, Atom) and _is_live(g, current):
+                stripped = strip_indices_atom(g)
+                if isinstance(stripped, Atom):
+                    live.append((g, stripped))
+        bucket = harvested.setdefault(edge.target, [])
+        for _, stripped in live:
+            if stripped not in bucket:
+                bucket.append(stripped)
     return {loc: preds for loc, preds in harvested.items() if preds}
+
+
+def _is_live(atom: Atom, ssa: dict[str, int]) -> bool:
+    """Every variable of atom is at its index in ssa."""
+    return all((v.index or 0) == ssa.get(v.name, 0) for v in atom.term.variables())
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ class Stats:
 class VerificationResult:
     verdict: str  # "safe" | "unsafe" | "unknown"
     stats: Stats
-    path: CounterexamplePath | None = None
+    path: list[tuple[Edge, int]] | None = None
     model: dict[VariableRef, Fraction] | None = None
     integral_witness: bool = False
     replayed: bool = False

@@ -433,6 +433,31 @@ def propvars(f: Formula) -> set[str]:
     return out
 
 
+def _map_terms(f: Formula, term_map) -> Formula:
+    """Rebuild f with every atom's term replaced by term_map(term), walking
+    each shared subformula once."""
+    memo: dict[int, Formula] = {}
+
+    def walk(g: Formula) -> Formula:
+        cached = memo.get(id(g))
+        if cached is not None:
+            return cached
+        if isinstance(g, Atom):
+            out = Atom(g.rel, term_map(g.term))
+        elif isinstance(g, Not):
+            out = f_not(walk(g.arg))
+        elif isinstance(g, And):
+            out = f_and(*(walk(a) for a in g.args))
+        elif isinstance(g, Or):
+            out = f_or(*(walk(a) for a in g.args))
+        else:
+            out = g
+        memo[id(g)] = out
+        return out
+
+    return walk(f)
+
+
 def rename(f: Formula, mapping: Mapping[VariableRef, VariableRef]) -> Formula:
     """Simultaneous capture-free substitution of variables.
 
@@ -442,51 +467,12 @@ def rename(f: Formula, mapping: Mapping[VariableRef, VariableRef]) -> Formula:
     image = {v: mapping.get(v, v) for v in occurring}
     if len(set(image.values())) != len(image):
         raise ValueError("non-injective rename")
-
-    memo: dict[int, Formula] = {}
-
-    def walk(g: Formula) -> Formula:
-        cached = memo.get(id(g))
-        if cached is not None:
-            return cached
-        if isinstance(g, Atom):
-            out = Atom(g.rel, g.term.rename(mapping))
-        elif isinstance(g, Not):
-            out = f_not(walk(g.arg))
-        elif isinstance(g, And):
-            out = f_and(*(walk(a) for a in g.args))
-        elif isinstance(g, Or):
-            out = f_or(*(walk(a) for a in g.args))
-        else:
-            out = g
-        memo[id(g)] = out
-        return out
-
-    return walk(f)
+    return _map_terms(f, lambda t: t.rename(mapping))
 
 
 def at_indices(f: Formula, ssa: Mapping[str, int]) -> Formula:
     """Map every current-state variable x to x@ssa[x] (missing names -> 0)."""
-    memo: dict[int, Formula] = {}
-
-    def walk(g: Formula) -> Formula:
-        cached = memo.get(id(g))
-        if cached is not None:
-            return cached
-        if isinstance(g, Atom):
-            out = Atom(g.rel, g.term.at_indices(ssa))
-        elif isinstance(g, Not):
-            out = f_not(walk(g.arg))
-        elif isinstance(g, And):
-            out = f_and(*(walk(a) for a in g.args))
-        elif isinstance(g, Or):
-            out = f_or(*(walk(a) for a in g.args))
-        else:
-            out = g
-        memo[id(g)] = out
-        return out
-
-    return walk(f)
+    return _map_terms(f, lambda t: t.at_indices(ssa))
 
 
 def max_index(f: Formula, name: str) -> int:

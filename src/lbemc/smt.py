@@ -811,12 +811,25 @@ class _Dpll:
             conflict = outcome
 
 
-class InternalSolver:
-    """Self-contained DPLL(T) solver for the formula language of this package."""
+class _SolverBase:
+    """Query counters, entailment and close, shared by both backends."""
 
     def __init__(self) -> None:
         self.queries = 0
         self.theory_checks = 0
+
+    def entails(self, a: Formula, b: Formula) -> bool:
+        return not self.check_sat(f_and(a, f_not(b))).is_sat
+
+    def close(self) -> None:
+        pass
+
+
+class InternalSolver(_SolverBase):
+    """Self-contained DPLL(T) solver for the formula language of this package."""
+
+    def __init__(self) -> None:
+        super().__init__()
         self._memo: dict[Formula, SatResult] = {}
 
     # -- public interface --------------------------------------------------
@@ -829,9 +842,6 @@ class InternalSolver:
         res = self._solve(phi)
         self._memo[phi] = res
         return res
-
-    def entails(self, a: Formula, b: Formula) -> bool:
-        return not self.check_sat(f_and(a, f_not(b))).is_sat
 
     def all_sat(self, phi: Formula, important: list[str]) -> list[dict[str, bool]]:
         """All total assignments over `important` extendable to a model of phi."""
@@ -865,13 +875,6 @@ class InternalSolver:
         self.theory_checks += dpll.theory_checks
         return results
 
-    def theory_check(self, atoms) -> SatResult:
-        self.theory_checks += 1
-        return theory_check(atoms)
-
-    def close(self) -> None:
-        pass
-
     # -- internals ----------------------------------------------------------
 
     def _solve(self, phi: Formula) -> SatResult:
@@ -886,11 +889,10 @@ class InternalSolver:
             if pos & neg:
                 return UNSAT
             self.theory_checks += 1
-            try:
-                env = _solve_lin([_lin_of_atom(a, i) for i, a in enumerate(atoms)])
-            except _TheoryConflict:
+            res = theory_check(atoms)
+            if not res.is_sat:
                 return UNSAT
-            return self._fill(phi, env, {n: True for n in pos} | {n: False for n in neg})
+            return self._fill(phi, res.model, {n: True for n in pos} | {n: False for n in neg})
         cnf = _Cnf()
         cnf.add_clause([cnf.literal(prep)])
         dpll = _Dpll(cnf)
@@ -944,24 +946,10 @@ def _literal_conjunction(prep: Formula):
 # external backend: SMT-LIB2 over a solver process
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolverBackend:
-    """Internal by default; `command` selects an SMT-LIB2 subprocess."""
-
-    command: str | None = None
-
-    @property
-    def is_external(self) -> bool:
-        return self.command is not None
-
-
-def make_solver(backend: SolverBackend | str | None = None):
+def make_solver(backend: str | None = None):
+    """The internal engine, or an SMT-LIB2 process started with `backend`."""
     if backend is None or backend == "internal":
         return InternalSolver()
-    if isinstance(backend, SolverBackend):
-        if not backend.is_external:
-            return InternalSolver()
-        return Smtlib2Solver(backend.command)
     return Smtlib2Solver(backend)
 
 
@@ -1004,7 +992,7 @@ def _smt_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-class Smtlib2Solver:
+class Smtlib2Solver(_SolverBase):
     """Session with an external SMT-LIB2 solver process (logic QF_LRA).
 
     The process is spawned lazily and kept for the lifetime of the object;
@@ -1013,10 +1001,9 @@ class Smtlib2Solver:
     """
 
     def __init__(self, command: str | list[str]) -> None:
+        super().__init__()
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.proc: subprocess.Popen | None = None
-        self.queries = 0
-        self.theory_checks = 0
         self._declared: set[str] = set()
 
     def _start(self) -> None:
@@ -1108,9 +1095,6 @@ class Smtlib2Solver:
             model.setdefault(v, Fraction(0))
         return sat(model=model, bools=bvals)
 
-    def entails(self, a: Formula, b: Formula) -> bool:
-        return not self.check_sat(f_and(a, f_not(b))).is_sat
-
     def all_sat(self, phi: Formula, important: list[str]) -> list[dict[str, bool]]:
         self.queries += 1
         self._start()
@@ -1148,9 +1132,6 @@ class Smtlib2Solver:
             self._send(f"(assert (or {' '.join(lits)}))")
         self._send("(pop 1)")
         return results
-
-    def theory_check(self, atoms) -> SatResult:
-        return self.check_sat(f_and(*atoms))
 
     def close(self) -> None:
         if self.proc is not None:

@@ -76,6 +76,15 @@ class TestExitCodes:
         monkeypatch.setenv(cli.SOLVER_ENV, "/nonexistent/solver --smt2")
         assert main([locks_file]) == 3
 
+    def test_internal_error_is_three_without_traceback(self, tmp_path, capsys):
+        # deep enough to exhaust the recursion limit during summarization
+        path = tmp_path / "long.imp"
+        path.write_text("int x;\n" + "x = x + 1;\n" * 1500)
+        assert main([str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RecursionError: ")
+        assert "Traceback" not in err
+
     def test_crosscheck_disagreement_is_four(self, locks_file, monkeypatch):
         bogus = VerificationResult("unsafe", Stats())
 

@@ -256,3 +256,59 @@ def test_art_dot_export(solver):
     dot = art_to_dot(r.art)
     assert dot.startswith("digraph art {")
     assert "style=dashed" in dot  # the covered loop-head unrolling
+
+
+def _quadratic_harvest(path, variable_names):
+    """Reference harvest: at every position, rescan the atoms of every
+    earlier edge for liveness at that position."""
+    from lbemc.formula import Atom, _dag_nodes, strip_indices_atom
+    from lbemc.semantics import encode_edge
+
+    ssa = {n: 0 for n in variable_names}
+    per_edge = []
+    maps = [dict(ssa)]
+    for edge, _ in path:
+        f, ssa = encode_edge(edge.op, ssa)
+        per_edge.append(f)
+        maps.append(dict(ssa))
+    harvested = {}
+    for i in range(1, len(path) + 1):
+        current = maps[i]
+        bucket = harvested.setdefault(path[i - 1][0].target, [])
+        for j in range(i):
+            for atom in (g for g in _dag_nodes(per_edge[j]) if isinstance(g, Atom)):
+                if not all((v.index or 0) == current.get(v.name, 0)
+                           for v in atom.term.variables()):
+                    continue
+                stripped = strip_indices_atom(atom)
+                if isinstance(stripped, Atom) and stripped not in bucket:
+                    bucket.append(stripped)
+    return {loc: preds for loc, preds in harvested.items() if preds}
+
+
+def test_harvest_matches_quadratic_reference_in_order(monkeypatch):
+    import lbemc.engine as engine
+
+    calls = []
+    original = engine.extract_predicates
+
+    def recording(path, variable_names, solver=None):
+        out = original(path, variable_names, solver)
+        calls.append((path, variable_names, out))
+        return out
+
+    monkeypatch.setattr(engine, "extract_predicates", recording)
+    ladder = [(gen_test_locks(n), ((False, CARTESIAN), (True, BOOLEAN), (True, CARTESIAN)))
+              for n in range(1, 5)]
+    corpus = [(random_program(k), ((False, CARTESIAN), (False, BOOLEAN),
+                                   (True, CARTESIAN), (True, BOOLEAN)))
+              for k in range(200)]
+    for source, configurations in ladder + corpus:
+        p = parse_program(source)
+        q, _ = summarize(p)
+        for lbe, mode in configurations:
+            verify(q if lbe else p, mode=mode)
+    assert len(calls) >= 80
+    for path, names, got in calls:
+        want = _quadratic_harvest(path, names)
+        assert list(got.items()) == list(want.items())
