@@ -25,6 +25,13 @@ def _configurations():
     for n in (2, 3):
         for enc, mode in (("lbe", "boolean"), ("sbe", "cartesian")):
             yield f"bug{n}", gen_test_locks(n, bug=True), enc, mode
+    # larger ladders: hundreds of Cartesian posts with up to a dozen
+    # predicates each, and the longest replayed counterexamples
+    yield "locks4", gen_test_locks(4), "sbe", "cartesian"
+    for n in (4, 5, 6):
+        yield f"locks{n}", gen_test_locks(n), "lbe", "cartesian"
+    for enc, mode in (("lbe", "boolean"), ("sbe", "cartesian")):
+        yield "bug4", gen_test_locks(4, bug=True), enc, mode
     for k in range(50):
         for enc in ("sbe", "lbe"):
             for mode in ("cartesian", "boolean"):
@@ -71,6 +78,12 @@ CONTRACT = {
     "bug2/sbe/cartesian": ('unsafe', 21, 0, 15, 0, (0, 0, 0), None, (13, True, True)),
     "bug3/lbe/boolean": ('unsafe', 4, 0, 4, 33, (0, 0, 0), None, (2, True, True)),
     "bug3/sbe/cartesian": ('unsafe', 27, 0, 19, 0, (0, 0, 0), None, (17, True, True)),
+    "locks4/sbe/cartesian": ('safe', 357, 11, 5136, 0, (13, 7, 12), None, None),
+    "locks4/lbe/cartesian": ('unknown', 4, 1, 213, 44, (5, 5, 5), 'stagnation', None),
+    "locks5/lbe/cartesian": ('unknown', 4, 1, 299, 55, (6, 6, 6), 'stagnation', None),
+    "locks6/lbe/cartesian": ('unknown', 4, 1, 399, 66, (7, 7, 7), 'stagnation', None),
+    "bug4/lbe/boolean": ('unsafe', 4, 0, 4, 44, (0, 0, 0), None, (2, True, True)),
+    "bug4/sbe/cartesian": ('unsafe', 33, 0, 23, 0, (0, 0, 0), None, (21, True, True)),
     "rand0/sbe/cartesian": ('unsafe', 15, 0, 13, 0, (0, 0, 0), None, (7, True, True)),
     "rand0/sbe/boolean": ('unsafe', 15, 0, 13, 0, (0, 0, 0), None, (7, True, True)),
     "rand0/lbe/cartesian": ('unsafe', 5, 0, 11, 10, (0, 0, 0), None, (2, True, True)),
