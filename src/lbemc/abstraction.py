@@ -261,11 +261,12 @@ class Abstractor:
 
     def _cartesian_on(self, phi: Formula, shifted, pi: Precision) -> AbstractFormula:
         """Conjunction of the predicates of pi whose shifted form phi entails."""
-        if not self.solver.check_sat(phi).is_sat:
+        verdicts = self.solver.entailed(phi, shifted)
+        if verdicts is None:
             return self.false_state()
         node = Bdd.TRUE
-        for p, q in zip(pi, shifted):
-            if self.solver.entails(phi, q):
+        for p, holds in zip(pi, verdicts):
+            if holds:
                 node = self.bdd.apply_and(node, self.bdd.var(self.pred_id(p)))
         return AbstractFormula(self, node)
 

@@ -34,7 +34,10 @@ from .formula import (
     f_or,
     var_sort_key,
 )
-from .semantics import Assign, Assume, Choice, Havoc, Operation, Seq, encode_edge
+from .semantics import Assign, Assume, Choice, Havoc, Operation, Seq, ssa_after
+# unused here; perfbench/tracer.py wraps `encode_edge` in this module's
+# namespace (looked up through __dict__), so the name has to stay
+from .semantics import encode_edge  # noqa: F401
 from .smt import _Lin, _TheoryConflict, _const_check, _lin_of_atom, _substitute, normalize
 
 REACHABLE = "reachable"
@@ -303,8 +306,10 @@ def equivalent_modulo_indexed(a: Formula, b: Formula, solver) -> bool:
 # model-guided replay of counterexample paths
 # ---------------------------------------------------------------------------
 
-def _exec_guided(op: Operation, env: dict[str, Fraction], ssa: dict[str, int], model):
-    """Yield (env', ssa') resolutions of op, reading havoc values from model."""
+def _exec_guided(op: Operation, env: dict[str, Fraction], ssa: dict[str, int], model,
+                 maps: dict):
+    """Yield (env', ssa') resolutions of op, reading havoc values from model;
+    maps is the `ssa_after` memo of the replay."""
     if isinstance(op, Assign):
         ref_env = {VariableRef(n): v for n, v in env.items()}
         val = op.expr.evaluate(ref_env)
@@ -325,20 +330,14 @@ def _exec_guided(op: Operation, env: dict[str, Fraction], ssa: dict[str, int], m
         yield {**env, op.var: val}, out
         return
     if isinstance(op, Seq):
-        for env1, m1 in _exec_guided(op.first, env, ssa, model):
-            yield from _exec_guided(op.second, env1, m1, model)
+        for env1, m1 in _exec_guided(op.first, env, ssa, model, maps):
+            yield from _exec_guided(op.second, env1, m1, model, maps)
         return
     if isinstance(op, Choice):
-        _, m1 = encode_edge(op.left, ssa)
-        _, m2 = encode_edge(op.right, ssa)
-        merged = {
-            n: (m1.get(n, 0) if m1.get(n, 0) == m2.get(n, 0)
-                else max(m1.get(n, 0), m2.get(n, 0)) + 1)
-            for n in set(m1) | set(m2)
-        }
-        for env1, _ in _exec_guided(op.left, env, ssa, model):
+        merged = ssa_after(op, ssa, maps)
+        for env1, _ in _exec_guided(op.left, env, ssa, model, maps):
             yield env1, merged
-        for env2, _ in _exec_guided(op.right, env, ssa, model):
+        for env2, _ in _exec_guided(op.right, env, ssa, model, maps):
             yield env2, merged
         return
     raise TypeError(f"not an operation: {op!r}")
@@ -353,11 +352,12 @@ def replay_path(p: Program, edges: list[Edge], model) -> bool:
     names = program_variables(p)
     env0 = {n: model.get(VariableRef(n, 0), Fraction(0)) for n in names}
     ssa0 = {n: 0 for n in names}
+    maps: dict = {}
 
     def go(i: int, env: dict[str, Fraction], ssa: dict[str, int]) -> bool:
         if i == len(edges):
             return True
-        for env2, ssa2 in _exec_guided(edges[i].op, env, ssa, model):
+        for env2, ssa2 in _exec_guided(edges[i].op, env, ssa, model, maps):
             if go(i + 1, env2, ssa2):
                 return True
         return False

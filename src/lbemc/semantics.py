@@ -280,22 +280,53 @@ def _encode(op: Operation, ssa: dict[str, int], memo) -> tuple[Formula, dict[str
     elif isinstance(op, Choice):
         f1, m1 = _encode(op.left, ssa, memo)
         f2, m2 = _encode(op.right, ssa, memo)
-        names = sorted(set(m1) | set(m2))
+        merged = _merge(m1, m2)
         pads1: list[Formula] = []
         pads2: list[Formula] = []
-        merged: dict[str, int] = {}
-        for name in names:
+        for name, j in merged.items():
             i1, i2 = m1.get(name, 0), m2.get(name, 0)
-            if i1 == i2:
-                merged[name] = i1
-                continue
-            j = max(i1, i2) + 1
-            merged[name] = j
-            fresh = Term.variable(VariableRef(name, j))
-            pads1.append(canon_eq(fresh - Term.variable(VariableRef(name, i1))))
-            pads2.append(canon_eq(fresh - Term.variable(VariableRef(name, i2))))
+            if i1 != i2:
+                fresh = Term.variable(VariableRef(name, j))
+                pads1.append(canon_eq(fresh - Term.variable(VariableRef(name, i1))))
+                pads2.append(canon_eq(fresh - Term.variable(VariableRef(name, i2))))
         result = f_or(f_and(f1, *pads1), f_and(f2, *pads2)), merged
     else:
         raise TypeError(f"not an operation: {op!r}")
     memo[key] = result
     return result
+
+
+def _merge(m1: dict[str, int], m2: dict[str, int]) -> dict[str, int]:
+    """Output map of a choice whose branches end at m1 and m2: a variable
+    they leave at different indices moves to a fresh index above both."""
+    merged: dict[str, int] = {}
+    for name in sorted(set(m1) | set(m2)):
+        i1, i2 = m1.get(name, 0), m2.get(name, 0)
+        merged[name] = i1 if i1 == i2 else max(i1, i2) + 1
+    return merged
+
+
+def ssa_after(op: Operation, ssa: SsaMap, memo: dict) -> dict[str, int]:
+    """The output index map of encode_edge(op, ssa), without the formula.
+
+    memo is keyed like encode_edge's, by subtree identity and index map, so
+    calls may share it only while every operation they saw is alive.  The
+    maps returned are shared and must not be modified.
+    """
+    key = (id(op), tuple(sorted(ssa.items())))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if isinstance(op, (Assign, Havoc)):
+        out = dict(ssa)
+        out[op.var] = out.get(op.var, 0) + 1
+    elif isinstance(op, Assume):
+        out = dict(ssa)
+    elif isinstance(op, Seq):
+        out = ssa_after(op.second, ssa_after(op.first, ssa, memo), memo)
+    elif isinstance(op, Choice):
+        out = _merge(ssa_after(op.left, ssa, memo), ssa_after(op.right, ssa, memo))
+    else:
+        raise TypeError(f"not an operation: {op!r}")
+    memo[key] = out
+    return out

@@ -10,7 +10,10 @@ integer-exact complements from the formula module, so the theory layer only
 ever sees conjunctions of canonical atoms.  Theory conflicts are turned
 into clauses over the conflicting atoms, which keeps enumeration on heavily
 disjunctive inputs polynomial in practice.  A model returned by
-`check_sat` is solved from scratch over the final true atoms.
+`check_sat` is solved from scratch over the final true atoms.  `entailed`
+decides which of several predicates a formula entails in one search
+session: the formula's CNF is built once and each predicate's complement
+is assumed in turn, keeping what earlier answers learned.
 
 An SMT-LIB2 process backend is provided as an alternative; it receives the
 same literal-normalized formulas as the internal engine, so the two agree
@@ -38,6 +41,7 @@ from .formula import (
     TRUE,
     TrueF,
     VariableRef,
+    evaluate,
     f_and,
     f_not,
     f_or,
@@ -476,6 +480,11 @@ class _Dpll:
     so a theory check pushes only the atoms asserted since the last one,
     after popping those the search has retracted.  A per-variable count of
     the true atoms' arithmetic variables scores the selection clauses.
+
+    `solve_under` decides the clauses under one assumption literal, the
+    way MiniSat does (Een & Sorensson, SAT 2003), and can be called again
+    after clauses are added to the CNF: learned clauses, theory lemmas and
+    everything assigned at level zero, in the theory too, carry over.
     """
 
     EAGER_BATCH = 4
@@ -489,8 +498,11 @@ class _Dpll:
         self.trail: list[int] = []
         self.level = 0
         self.theory_checks = 0
-        self._n_true: list[int] = [0] * len(cnf.clauses)
-        self._n_false: list[int] = [0] * len(cnf.clauses)
+        self._n_true: list[int] = []
+        self._n_false: list[int] = []
+        self._scanned = 0  # clauses checked for being unit at level zero
+        self._assumption: int | None = None
+        self._found_model = False  # by an earlier solve_under
         self._n_true_atoms_checked = -1
         self._decide_head = 0
         self._theory = _LinTheory()
@@ -558,19 +570,25 @@ class _Dpll:
         idx = self.cnf.add_clause(lits)
         if idx is None:
             raise AssertionError("tautological learned clause")
-        clause = self.cnf.clauses[idx]
-        n_true = n_false = 0
-        for lit in clause:
-            val = self.assign.get(abs(lit))
-            if val is None:
-                continue
-            if val == (lit > 0):
-                n_true += 1
-            else:
-                n_false += 1
-        self._n_true.append(n_true)
-        self._n_false.append(n_false)
-        return clause
+        self._count_new_clauses()
+        return self.cnf.clauses[idx]
+
+    def _count_new_clauses(self) -> None:
+        """Initialize the counters of clauses the CNF gained since the last
+        call, from the current assignment."""
+        assign = self.assign
+        for clause in self.cnf.clauses[len(self._n_true):]:
+            n_true = n_false = 0
+            for lit in clause:
+                val = assign.get(abs(lit))
+                if val is None:
+                    continue
+                if val == (lit > 0):
+                    n_true += 1
+                else:
+                    n_false += 1
+            self._n_true.append(n_true)
+            self._n_false.append(n_false)
 
     def _violated(self, clause: list[int]) -> bool:
         assign = self.assign
@@ -609,8 +627,14 @@ class _Dpll:
                     queue.append(abs(lit))
         return None
 
-    def _initial_propagate(self) -> list[int] | None:
-        for idx, clause in enumerate(self.cnf.clauses):
+    def _propagate_new_clauses(self) -> list[int] | None:
+        """Propagate the clauses not scanned yet that are unit (all of
+        them on the first call); returns a violated clause."""
+        self._count_new_clauses()
+        clauses = self.cnf.clauses
+        start, self._scanned = self._scanned, len(clauses)
+        for idx in range(start, len(clauses)):
+            clause = clauses[idx]
             if self._n_true[idx] > 0:
                 continue
             if self._n_false[idx] == len(clause):
@@ -744,7 +768,11 @@ class _Dpll:
     # -- decisions --------------------------------------------------------------
 
     def _next_decision(self) -> tuple[int, bool] | None:
-        """Next important variable, else an argument of a pending selection."""
+        """The assumption, else the next important variable, else an
+        argument of a pending selection."""
+        lit = self._assumption
+        if lit is not None and abs(lit) not in self.assign:
+            return abs(lit), lit > 0
         decisions = self.cnf.decisions
         while self._decide_head < len(decisions):
             v = decisions[self._decide_head]
@@ -777,11 +805,14 @@ class _Dpll:
         """Enumerate models.
 
         on_model returns a blocking clause (over the important variables)
-        to continue the enumeration, or None to stop the search.
+        to continue the enumeration, or None to stop the search.  The
+        search also ends when the assumption is false, which it can only
+        be at level zero, since it is the first decision.
         """
-        conflict = self._initial_propagate()
+        conflict = self._propagate_new_clauses()
         if conflict is None:
             conflict = self._theory_conflict()
+        lit = self._assumption
         while True:
             if conflict is not None:
                 outcome = self._handle_conflict(conflict)
@@ -789,6 +820,8 @@ class _Dpll:
                     return
                 conflict = None
                 continue
+            if lit is not None and self.assign.get(abs(lit)) == (lit < 0):
+                return
             decision = self._next_decision()
             if decision is not None:
                 var, value = decision
@@ -809,6 +842,40 @@ class _Dpll:
             if outcome is self._EXHAUSTED:
                 return
             conflict = outcome
+
+    def solve_under(self, lit: int | None) -> bool:
+        """Whether the clauses have a model in which lit (if any) is true.
+
+        The search restarts from level zero and decides lit first, at
+        level one.  A sat answer leaves the model assigned for `model`.
+        """
+        self._pop_to_level(0)
+        if self._found_model:
+            # atoms true at level zero follow from the clauses, so the model
+            # found before shows they are consistent
+            self._n_true_atoms_checked = len(self._true_atoms)
+        self._assumption = lit
+        found = []
+
+        def on_model() -> None:
+            found.append(True)
+
+        self.run(on_model)
+        self._found_model = self._found_model or bool(found)
+        return bool(found)
+
+    def model(self) -> dict[VariableRef, Fraction]:
+        """After a sat answer: a theory witness of the true atoms."""
+        return self._theory.model()
+
+    def bools(self) -> dict[str, bool]:
+        """After a sat answer: the propositional inputs' values (unassigned
+        ones false)."""
+        return {
+            f.name: self.assign.get(v, False)
+            for f, v in self.cnf.var_of_input.items()
+            if isinstance(f, PropVar)
+        }
 
 
 class _SolverBase:
@@ -831,6 +898,10 @@ class InternalSolver(_SolverBase):
     def __init__(self) -> None:
         super().__init__()
         self._memo: dict[Formula, SatResult] = {}
+        # phi -> {q: phi entails q} for the q decided so far, or None if
+        # phi is unsat
+        self._verdicts: dict[Formula, dict[Formula, bool] | None] = {}
+        self._complements: dict[Formula, Formula] = {}  # q -> normalize(not q)
 
     # -- public interface --------------------------------------------------
 
@@ -875,7 +946,54 @@ class InternalSolver(_SolverBase):
         self.theory_checks += dpll.theory_checks
         return results
 
+    def entailed(self, phi: Formula, qs) -> list[bool] | None:
+        """None if phi is unsat, else for each q of qs whether phi entails q.
+
+        Counts the queries of check_sat(phi) and one entails(phi, q) per q.
+        Verdicts are memoized per (phi, q).  The undecided ones share one
+        CNF of phi: a complement of q that the first model of phi satisfies
+        is not entailed, and each other one is decided under an assumption
+        literal.
+        """
+        self.queries += 1
+        known = self._verdicts.get(phi, {})
+        if known is None:
+            return None
+        todo = [q for q in qs if q not in known]
+        if todo or phi not in self._verdicts:
+            is_sat = self._decide(phi, todo, known)
+            self._verdicts[phi] = known if is_sat else None
+            if not is_sat:
+                return None
+        self.queries += len(qs)
+        return [known[q] for q in qs]
+
     # -- internals ----------------------------------------------------------
+
+    def _decide(self, phi: Formula, qs, known: dict[Formula, bool]) -> bool:
+        """Whether phi is sat; if so, record in known whether it entails
+        each q of qs."""
+        prep = normalize(phi)
+        if prep == FALSE:
+            return False
+        cnf = _Cnf()
+        if prep != TRUE:
+            cnf.add_clause([cnf.literal(prep)])
+        dpll = _Dpll(cnf)
+        try:
+            if not dpll.solve_under(None):
+                return False
+            if qs:
+                env, bools = dpll.model(), dpll.bools()
+            for q in qs:
+                nq = self._complements.get(q)
+                if nq is None:
+                    nq = self._complements[q] = normalize(f_not(q))
+                known[q] = not (_satisfies(nq, env, bools)
+                                or dpll.solve_under(cnf.literal(nq)))
+            return True
+        finally:
+            self.theory_checks += dpll.theory_checks
 
     def _solve(self, phi: Formula) -> SatResult:
         prep = normalize(phi)
@@ -896,25 +1014,16 @@ class InternalSolver(_SolverBase):
         cnf = _Cnf()
         cnf.add_clause([cnf.literal(prep)])
         dpll = _Dpll(cnf)
-        found: list[SatResult] = []
-
-        def on_model() -> None:
-            bools = {
-                f.name: dpll.assign.get(v, False)
-                for f, v in cnf.var_of_input.items()
-                if isinstance(f, PropVar)
-            }
-            # the witness is solved from scratch over the final true atoms in
-            # input order, independent of the order the search asserted them
-            env = _solve_lin([
-                _lin_of_atom(a, v) for v, a in cnf.atom_of.items() if dpll.assign.get(v)
-            ])
-            found.append(self._fill(phi, env, bools))
-            return None
-
-        dpll.run(on_model)
+        found = dpll.solve_under(None)
         self.theory_checks += dpll.theory_checks
-        return found[0] if found else UNSAT
+        if not found:
+            return UNSAT
+        # the witness is solved from scratch over the final true atoms in
+        # input order, independent of the order the search asserted them
+        env = _solve_lin([
+            _lin_of_atom(a, v) for v, a in cnf.atom_of.items() if dpll.assign.get(v)
+        ])
+        return self._fill(phi, env, dpll.bools())
 
     @staticmethod
     def _fill(phi: Formula, env: dict[VariableRef, Fraction], bools) -> SatResult:
@@ -922,6 +1031,24 @@ class InternalSolver(_SolverBase):
         for v in variables(phi):
             model.setdefault(v, Fraction(0))
         return sat(model=model, bools=bools)
+
+
+def _satisfies(f: Formula, env: dict[VariableRef, Fraction],
+               bools: dict[str, bool]) -> bool:
+    """Whether f holds in a model that leaves out some variables: missing
+    arithmetic ones are 0 and missing propositional ones false.
+
+    A model of phi that satisfies the normalized complement of q shows that
+    phi does not entail q.  It must be the complement, not q itself: at
+    x = 1/2, `x <= 0` is false, but its integer complement `x >= 1` is
+    false too, and phi can still entail `x <= 0`.
+    """
+    if isinstance(f, Atom):  # the common case, without building Fractions
+        val = f.term.const + sum(c * env[v] for v, c in f.term.coeffs if v in env)
+        return val == 0 if f.rel == EQ else val <= 0
+    if isinstance(f, Or):
+        return any(_satisfies(a, env, bools) for a in f.args)
+    return evaluate(f, env, {n: bools.get(n, False) for n in propvars(f)})
 
 
 def _literal_conjunction(prep: Formula):
@@ -1062,21 +1189,15 @@ class Smtlib2Solver(_SolverBase):
                 self._declared.add(sym)
                 self._send(f"(declare-fun {sym} () Bool)")
 
-    def check_sat(self, phi: Formula) -> SatResult:
-        self.queries += 1
-        self._start()
-        prep = normalize(phi)
-        self._declare(prep)
-        self._send("(push 1)")
-        self._send(f"(assert {_smt_formula(prep)})")
+    def _is_sat(self) -> bool:
         self._send("(check-sat)")
         verdict = self._read_sexpr()
-        if verdict == "unsat":
-            self._send("(pop 1)")
-            return UNSAT
-        if verdict != "sat":
-            self._send("(pop 1)")
+        if verdict not in ("sat", "unsat"):
             raise RuntimeError(f"unexpected solver reply: {verdict!r}")
+        return verdict == "sat"
+
+    def _model(self, prep: Formula):
+        """The values of prep's variables after a sat answer."""
         arith = sorted(variables(prep), key=var_sort_key)
         bools = sorted(propvars(prep))
         model: dict[VariableRef, Fraction] = {}
@@ -1090,10 +1211,59 @@ class Smtlib2Solver(_SolverBase):
                 model[v] = _parse_rational(values[_unquote(sym)])
             for b in bools:
                 bvals[b] = values[b] in ("true",)
-        self._send("(pop 1)")
+        return model, bvals
+
+    def check_sat(self, phi: Formula) -> SatResult:
+        self.queries += 1
+        self._start()
+        prep = normalize(phi)
+        self._declare(prep)
+        self._send("(push 1)")
+        try:
+            self._send(f"(assert {_smt_formula(prep)})")
+            if not self._is_sat():
+                return UNSAT
+            model, bvals = self._model(prep)
+        finally:
+            self._send("(pop 1)")
         for v in variables(phi):
             model.setdefault(v, Fraction(0))
         return sat(model=model, bools=bvals)
+
+    def entailed(self, phi: Formula, qs) -> list[bool] | None:
+        """None if phi is unsat, else for each q of qs whether phi entails q.
+
+        Counts the queries of check_sat(phi) and one entails(phi, q) per q.
+        phi is asserted once; each complement of q that phi's model does
+        not satisfy is checked in a nested frame.
+        """
+        self.queries += 1
+        self._start()
+        prep = normalize(phi)
+        nqs = [normalize(f_not(q)) for q in qs]
+        for f in (prep, *nqs):
+            self._declare(f)
+        self._send("(push 1)")
+        try:
+            self._send(f"(assert {_smt_formula(prep)})")
+            if not self._is_sat():
+                return None
+            env, bools = self._model(prep)
+            self.queries += len(qs)
+            out = []
+            for nq in nqs:
+                if _satisfies(nq, env, bools):
+                    out.append(False)
+                    continue
+                self._send("(push 1)")
+                self._send(f"(assert {_smt_formula(nq)})")
+                try:
+                    out.append(not self._is_sat())
+                finally:
+                    self._send("(pop 1)")
+            return out
+        finally:
+            self._send("(pop 1)")
 
     def all_sat(self, phi: Formula, important: list[str]) -> list[dict[str, bool]]:
         self.queries += 1

@@ -20,6 +20,7 @@ from lbemc.semantics import (
     op_variables,
     seq,
     sp,
+    ssa_after,
 )
 from lbemc.smt import InternalSolver
 
@@ -108,6 +109,30 @@ class TestEncodeEdge:
             lhs = solver.check_sat(f_and(at_indices(phi, {}), enc)).is_sat
             rhs = solver.check_sat(sp(op, phi)).is_sat
             assert lhs == rhs, (op, phi)
+
+
+def test_ssa_after_matches_encode_edge_output_map():
+    rng = random.Random(17)
+    names = ["a", "b", "c"]
+    shared: dict = {}  # keyed by id(op): every op must stay alive
+    ops = [random_operation(rng, names, depth=4) for _ in range(300)]
+    nested = 0
+    for op in ops:
+        ssa = {n: rng.randint(0, 3) for n in rng.sample(names, rng.randint(0, 3))}
+        want = encode_edge(op, ssa)[1]
+        assert ssa_after(op, ssa, {}) == want, op
+        assert ssa_after(op, ssa, shared) == want, op
+        nested += _choice_depth(op) >= 2
+    assert nested > 20
+
+
+def _choice_depth(op) -> int:
+    """Largest number of choices on one root-to-leaf path of op."""
+    if isinstance(op, Seq):
+        return max(_choice_depth(op.first), _choice_depth(op.second))
+    if isinstance(op, Choice):
+        return 1 + max(_choice_depth(op.left), _choice_depth(op.right))
+    return 0
 
 
 def test_seq_constructor_right_associates():

@@ -17,6 +17,9 @@ from lbemc.formula import (
     f_not,
     f_or,
 )
+from lbemc.cli import gen_test_locks
+from lbemc.engine import verify
+from lbemc.frontend import parse_program
 from lbemc.oracle import _eliminate, random_formula
 from lbemc.smt import (
     InternalSolver,
@@ -204,6 +207,89 @@ class TestEntails:
         assert solver.entails(FALSE, one)
 
 
+def _entailment_cases(seed: int, count: int):
+    """Seeded (phi, qs): random formulas over a, b, c, plus predicates over
+    d, which phi never mentions."""
+    rng = random.Random(seed)
+    names = ["a", "b", "c"]
+    for _ in range(count):
+        phi = random_formula(rng, names, depth=2)
+        qs = [random_formula(rng, names, depth=1) for _ in range(4)]
+        qs.append(compare(rng.choice(["<=", "==", ">"]), tvar("d"), const(rng.randint(-1, 1))))
+        qs.append(compare("<=", tvar("a") + tvar("d"), const(rng.randint(-1, 1))))
+        yield phi, qs
+
+
+def _entailed_reference(phi, qs):
+    """entailed(phi, qs) spelled out with one fresh solver call per question."""
+    if not InternalSolver().check_sat(phi).is_sat:
+        return None
+    return [InternalSolver().entails(phi, q) for q in qs]
+
+
+# x + y = 1 and x - y = 0: the only rational model is x = y = 1/2
+HALVES = f_and(compare("==", tvar("x") + tvar("y"), const(1)),
+               compare("==", tvar("x") - tvar("y"), const(0)))
+X_NONPOS = compare("<=", tvar("x"), const(0))
+
+
+class TestEntailed:
+    def test_matches_entails_on_random_formulas(self, solver):
+        unsat = entailed = 0
+        for phi, qs in _entailment_cases(41, 150):
+            want = _entailed_reference(phi, qs)
+            assert solver.entailed(phi, qs) == want, (phi, qs)
+            # memoized verdicts, asked again and in another order
+            assert solver.entailed(phi, qs[::-1]) == (want and want[::-1])
+            unsat += want is None
+            entailed += sum(want or [])
+        assert unsat > 10 and entailed > 20
+
+    def test_rational_model_does_not_refute(self, solver):
+        model = InternalSolver().check_sat(HALVES).model
+        assert model[X] == Fraction(1, 2) and not evaluate(X_NONPOS, model)
+        # the integer complement x >= 1 is false at x = 1/2 as well, and
+        # over the rationals phi and x >= 1 have no common model
+        assert solver.entails(HALVES, X_NONPOS)
+        assert solver.entailed(HALVES, [X_NONPOS]) == [True]
+
+    def test_equality_predicates(self, solver):
+        x_is_0 = compare("==", tvar("x"), const(0))
+        x_is_2 = compare("==", tvar("x"), const(2))
+        between = lambda lo, hi: f_and(compare(">=", tvar("x"), const(lo)),
+                                       compare("<=", tvar("x"), const(hi)))
+        assert solver.entailed(between(2, 2), [x_is_2, x_is_0]) == [True, False]
+        # the model x = 0 falsifies both arms of x <= -1 or x >= 1, so the
+        # complement of x == 0 is decided under its gate literal
+        assert solver.entailed(between(0, 1), [x_is_0, x_is_2]) == [False, False]
+        assert solver.entailed(between(0, 0), [x_is_0]) == [True]
+
+    def test_predicates_over_unmentioned_variables(self, solver):
+        phi = compare(">=", tvar("x"), const(1))
+        qs = [compare("<=", tvar("y"), const(5)),
+              compare("==", tvar("y"), const(0)),
+              compare("<=", tvar("y"), tvar("y")),
+              compare(">=", tvar("x") + tvar("y") - tvar("y"), const(1))]
+        assert solver.entailed(phi, qs) == [False, False, True, True]
+
+    def test_unsat_phi(self, solver):
+        contradiction = f_and(compare(">", tvar("x"), const(0)),
+                              compare("<", tvar("x"), const(0)))
+        assert solver.entailed(contradiction, [X_NONPOS]) is None
+        assert solver.entailed(FALSE, []) is None
+
+    def test_query_count(self, solver):
+        qs = [X_NONPOS, compare(">=", tvar("y"), const(0))]
+        for _ in range(2):  # the second round is answered from the memo
+            before = solver.queries
+            solver.entailed(HALVES, qs)
+            assert solver.queries == before + 1 + len(qs)
+            solver.entailed(FALSE, qs)
+            assert solver.queries == before + 2 + len(qs)
+            solver.entailed(TRUE, [])
+            assert solver.queries == before + 3 + len(qs)
+
+
 class TestAllSat:
     def test_disjunction(self, solver):
         res = solver.all_sat(f_or(PropVar("v1"), PropVar("v2")), ["v1", "v2"])
@@ -281,6 +367,28 @@ class TestExternalBackend:
         for _ in range(60):
             phi = random_formula(rng, ["a", "b"], depth=2)
             assert ext.check_sat(phi).status == solver.check_sat(phi).status, phi
+
+    def test_entailed_agrees_with_internal(self, ext):
+        cases = list(_entailment_cases(43, 40))
+        cases.append((HALVES, [X_NONPOS, compare("==", tvar("x"), tvar("y"))]))
+        for phi, qs in cases:
+            before = ext.queries
+            want = InternalSolver().entailed(phi, qs)
+            assert ext.entailed(phi, qs) == want, (phi, qs)
+            assert ext.queries == before + 1 + (0 if want is None else len(qs))
+
+    def test_sbe_cartesian_run_matches_internal(self):
+        program = parse_program(gen_test_locks(2))
+        ext = Smtlib2Solver(MOCK_SOLVER_CMD)
+        try:
+            got = verify(program, mode="cartesian", solver=ext)
+        finally:
+            ext.close()
+        want = verify(program, mode="cartesian", solver=InternalSolver())
+        assert got.verdict == want.verdict == "safe"
+        got_stats, want_stats = got.stats.as_dict(), want.stats.as_dict()
+        del got_stats["wall_time_ms"], want_stats["wall_time_ms"]
+        assert got_stats == want_stats
 
     def test_indexed_variables_round_trip(self, ext):
         f = compare("==", tvar("x", 3), const(4))
