@@ -502,7 +502,6 @@ class _Dpll:
         self._n_false: list[int] = []
         self._scanned = 0  # clauses checked for being unit at level zero
         self._assumption: int | None = None
-        self._found_model = False  # by an earlier solve_under
         self._n_true_atoms_checked = -1
         self._decide_head = 0
         self._theory = _LinTheory()
@@ -849,11 +848,10 @@ class _Dpll:
         The search restarts from level zero and decides lit first, at
         level one.  A sat answer leaves the model assigned for `model`.
         """
+        # clauses added since the last call may mention variables assigned
+        # above level zero; they need counters before those are popped
+        self._count_new_clauses()
         self._pop_to_level(0)
-        if self._found_model:
-            # atoms true at level zero follow from the clauses, so the model
-            # found before shows they are consistent
-            self._n_true_atoms_checked = len(self._true_atoms)
         self._assumption = lit
         found = []
 
@@ -861,7 +859,6 @@ class _Dpll:
             found.append(True)
 
         self.run(on_model)
-        self._found_model = self._found_model or bool(found)
         return bool(found)
 
     def model(self) -> dict[VariableRef, Fraction]:
@@ -989,6 +986,10 @@ class InternalSolver(_SolverBase):
                 nq = self._complements.get(q)
                 if nq is None:
                     nq = self._complements[q] = normalize(f_not(q))
+                # a model of phi that satisfies the complement refutes q; it
+                # must be the normalized complement, not q itself: at x = 1/2,
+                # `x <= 0` is false, but its integer complement `x >= 1` is
+                # false too, and phi can still entail `x <= 0`
                 known[q] = not (_satisfies(nq, env, bools)
                                 or dpll.solve_under(cnf.literal(nq)))
             return True
@@ -1036,18 +1037,7 @@ class InternalSolver(_SolverBase):
 def _satisfies(f: Formula, env: dict[VariableRef, Fraction],
                bools: dict[str, bool]) -> bool:
     """Whether f holds in a model that leaves out some variables: missing
-    arithmetic ones are 0 and missing propositional ones false.
-
-    A model of phi that satisfies the normalized complement of q shows that
-    phi does not entail q.  It must be the complement, not q itself: at
-    x = 1/2, `x <= 0` is false, but its integer complement `x >= 1` is
-    false too, and phi can still entail `x <= 0`.
-    """
-    if isinstance(f, Atom):  # the common case, without building Fractions
-        val = f.term.const + sum(c * env[v] for v, c in f.term.coeffs if v in env)
-        return val == 0 if f.rel == EQ else val <= 0
-    if isinstance(f, Or):
-        return any(_satisfies(a, env, bools) for a in f.args)
+    arithmetic ones are 0 and missing propositional ones false."""
     return evaluate(f, env, {n: bools.get(n, False) for n in propvars(f)})
 
 
@@ -1252,6 +1242,7 @@ class Smtlib2Solver(_SolverBase):
             self.queries += len(qs)
             out = []
             for nq in nqs:
+                # the complement, not q: see InternalSolver._decide
                 if _satisfies(nq, env, bools):
                     out.append(False)
                     continue

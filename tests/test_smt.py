@@ -209,14 +209,17 @@ class TestEntails:
 
 def _entailment_cases(seed: int, count: int):
     """Seeded (phi, qs): random formulas over a, b, c, plus predicates over
-    d, which phi never mentions."""
+    d, which phi never mentions, and a pair `a <= k`, `a == k` whose
+    complements share the atom `a >= k + 1`."""
     rng = random.Random(seed)
     names = ["a", "b", "c"]
-    for _ in range(count):
+    for i in range(count):
         phi = random_formula(rng, names, depth=2)
         qs = [random_formula(rng, names, depth=1) for _ in range(4)]
         qs.append(compare(rng.choice(["<=", "==", ">"]), tvar("d"), const(rng.randint(-1, 1))))
         qs.append(compare("<=", tvar("a") + tvar("d"), const(rng.randint(-1, 1))))
+        k = i % 3 - 1
+        qs += [compare("<=", tvar("a"), const(k)), compare("==", tvar("a"), const(k))]
         yield phi, qs
 
 
@@ -263,6 +266,15 @@ class TestEntailed:
         # complement of x == 0 is decided under its gate literal
         assert solver.entailed(between(0, 1), [x_is_0, x_is_2]) == [False, False]
         assert solver.entailed(between(0, 0), [x_is_0]) == [True]
+
+    def test_complement_reuses_an_atom_assigned_by_the_last_model(self, solver):
+        x_ge_3 = compare(">=", tvar("x"), const(3))
+        x_le_3 = compare("<=", tvar("x"), const(3))
+        x_is_3 = compare("==", tvar("x"), const(3))
+        # the model x = 3 leaves x <= 3 to its gate literal x >= 4, which the
+        # search then assumes true; the complement of x == 3, x <= 2 or
+        # x >= 4, is encoded over that atom while it is still assigned
+        assert solver.entailed(x_ge_3, [x_le_3, x_is_3]) == [False, False]
 
     def test_predicates_over_unmentioned_variables(self, solver):
         phi = compare(">=", tvar("x"), const(1))
