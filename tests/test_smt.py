@@ -266,15 +266,11 @@ class TestEntailed:
         # complement of x == 0 is decided under its gate literal
         assert solver.entailed(between(0, 1), [x_is_0, x_is_2]) == [False, False]
         assert solver.entailed(between(0, 0), [x_is_0]) == [True]
-
-    def test_complement_reuses_an_atom_assigned_by_the_last_model(self, solver):
-        x_ge_3 = compare(">=", tvar("x"), const(3))
-        x_le_3 = compare("<=", tvar("x"), const(3))
-        x_is_3 = compare("==", tvar("x"), const(3))
         # the model x = 3 leaves x <= 3 to its gate literal x >= 4, which the
         # search then assumes true; the complement of x == 3, x <= 2 or
         # x >= 4, is encoded over that atom while it is still assigned
-        assert solver.entailed(x_ge_3, [x_le_3, x_is_3]) == [False, False]
+        x_le_3, x_is_3 = compare("<=", tvar("x"), const(3)), compare("==", tvar("x"), const(3))
+        assert solver.entailed(between(3, 9), [x_le_3, x_is_3]) == [False, False]
 
     def test_predicates_over_unmentioned_variables(self, solver):
         phi = compare(">=", tvar("x"), const(1))
