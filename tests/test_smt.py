@@ -1,11 +1,16 @@
 import itertools
+import math
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from lbemc.formula import (
     Atom,
+    EQ,
     PropVar,
     TRUE,
     FALSE,
@@ -16,11 +21,12 @@ from lbemc.formula import (
     f_iff,
     f_not,
     f_or,
+    var_sort_key,
 )
 from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
 from lbemc.frontend import parse_program
-from lbemc.oracle import _eliminate, random_formula
+from lbemc.oracle import _eliminate, _exact_atom, random_formula
 from lbemc.smt import (
     InternalSolver,
     Smtlib2Solver,
@@ -142,6 +148,296 @@ class TestLinTheory:
                 theory.pop_to(len(pushed) - 1)  # back to a satisfiable state
                 del stack[len(pushed) - 1:]
         assert unsat_seen > 20
+
+
+# ---------------------------------------------------------------------------
+# the rational theory kernel, kept as a reference for the one in smt.py
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _RefLin:
+    """sum(coeffs) + const  (= 0 | <= 0) with Fraction coefficients."""
+
+    coeffs: dict
+    const: Fraction
+    is_eq: bool
+    origins: frozenset
+
+
+def _ref_lin_of_atom(atom, origin):
+    return _RefLin({v: Fraction(c) for v, c in atom.term.coeffs},
+                   Fraction(atom.term.const), atom.rel == EQ, frozenset([origin]))
+
+
+def _ref_const_check(c):
+    if c.coeffs:
+        return False
+    if (c.const != 0) if c.is_eq else (c.const > 0):
+        raise _TheoryConflict(c.origins)
+    return True
+
+
+def _ref_substitute(c, v, expr, expr_const, origins):
+    b = c.coeffs.get(v)
+    if b is None:
+        return c
+    coeffs = {w: cw for w, cw in c.coeffs.items() if w != v}
+    for w, cw in expr.items():
+        coeffs[w] = coeffs.get(w, Fraction(0)) + b * cw
+        if coeffs[w] == 0:
+            del coeffs[w]
+    return _RefLin(coeffs, c.const + b * expr_const, c.is_eq, c.origins | origins)
+
+
+def _row_key(c):
+    """The primitive integer form of a row, whatever its number type: the
+    dedup identity of Fourier-Motzkin and what the level keys compare."""
+    denom = 1
+    for x in (*c.coeffs.values(), c.const):
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = {v: int(x * denom) for v, x in c.coeffs.items()}
+    const = int(c.const * denom)
+    g = abs(const)
+    for x in ints.values():
+        g = gcd(g, abs(x))
+    g = g or 1
+    items = tuple(sorted(((v, x // g) for v, x in ints.items()),
+                         key=lambda it: var_sort_key(it[0])))
+    return (c.is_eq, items, const // g)
+
+
+def _ref_fourier_motzkin(ineqs):
+    cur, seen = [], set()
+    for c in ineqs:
+        k = _row_key(c)
+        if k not in seen:
+            seen.add(k)
+            cur.append(c)
+    names = sorted({v for c in cur for v in c.coeffs}, key=var_sort_key)
+    levels = []
+    for v in names:
+        with_v = [c for c in cur if v in c.coeffs]
+        rest = [c for c in cur if v not in c.coeffs]
+        levels.append((v, with_v))
+        derived, seen = [], {_row_key(c) for c in rest}
+        for up in (c for c in with_v if c.coeffs[v] > 0):
+            for lo in (c for c in with_v if c.coeffs[v] < 0):
+                a, b = up.coeffs[v], lo.coeffs[v]
+                coeffs = {w: cw * -b for w, cw in up.coeffs.items() if w != v}
+                for w, cw in lo.coeffs.items():
+                    if w == v:
+                        continue
+                    coeffs[w] = coeffs.get(w, Fraction(0)) + cw * a
+                    if coeffs[w] == 0:
+                        del coeffs[w]
+                comb = _RefLin(coeffs, up.const * -b + lo.const * a, False,
+                               up.origins | lo.origins)
+                if _ref_const_check(comb):
+                    continue
+                k = _row_key(comb)
+                if k not in seen:
+                    seen.add(k)
+                    derived.append(comb)
+        cur = rest + derived
+    return levels
+
+
+def _ref_pick_value(lo, hi):
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return Fraction(min(0, math.floor(hi)))
+    if hi is None:
+        return Fraction(max(0, math.ceil(lo)))
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    c = Fraction(math.ceil(lo))
+    return c if c <= hi else (lo + hi) / 2
+
+
+class _RefTheory:
+    """The backtrackable theory with every row in Fraction arithmetic and
+    each eliminated variable stored as a rational expression."""
+
+    def __init__(self):
+        self._subst = {}  # variable -> (rank, expr, const, origins)
+        self._order = []
+        self._ineqs = []
+        self._undo = []
+
+    def push(self, c):
+        if not c.is_eq:
+            self._ineqs.append(c)
+            self._undo.append("ineq")
+            return
+        c = self._reduce(c)
+        if _ref_const_check(c):
+            self._undo.append(None)
+            return
+        vs = sorted(c.coeffs, key=var_sort_key)
+        v = next((w for w in vs if abs(c.coeffs[w]) == 1), vs[0])
+        a = c.coeffs[v]
+        expr = {w: -cw / a for w, cw in c.coeffs.items() if w != v}
+        self._subst[v] = (len(self._order), expr, -c.const / a, c.origins)
+        self._order.append(v)
+        self._undo.append(v)
+
+    def pop_to(self, n):
+        while len(self._undo) > n:
+            rec = self._undo.pop()
+            if rec == "ineq":
+                self._ineqs.pop()
+            elif rec is not None:
+                del self._subst[rec]
+                self._order.pop()
+
+    def _reduce(self, c):
+        while True:
+            ranked = [(self._subst[w][0], w) for w in c.coeffs if w in self._subst]
+            if not ranked:
+                return c
+            _, v = min(ranked)
+            _, expr, expr_const, origins = self._subst[v]
+            c = _ref_substitute(c, v, expr, expr_const, origins)
+
+    def check(self):
+        reduced = [c for c in map(self._reduce, self._ineqs) if not _ref_const_check(c)]
+        return _ref_fourier_motzkin(reduced)
+
+    def model(self):
+        env = {}
+        for v, with_v in reversed(self.check()):
+            lo = hi = None
+            for c in with_v:
+                a = c.coeffs[v]
+                rest = c.const + sum(cw * env.get(w, Fraction(0))
+                                     for w, cw in c.coeffs.items() if w != v)
+                bound = -rest / a
+                if a > 0:
+                    hi = bound if hi is None else min(hi, bound)
+                else:
+                    lo = bound if lo is None else max(lo, bound)
+            env[v] = _ref_pick_value(lo, hi)
+        for v in reversed(self._order):
+            _, expr, expr_const, _ = self._subst[v]
+            env[v] = expr_const + sum(c * env.get(w, Fraction(0)) for w, c in expr.items())
+        return env
+
+
+def _mixed_ssa_atom(rng: random.Random):
+    """An SSA-shaped atom whose coefficients may be non-unit or negative,
+    such as `2*x@1 == -3*y@2 + 1` or `3*x@2 - 2*y@1 <= 4`."""
+    name, other = rng.choice(["xy", "yx"])
+    i, j = rng.randrange(5), rng.randrange(5)
+    a, b = rng.choice([1, -1, 2, -2, 3, -3]), rng.choice([1, -1, 2, -3])
+    k = const(rng.randint(-4, 4))
+    roll = rng.random()
+    if roll < 0.35:
+        return compare("==", tvar(name, i + 1), tvar(name, i) + k)
+    if roll < 0.6:
+        return compare("==", tvar(name, i).scale(a), tvar(other, j).scale(b) + k)
+    if roll < 0.7:
+        return compare("==", tvar(name, i), k)
+    if roll < 0.85:
+        return compare(rng.choice(["<=", ">="]), tvar(name, i).scale(a), k)
+    return compare("<=", tvar(name, i).scale(a) + tvar(other, j).scale(b), k)
+
+
+def _state(theory):
+    """("unsat", core) or ("sat", FM levels as keys and origins, model)."""
+    try:
+        levels = [(v, [(_row_key(c), c.origins) for c in with_v])
+                  for v, with_v in theory.check()]
+        return "sat", levels, theory.model()
+    except _TheoryConflict as exc:
+        return "unsat", exc.core
+
+
+def _pushed(theory, lin):
+    try:
+        theory.push(lin)
+    except _TheoryConflict as exc:
+        return exc.core
+    return None
+
+
+class TestAgainstFractionReference:
+    """smt._LinTheory gives the rational kernel's verdicts, cores, FM levels
+    and models, push by push and after pops."""
+
+    def test_mixed_coefficient_atom_sets(self):
+        rng = random.Random(53)
+        outcomes = Counter()
+        for _ in range(80):
+            ref, theory = _RefTheory(), _LinTheory()
+            for origin in range(30):
+                if rng.random() < 0.15 and len(theory):
+                    keep = rng.randrange(len(theory))
+                    ref.pop_to(keep)
+                    theory.pop_to(keep)
+                atom = _mixed_ssa_atom(rng)
+                if not isinstance(atom, Atom):
+                    continue
+                refused = _pushed(ref, _ref_lin_of_atom(atom, origin))
+                assert _pushed(theory, _lin_of_atom(atom, origin)) == refused
+                want = _state(ref)
+                assert _state(theory) == want
+                outcomes["refused" if refused else want[0]] += 1
+                if want[0] == "unsat":  # back to a satisfiable state
+                    ref.pop_to(len(ref._undo) - 1)
+                    theory.pop_to(len(theory) - 1)
+        assert outcomes["sat"] > 500 and outcomes["unsat"] > 30 and outcomes["refused"] > 30
+
+    def test_non_unit_negative_pivots(self):
+        x, y, z = (tvar(n) for n in "xyz")
+        atoms = [compare("==", x.scale(2), y.scale(-3)),        # 2x + 3y = 0
+                 compare("==", x + z, const(1)),
+                 compare("<=", y.scale(2) - z.scale(3), const(5)),
+                 compare(">=", y, const(-4)),
+                 compare("==", z.scale(-2) + y, x.scale(3) + const(1))]
+        ref, theory = _RefTheory(), _LinTheory()
+        for origin, atom in enumerate(atoms):
+            assert _pushed(theory, _lin_of_atom(atom, origin)) == \
+                _pushed(ref, _ref_lin_of_atom(atom, origin))
+            assert _state(theory) == _state(ref)
+        assert any(v.denominator > 1 for v in ref.model().values())
+
+    def test_from_scratch_witness(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            atoms = [a for a in (_mixed_ssa_atom(rng) for _ in range(8)) if isinstance(a, Atom)]
+            ref = _RefTheory()
+            try:
+                for i, a in enumerate(atoms):
+                    ref.push(_ref_lin_of_atom(a, i))
+                want = "sat", ref.model()
+            except _TheoryConflict as exc:
+                want = "unsat", exc.core
+            assert _from_scratch([_lin_of_atom(a, i) for i, a in enumerate(atoms)]) == want
+
+    def test_exact_atom_accepts_the_rows(self):
+        rng = random.Random(61)
+        compared = 0
+        for _ in range(100):
+            atoms = [a for a in (_mixed_ssa_atom(rng) for _ in range(6)) if isinstance(a, Atom)]
+            ref, theory = _RefTheory(), _LinTheory()
+            try:
+                for i, a in enumerate(atoms):
+                    ref.push(_ref_lin_of_atom(a, i))
+                    theory.push(_lin_of_atom(a, i))
+                ref_levels, levels = ref.check(), theory.check()
+            except _TheoryConflict:
+                continue
+            for (_, ref_rows), (_, rows) in zip(ref_levels, levels):
+                for r, c in zip(ref_rows, rows):
+                    assert _exact_atom(c) == _exact_atom(r)
+                    compared += 1
+            # the oracle's eliminator takes rows of either number type
+            targets = {v for a in atoms for v in a.term.variables() if v.name == "x"}
+            got = _eliminate([_lin_of_atom(a, i) for i, a in enumerate(atoms)], targets)
+            want = _eliminate([_ref_lin_of_atom(a, i) for i, a in enumerate(atoms)], targets)
+            assert [_exact_atom(c) for c in got] == [_exact_atom(c) for c in want]
+        assert compared > 100
 
 
 class TestCheckSat:

@@ -6,11 +6,15 @@ The other tests bound these fields; this one pins them.  Each record is
 None or a key of REASONS and counterexample is None or, for `unsafe`,
 (path length, integral_witness, replayed).  A change that moves any of
 them changes observable behaviour and must say why.
+
+A second table pins, on the lock ladders, what `--stats` does not show:
+the solver's theory check count and, for `unsafe`, the witness model.
 """
 
 from lbemc.cfa import rule_count, summarize
 from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
+from lbemc.formula import var_sort_key
 from lbemc.frontend import parse_program
 from lbemc.oracle import random_program
 from lbemc.smt import InternalSolver
@@ -38,14 +42,18 @@ def _configurations():
                 yield f"rand{k}", random_program(k), enc, mode
 
 
-def _record(source: str, encoding: str, mode: str) -> tuple:
+def _run(source: str, encoding: str, mode: str):
     program = parse_program(source)
     rules = 0
     if encoding == "lbe":
         program, trace = summarize(program)
         rules = rule_count(trace)
-    result = verify(program, mode=mode, solver=InternalSolver(),
-                    rule_applications=rules)
+    solver = InternalSolver()
+    return verify(program, mode=mode, solver=solver, rule_applications=rules), solver
+
+
+def _record(source: str, encoding: str, mode: str) -> tuple:
+    result, _ = _run(source, encoding, mode)
     s = result.stats
     cex = None
     if result.verdict == "unsafe":
@@ -62,6 +70,26 @@ def test_stats_match_the_pinned_table():
         for name, source, enc, mode in _configurations()
     }
     assert got == CONTRACT
+
+
+def _theory_record(source: str, encoding: str, mode: str) -> tuple:
+    """(theory checks, witness as `var=value` words in variable order)."""
+    result, solver = _run(source, encoding, mode)
+    witness = None
+    if result.model is not None:
+        witness = " ".join(f"{v}={result.model[v]}"
+                           for v in sorted(result.model, key=var_sort_key))
+    return solver.theory_checks, witness
+
+
+def test_theory_checks_and_witnesses_match_the_pinned_table():
+    got = {
+        f"{name}/{enc}/{mode}": _theory_record(source, enc, mode)
+        for name, source, enc, mode in _configurations()
+        if not name.startswith("rand")
+    }
+    assert got == THEORY
+
 
 
 CONTRACT = {
@@ -284,4 +312,38 @@ CONTRACT = {
     "rand49/sbe/boolean": ('safe', 3, 0, 1, 0, (0, 0, 0), None, None),
     "rand49/lbe/cartesian": ('safe', 2, 0, 1, 1, (0, 0, 0), None, None),
     "rand49/lbe/boolean": ('safe', 2, 0, 1, 1, (0, 0, 0), None, None),
+}
+
+
+THEORY = {
+    "locks1/sbe/cartesian": (64, None),
+    "locks1/lbe/boolean": (11, None),
+    "locks1/lbe/cartesian": (43, None),
+    "locks2/sbe/cartesian": (559, None),
+    "locks2/lbe/boolean": (22, None),
+    "locks2/lbe/cartesian": (110, None),
+    "locks3/sbe/cartesian": (3066, None),
+    "locks3/lbe/boolean": (41, None),
+    "locks3/lbe/cartesian": (212, None),
+    "bug2/lbe/boolean": (36,
+        'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
+        'lk2@1=0 lk2@2=0 lk2@3=0 p1@1=0 p2@1=0'),
+    "bug2/sbe/cartesian": (14, 'cond@1=-1 lk1@1=0 lk2@1=0 p1@1=0 p2@1=0'),
+    "bug3/lbe/boolean": (60,
+        'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
+        'lk1@7=0 lk2@1=0 lk2@2=0 lk2@3=0 lk2@4=0 lk2@5=0 lk2@6=0 '
+        'lk3@1=0 lk3@2=0 lk3@3=0 p1@1=0 p2@1=0 p3@1=0'),
+    "bug3/sbe/cartesian": (17, 'cond@1=-1 lk1@1=0 lk2@1=0 lk3@1=0 p1@1=0 p2@1=0 p3@1=0'),
+    "locks4/sbe/cartesian": (11378, None),
+    "locks4/lbe/cartesian": (348, None),
+    "locks5/lbe/cartesian": (514, None),
+    "locks6/lbe/cartesian": (712, None),
+    "bug4/lbe/boolean": (98,
+        'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
+        'lk1@7=0 lk1@8=0 lk2@1=0 lk2@2=0 lk2@3=0 lk2@4=0 lk2@5=0 '
+        'lk2@6=0 lk2@7=0 lk3@1=0 lk3@2=0 lk3@3=0 lk3@4=0 lk3@5=0 '
+        'lk3@6=0 lk4@1=0 lk4@2=0 lk4@3=0 p1@1=0 p2@1=0 p3@1=0 p4@1=0'),
+    "bug4/sbe/cartesian": (20,
+        'cond@1=-1 lk1@1=0 lk2@1=0 lk3@1=0 lk4@1=0 p1@1=0 p2@1=0 '
+        'p3@1=0 p4@1=0'),
 }
