@@ -388,6 +388,22 @@ class TestAgainstFractionReference:
                     theory.pop_to(len(theory) - 1)
         assert outcomes["sat"] > 500 and outcomes["unsat"] > 30 and outcomes["refused"] > 30
 
+    def test_dense_inequalities(self):
+        # few variables and many bounds: Fourier-Motzkin derives rows that
+        # are multiples of each other and must be deduplicated as such
+        rng = random.Random(67)
+        x, y, z = (tvar(n) for n in "xyz")
+        for _ in range(60):
+            ref, theory = _RefTheory(), _LinTheory()
+            for origin in range(8):
+                t = x.scale(rng.choice([1, -1, 2, -2, 3])) + y.scale(rng.choice([0, 1, -2, 3]))
+                atom = compare(rng.choice(["<=", "==", "<=", ">="]),
+                               t + z.scale(rng.choice([0, 1, -1, 2])), const(rng.randint(-6, 6)))
+                if isinstance(atom, Atom):
+                    refused = _pushed(ref, _ref_lin_of_atom(atom, origin))
+                    assert _pushed(theory, _lin_of_atom(atom, origin)) == refused
+                    assert _state(theory) == _state(ref)
+
     def test_non_unit_negative_pivots(self):
         x, y, z = (tvar(n) for n in "xyz")
         atoms = [compare("==", x.scale(2), y.scale(-3)),        # 2x + 3y = 0
