@@ -38,7 +38,7 @@ from .semantics import Assign, Assume, Choice, Havoc, Operation, Seq, ssa_after
 # unused here; perfbench/tracer.py wraps `encode_edge` in this module's
 # namespace (looked up through __dict__), so the name has to stay
 from .semantics import encode_edge  # noqa: F401
-from .smt import _Lin, _TheoryConflict, _const_check, _lin_of_atom, _substitute, normalize
+from .smt import _Lin, _TheoryConflict, _const_check, _lin_of_atom, normalize
 
 REACHABLE = "reachable"
 NOT_REACHABLE = "not-reachable"
@@ -212,8 +212,27 @@ def _exact_atom(lin: _Lin) -> Formula:
     return Atom(EQ if lin.is_eq else LE, term)
 
 
+def _substitute(c: _Lin, v: VariableRef, expr: dict[VariableRef, Fraction],
+                expr_const: Fraction, origins: frozenset[int]) -> _Lin:
+    """c with v replaced by expr + expr_const, in rational arithmetic."""
+    b = c.coeffs.get(v)
+    if b is None:
+        return c
+    coeffs = {w: cw for w, cw in c.coeffs.items() if w != v}
+    for w, cw in expr.items():
+        coeffs[w] = coeffs.get(w, 0) + b * cw
+        if coeffs[w] == 0:
+            del coeffs[w]
+    return _Lin(coeffs, c.const + b * expr_const, c.is_eq, c.origins | origins)
+
+
 def _eliminate(constraints: list[_Lin], targets: set[VariableRef]) -> list[_Lin]:
-    """Existentially eliminate the target variables; raises on contradiction."""
+    """Existentially eliminate the target variables; raises on contradiction.
+
+    Rows may hold integer or Fraction coefficients.  This is a rational
+    eliminator of its own, a reference independent of the solver's
+    fraction-free one.
+    """
     eqs = [c for c in constraints if c.is_eq]
     ineqs = [c for c in constraints if not c.is_eq]
     kept: list[_Lin] = []
@@ -227,8 +246,8 @@ def _eliminate(constraints: list[_Lin], targets: set[VariableRef]) -> list[_Lin]
             continue
         v = next((w for w in tvars if abs(eq.coeffs[w]) == 1), tvars[0])
         a = eq.coeffs[v]
-        expr = {w: -c / a for w, c in eq.coeffs.items() if w != v}
-        expr_const = -eq.const / a
+        expr = {w: Fraction(-c) / a for w, c in eq.coeffs.items() if w != v}
+        expr_const = Fraction(-eq.const) / a
         eqs = [_substitute(c, v, expr, expr_const, eq.origins) for c in eqs]
         new_ineqs = []
         for c in ineqs:

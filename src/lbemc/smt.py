@@ -77,35 +77,25 @@ UNSAT = SatResult("unsat")
 
 @dataclass
 class _Lin:
-    """sum(coeffs) + const  (= 0 | <= 0), with input-atom origins for cores."""
+    """sum(coeffs) + const  (= 0 | <= 0), with input-atom origins for cores.
 
-    coeffs: dict[VariableRef, Fraction]
-    const: Fraction
+    The coefficients and the constant are integers with gcd 1.  Rows are
+    only ever scaled by positive factors, so a row means over the rationals
+    exactly what the rational combination it stands for means.
+    """
+
+    coeffs: dict[VariableRef, int]
+    const: int
     is_eq: bool
     origins: frozenset[int]
 
     def key(self):
-        if not self.coeffs:
-            return (self.is_eq, (), self.const)
-        denom = 1
-        for c in self.coeffs.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        denom = denom * self.const.denominator // gcd(denom, self.const.denominator)
-        ints = [int(c * denom) for c in self.coeffs.values()] + [int(self.const * denom)]
-        g = 0
-        for i in ints:
-            g = gcd(g, abs(i))
-        g = g or 1
-        items = tuple(
-            sorted(((v, int(c * denom) // g) for v, c in self.coeffs.items()),
-                   key=lambda it: var_sort_key(it[0]))
-        )
-        return (self.is_eq, items, int(self.const * denom) // g)
+        return (self.is_eq, frozenset(self.coeffs.items()), self.const)
 
 
 def _lin_of_atom(atom: Atom, origin: int) -> _Lin:
-    coeffs = {v: Fraction(c) for v, c in atom.term.coeffs}
-    return _Lin(coeffs, Fraction(atom.term.const), atom.rel == EQ, frozenset([origin]))
+    # canonical atoms are primitive already
+    return _Lin(dict(atom.term.coeffs), atom.term.const, atom.rel == EQ, frozenset([origin]))
 
 
 class _TheoryConflict(Exception):
@@ -125,17 +115,38 @@ def _const_check(c: _Lin) -> bool:
     return True
 
 
-def _substitute(c: _Lin, v: VariableRef, expr: dict[VariableRef, Fraction],
-                expr_const: Fraction, origins: frozenset[int]) -> _Lin:
+def _substitute(c: _Lin, v: VariableRef, eq: _Lin) -> tuple[_Lin, int, int]:
+    """Eliminate v from c with the equality eq: |a|*c - sign(a)*b*eq made
+    primitive, where a is v's coefficient in eq and b its coefficient in c.
+
+    Also returns m, g > 0 such that the row is m/g times the rational
+    substitution c - (b/a)*eq.
+    """
     b = c.coeffs.get(v)
     if b is None:
-        return c
-    coeffs = {w: cw for w, cw in c.coeffs.items() if w != v}
-    for w, cw in expr.items():
-        coeffs[w] = coeffs.get(w, Fraction(0)) + b * cw
-        if coeffs[w] == 0:
-            del coeffs[w]
-    return _Lin(coeffs, c.const + b * expr_const, c.is_eq, c.origins | origins)
+        return c, 1, 1
+    m = eq.coeffs[v]
+    if m < 0:
+        m, b = -m, -b
+    if m == 1:
+        coeffs = dict(c.coeffs)
+        del coeffs[v]
+        const = c.const - b * eq.const
+    else:
+        coeffs = {w: m * cw for w, cw in c.coeffs.items() if w != v}
+        const = m * c.const - b * eq.const
+    for w, ew in eq.coeffs.items():
+        if w != v:
+            x = coeffs.get(w, 0) - b * ew
+            if x:
+                coeffs[w] = x
+            else:
+                del coeffs[w]
+    g = gcd(const, *coeffs.values())
+    if g > 1:
+        coeffs = {w: cw // g for w, cw in coeffs.items()}
+        const //= g
+    return _Lin(coeffs, const, c.is_eq, c.origins | eq.origins), m, g
 
 
 class _LinTheory:
@@ -144,21 +155,25 @@ class _LinTheory:
     Constraints are pushed one at a time and popped back to any earlier
     length (Dutertre & de Moura, CAV 2006).  Each equality is reduced by
     the substitutions before it and then solved for one of its variables
-    (a unit coefficient first, in variable order), giving a triangular
-    substitution map: the expression of an eliminated variable mentions
-    only variables eliminated after it, so an entry stays valid when later
-    ones are popped.  An equality that reduces to `0 = c != 0` is refused
-    on push.  Inequalities are only recorded; `check` reduces them and runs
-    Fourier-Motzkin over the result.  Every pushed constraint has one undo
-    record, so pop costs are proportional to what is popped.
+    (a unit coefficient of the rational reduction first, in variable
+    order), giving a triangular substitution map: the row of an eliminated
+    variable mentions only variables eliminated after it, so an entry stays
+    valid when later ones are popped.  An equality that reduces to
+    `0 = c != 0` is refused on push.  Inequalities are only recorded;
+    `check` reduces them and runs Fourier-Motzkin over the result.  Every
+    pushed constraint has one undo record, so pop costs are proportional to
+    what is popped.
+
+    Rows are primitive integer vectors, combined fraction-free (Bareiss,
+    Math. Comp. 1968) and scaled only by positive factors, which keeps
+    every verdict exact over Q; rationals appear only in `model`.
     """
 
     _INEQ = object()  # undo record of a pushed inequality
 
     def __init__(self) -> None:
-        # eliminated variable -> (elimination rank, expression, constant, origins)
-        self._subst: dict[VariableRef, tuple[int, dict[VariableRef, Fraction],
-                                             Fraction, frozenset[int]]] = {}
+        # eliminated variable -> (elimination rank, reduced equality row)
+        self._subst: dict[VariableRef, tuple[int, _Lin]] = {}
         self._order: list[VariableRef] = []
         self._ineqs: list[_Lin] = []
         self._undo: list = []  # eliminated variable, _INEQ, or None (redundant)
@@ -173,15 +188,15 @@ class _LinTheory:
             self._ineqs.append(c)
             self._undo.append(self._INEQ)
             return
-        c = self._reduce(c)
+        c, p, q = self._reduce(c)
         if _const_check(c):
             self._undo.append(None)
             return
+        # c is p/q times the rational reduction, whose unit coefficients
+        # are the ones with |coefficient| * q == p
         vs = sorted(c.coeffs, key=var_sort_key)
-        v = next((w for w in vs if abs(c.coeffs[w]) == 1), vs[0])
-        a = c.coeffs[v]
-        expr = {w: -cw / a for w, cw in c.coeffs.items() if w != v}
-        self._subst[v] = (len(self._order), expr, -c.const / a, c.origins)
+        v = next((w for w in vs if abs(c.coeffs[w]) * q == p), vs[0])
+        self._subst[v] = (len(self._order), c)
         self._order.append(v)
         self._undo.append(v)
 
@@ -194,23 +209,29 @@ class _LinTheory:
                 del self._subst[rec]
                 self._order.pop()
 
-    def _reduce(self, c: _Lin) -> _Lin:
-        """Substitute eliminated variables in elimination order."""
+    def _reduce(self, c: _Lin) -> tuple[_Lin, int, int]:
+        """Substitute eliminated variables in elimination order.  Also
+        returns p, q > 0 such that the row is p/q times the same reduction
+        done in rational arithmetic."""
         subst = self._subst
+        p = q = 1
         while True:
             ranked = [(subst[w][0], w) for w in c.coeffs if w in subst]
             if not ranked:
-                return c
+                return c, p, q
             _, v = min(ranked)
-            _, expr, expr_const, origins = subst[v]
-            c = _substitute(c, v, expr, expr_const, origins)
+            c, m, g = _substitute(c, v, subst[v][1])
+            if m != g:
+                p, q = p * m, q * g
+                r = gcd(p, q)
+                p, q = p // r, q // r
 
     def check(self) -> list[tuple[VariableRef, list[_Lin]]]:
         """Fourier-Motzkin levels of the reduced inequalities; raises
         _TheoryConflict with a core if the constraints are unsatisfiable."""
         reduced = []
         for c in self._ineqs:
-            c = self._reduce(c)
+            c = self._reduce(c)[0]
             if not _const_check(c):
                 reduced.append(c)
         return _fourier_motzkin(reduced)
@@ -222,19 +243,25 @@ class _LinTheory:
             lo = hi = None
             for c in with_v:
                 a = c.coeffs[v]
-                rest_val = c.const + sum(
-                    cw * env.get(w, Fraction(0)) for w, cw in c.coeffs.items() if w != v
-                )
-                bound = -rest_val / a
+                bound = Fraction(-_rest_value(c, v, env), a)
                 if a > 0:
                     hi = bound if hi is None else min(hi, bound)
                 else:
                     lo = bound if lo is None else max(lo, bound)
             env[v] = _pick_value(lo, hi)
         for v in reversed(self._order):
-            _, expr, expr_const, _ = self._subst[v]
-            env[v] = expr_const + sum(c * env.get(w, Fraction(0)) for w, c in expr.items())
+            eq = self._subst[v][1]
+            env[v] = Fraction(-_rest_value(eq, v, env), eq.coeffs[v])
         return env
+
+
+def _rest_value(c: _Lin, v: VariableRef, env: dict[VariableRef, Fraction]):
+    """The value of c without its v term; variables missing from env are 0."""
+    total = c.const
+    for w, cw in c.coeffs.items():
+        if w != v and w in env:
+            total += cw * env[w]
+    return total
 
 
 def _solve_lin(constraints: list[_Lin]):
@@ -255,7 +282,10 @@ def _fourier_motzkin(ineqs: list[_Lin]) -> list[tuple[VariableRef, list[_Lin]]]:
 
     Returns one level per variable: the constraints mentioning it when it
     was eliminated, from which a model is solved backwards.  Raises
-    _TheoryConflict when a contradiction `0 < c <= 0` is derived.
+    _TheoryConflict when a contradiction `0 < c <= 0` is derived.  The
+    combination of an upper bound a*v + ... and a lower bound b*v + ...
+    (a > 0 > b) is -b times the first plus a times the second, made
+    primitive.
     """
     cur = []
     seen = set()
@@ -276,26 +306,30 @@ def _fourier_motzkin(ineqs: list[_Lin]) -> list[tuple[VariableRef, list[_Lin]]]:
         derived = []
         seen = {c.key() for c in rest}
         for up in uppers:
+            a = up.coeffs[v]
             for lo in lowers:
-                a, b = up.coeffs[v], lo.coeffs[v]
-                coeffs: dict[VariableRef, Fraction] = {}
-                for w, cw in up.coeffs.items():
-                    if w != v:
-                        coeffs[w] = cw * -b
+                nb = -lo.coeffs[v]
+                coeffs = {w: cw * nb for w, cw in up.coeffs.items() if w != v}
                 for w, cw in lo.coeffs.items():
-                    if w == v:
-                        continue
-                    coeffs[w] = coeffs.get(w, Fraction(0)) + cw * a
-                    if coeffs[w] == 0:
-                        del coeffs[w]
-                comb = _Lin(coeffs, up.const * -b + lo.const * a, False,
-                            up.origins | lo.origins)
-                if _const_check(comb):
+                    if w != v:
+                        x = coeffs.get(w, 0) + cw * a
+                        if x:
+                            coeffs[w] = x
+                        else:
+                            del coeffs[w]
+                const = up.const * nb + lo.const * a
+                if not coeffs:
+                    if const > 0:
+                        raise _TheoryConflict(up.origins | lo.origins)
                     continue
-                k = comb.key()
+                g = gcd(const, *coeffs.values())
+                if g > 1:
+                    coeffs = {w: cw // g for w, cw in coeffs.items()}
+                    const //= g
+                k = (False, frozenset(coeffs.items()), const)
                 if k not in seen:
                     seen.add(k)
-                    derived.append(comb)
+                    derived.append(_Lin(coeffs, const, False, up.origins | lo.origins))
         cur = rest + derived
     return levels
 
