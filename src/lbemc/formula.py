@@ -116,11 +116,13 @@ class Term:
             d[w] = d.get(w, 0) + c
         return Term.of(self.const, d)
 
-    def evaluate(self, env: Mapping[VariableRef, int | Fraction]):
-        total = Fraction(self.const)
+    def evaluate(self, env: Mapping[VariableRef, int | Fraction]) -> Fraction:
+        total = self.const
         for v, c in self.coeffs:
-            total += c * Fraction(env.get(v, 0))
-        return total
+            val = env.get(v)
+            if val:
+                total += c * val
+        return Fraction(total)
 
     def __str__(self) -> str:
         return term_infix(self)
@@ -235,7 +237,7 @@ class And(Formula):
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, And) and self._h == other._h and self.args == other.args
+        return isinstance(other, And) and self._h == other._h and _same_dag(self, other)
 
     __hash__ = Formula.__hash__
 
@@ -250,9 +252,39 @@ class Or(Formula):
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, Or) and self._h == other._h and self.args == other.args
+        return isinstance(other, Or) and self._h == other._h and _same_dag(self, other)
 
     __hash__ = Formula.__hash__
+
+
+def _same_dag(f: Formula, g: Formula) -> bool:
+    """Structural equality of two And/Or nodes of equal type and hash.
+
+    Separately built formulas can share subformulas, so comparing argument
+    tuples recursively revisits a shared node once per path to it, which is
+    exponential in the depth.  This walk compares each pair of subformula
+    objects at most once: the two are equal iff every pair of corresponding
+    subformulas reached from them passes the local test.
+    """
+    seen = {(id(f), id(g))}
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if len(a.args) != len(b.args):
+            return False
+        for x, y in zip(a.args, b.args):
+            if x is y:
+                continue
+            if type(x) is not type(y) or x._h != y._h:
+                return False
+            if isinstance(x, (And, Or)):
+                pair = (id(x), id(y))
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append((x, y))
+            elif x != y:
+                return False
+    return True
 
 
 def f_not(f: Formula) -> Formula:

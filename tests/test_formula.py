@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -191,3 +192,40 @@ def test_evaluate_with_propvars():
     assert not evaluate(f, {X: 1}, {"v": False})
     with pytest.raises(KeyError):
         evaluate(f, {X: 1}, {})
+
+
+def _shared_dag(depth: int, leaf: int):
+    """A depth-`depth` formula in which every level uses the level below
+    twice, so it has 2**depth paths; also returns every node built, in
+    construction order."""
+    f = compare("<=", tvar("x"), const(leaf))
+    nodes = [f]
+    for i in range(depth):
+        a = compare("<=", tvar("y", i), const(0))
+        b = compare(">=", tvar("y", i), const(2))
+        left, right = f_or(f, a), f_or(f, b)
+        f = f_and(left, right)
+        nodes += [a, b, left, right, f]
+    return f, nodes
+
+
+class TestDagEquality:
+    def test_shared_subformulas_compare_once(self):
+        one, _ = _shared_dag(30, 0)
+        two, _ = _shared_dag(30, 0)
+        start = time.perf_counter()
+        assert one == two and one is not two
+        assert {one: 1}[two] == 1
+        assert time.perf_counter() - start < 0.5
+
+    def test_difference_below_equal_hashes(self):
+        one, one_nodes = _shared_dag(30, 0)
+        two, two_nodes = _shared_dag(30, 1)
+        # give the second formula the first one's hashes, as if they all
+        # collided, so only the walk down to the leaf can tell them apart
+        for p, q in zip(one_nodes, two_nodes):
+            object.__setattr__(q, "_h", p._h)
+        start = time.perf_counter()
+        assert one != two and not (one == two)
+        assert time.perf_counter() - start < 0.5
+        assert _shared_dag(30, 0)[0] == one
