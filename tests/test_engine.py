@@ -292,8 +292,8 @@ def test_harvest_matches_quadratic_reference_in_order(monkeypatch):
     calls = []
     original = engine.extract_predicates
 
-    def recording(path, variable_names, solver=None):
-        out = original(path, variable_names, solver)
+    def recording(path, variable_names, solver=None, **kwargs):
+        out = original(path, variable_names, solver, **kwargs)
         calls.append((path, variable_names, out))
         return out
 
@@ -312,3 +312,25 @@ def test_harvest_matches_quadratic_reference_in_order(monkeypatch):
     for path, names, got in calls:
         want = _quadratic_harvest(path, names)
         assert list(got.items()) == list(want.items())
+
+
+def test_each_checked_path_is_encoded_once(monkeypatch):
+    import lbemc.engine as engine
+
+    encoded, checked = [], []
+    original_encode, original_check = engine.encode_edge, engine.check_path
+
+    def counting_encode(op, ssa):
+        encoded.append(op)
+        return original_encode(op, ssa)
+
+    def recording_check(path, *args, **kwargs):
+        checked.append(len(path))
+        return original_check(path, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "encode_edge", counting_encode)
+    monkeypatch.setattr(engine, "check_path", recording_check)
+    result = verify(parse_program(gen_test_locks(2)), mode=CARTESIAN)
+    assert result.stats.refinement_steps == 4
+    # one SSA encoding per path serves the check and the harvest
+    assert len(checked) == 4 and len(encoded) == sum(checked)
