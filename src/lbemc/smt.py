@@ -5,9 +5,11 @@ The internal engine searches the propositional skeleton of a formula
 search asserts in a backtrackable theory over the rationals: equalities are
 solved into a substitution map as they are asserted, inequalities are
 decided by Fourier-Motzkin, and backjumps pop the theory with the trail.
-Negated literals are folded into positive atoms up front using the
-integer-exact complements from the formula module, so the theory layer only
-ever sees conjunctions of canonical atoms.  Theory conflicts are turned
+The theory's rows are primitive integer vectors combined fraction-free
+and scaled only by positive factors, which is exact over Q; rationals are
+built only for a witness.  Negated literals are folded into positive atoms
+up front using the integer-exact complements from the formula module, so
+the theory layer only ever sees conjunctions of canonical atoms.  Theory conflicts are turned
 into clauses over the conflicting atoms, which keeps enumeration on heavily
 disjunctive inputs polynomial in practice.  A model returned by
 `check_sat` is solved from scratch over the final true atoms.  `entailed`
@@ -326,7 +328,7 @@ def _fourier_motzkin(ineqs: list[_Lin]) -> list[tuple[VariableRef, list[_Lin]]]:
                 if g > 1:
                     coeffs = {w: cw // g for w, cw in coeffs.items()}
                     const //= g
-                k = (False, frozenset(coeffs.items()), const)
+                k = (False, frozenset(coeffs.items()), const)  # the row's key()
                 if k not in seen:
                     seen.add(k)
                     derived.append(_Lin(coeffs, const, False, up.origins | lo.origins))
