@@ -9,13 +9,13 @@ The theory's rows are primitive integer vectors combined fraction-free
 and scaled only by positive factors, which is exact over Q; rationals are
 built only for a witness.  Negated literals are folded into positive atoms
 up front using the integer-exact complements from the formula module, so
-the theory layer only ever sees conjunctions of canonical atoms.  Theory conflicts are turned
-into clauses over the conflicting atoms, which keeps enumeration on heavily
-disjunctive inputs polynomial in practice.  A model returned by
-`check_sat` is solved from scratch over the final true atoms.  `entailed`
-decides which of several predicates a formula entails in one search
-session: the formula's CNF is built once and each predicate's complement
-is assumed in turn, keeping what earlier answers learned.
+the theory layer only ever sees conjunctions of canonical atoms.  Theory
+conflicts are turned into clauses over the conflicting atoms, which keeps
+enumeration on heavily disjunctive inputs polynomial in practice.  A model
+returned by `check_sat` is solved from scratch over the final true atoms.
+`entailed` decides which of several predicates a formula entails in one
+search session: the formula's CNF is built once and each predicate's
+complement is assumed in turn, keeping what earlier answers learned.
 
 An SMT-LIB2 process backend is provided as an alternative; it receives the
 same literal-normalized formulas as the internal engine, so the two agree
@@ -81,9 +81,9 @@ UNSAT = SatResult("unsat")
 class _Lin:
     """sum(coeffs) + const  (= 0 | <= 0), with input-atom origins for cores.
 
-    The coefficients and the constant are integers with gcd 1.  Rows are
-    only ever scaled by positive factors, so a row means over the rationals
-    exactly what the rational combination it stands for means.
+    The coefficients and the constant are integers with gcd 1.  A derived
+    row is a positive multiple of the rational combination it stands for,
+    so it has that combination's meaning over the rationals.
     """
 
     coeffs: dict[VariableRef, int]
