@@ -138,11 +138,16 @@ def path_formula(path: list[tuple[Edge, int]], variable_names: list[str]):
 
 
 def check_path(path: list[tuple[Edge, int]], variable_names: list[str], solver,
-               *, encoded=None):
+               *, _encoded=None):
     """("feasible", model) when the SSA path formula is satisfiable, else
-    ("infeasible", None).  `encoded` is the path's `_encode_path` result,
-    when the caller already has it."""
-    per_edge, _ = encoded or _encode_path(path, variable_names)
+    ("infeasible", None).
+
+    `_encoded` is private to `verify`, which passes the same path's
+    `_encode_path(path, variable_names)` result to this and to
+    `extract_predicates`, so the path is encoded once while both calls stay
+    visible under their public names.
+    """
+    per_edge, _ = _encoded or _encode_path(path, variable_names)
     res = solver.check_sat(f_and(*per_edge))
     if res.is_sat:
         return "feasible", res.model
@@ -150,23 +155,23 @@ def check_path(path: list[tuple[Edge, int]], variable_names: list[str], solver,
 
 
 def extract_predicates(path: list[tuple[Edge, int]], variable_names: list[str],
-                       solver=None, *, encoded=None) -> dict[int, list[Formula]]:
+                       solver=None, *, _encoded=None) -> dict[int, list[Formula]]:
     """Atoms harvested from the path constraints, per location.
 
     At every path position the constraints contributed so far are scanned;
     an atom whose variables are all at their current SSA index at that
     position is stripped of indices and attached to the position's
     location.  Intended for infeasible paths; passing a solver enforces
-    that precondition (ValueError on a feasible path).  `encoded` is as for
-    `check_path`.
+    that precondition (ValueError on a feasible path).  `_encoded` is as
+    for `check_path`.
 
     SSA indices never decrease along the path, so an atom that is not live
     at one position is not live at any later one: the scan keeps the live
     atoms of the edges seen so far, in edge order, and drops the dead ones.
     """
-    encoded = encoded or _encode_path(path, variable_names)
+    encoded = _encoded or _encode_path(path, variable_names)
     if (solver is not None
-            and check_path(path, variable_names, solver, encoded=encoded)[0] == "feasible"):
+            and check_path(path, variable_names, solver, _encoded=encoded)[0] == "feasible"):
         raise ValueError("refinement requires an infeasible path")
     per_edge, maps = encoded
     harvested: dict[int, list[Formula]] = {}
@@ -272,7 +277,7 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
         _, art, path = outcome
         stats.art_size = len(art)
         encoded = _encode_path(path, names)
-        status, model = check_path(path, names, solver, encoded=encoded)
+        status, model = check_path(path, names, solver, _encoded=encoded)
         if status == "feasible":
             integral = all(v.denominator == 1 for v in model.values())
             replayed = False
@@ -284,7 +289,7 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
                     integral_witness=integral, replayed=replayed, art=art,
                 )
             )
-        harvest = extract_predicates(path, names, encoded=encoded)
+        harvest = extract_predicates(path, names, _encoded=encoded)
         fresh = {
             loc: [q for q in preds if q not in precisions.at(loc)]
             for loc, preds in harvest.items()

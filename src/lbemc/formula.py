@@ -222,7 +222,7 @@ class Not(Formula):
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, Not) and self._h == other._h and self.arg == other.arg
+        return isinstance(other, Not) and self._h == other._h and _same_dag(self, other)
 
     __hash__ = Formula.__hash__
 
@@ -258,10 +258,10 @@ class Or(Formula):
 
 
 def _same_dag(f: Formula, g: Formula) -> bool:
-    """Structural equality of two And/Or nodes of equal type and hash.
+    """Structural equality of two Not/And/Or nodes of equal type and hash.
 
-    Separately built formulas can share subformulas, so comparing argument
-    tuples recursively revisits a shared node once per path to it, which is
+    Separately built formulas can share subformulas, so comparing arguments
+    recursively revisits a shared node once per path to it, which is
     exponential in the depth.  This walk compares each pair of subformula
     objects at most once: the two are equal iff every pair of corresponding
     subformulas reached from them passes the local test.
@@ -270,14 +270,16 @@ def _same_dag(f: Formula, g: Formula) -> bool:
     stack = [(f, g)]
     while stack:
         a, b = stack.pop()
-        if len(a.args) != len(b.args):
+        xs = (a.arg,) if isinstance(a, Not) else a.args
+        ys = (b.arg,) if isinstance(b, Not) else b.args
+        if len(xs) != len(ys):
             return False
-        for x, y in zip(a.args, b.args):
+        for x, y in zip(xs, ys):
             if x is y:
                 continue
             if type(x) is not type(y) or x._h != y._h:
                 return False
-            if isinstance(x, (And, Or)):
+            if isinstance(x, (Not, And, Or)):
                 pair = (id(x), id(y))
                 if pair not in seen:
                     seen.add(pair)

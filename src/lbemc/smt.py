@@ -92,7 +92,12 @@ class _Lin:
     origins: frozenset[int]
 
     def key(self):
-        return (self.is_eq, frozenset(self.coeffs.items()), self.const)
+        return _key(self.is_eq, self.coeffs, self.const)
+
+
+def _key(is_eq: bool, coeffs: dict[VariableRef, int], const: int):
+    """Dedup identity of a row; a primitive row needs no normalization."""
+    return (is_eq, frozenset(coeffs.items()), const)
 
 
 def _lin_of_atom(atom: Atom, origin: int) -> _Lin:
@@ -130,13 +135,8 @@ def _substitute(c: _Lin, v: VariableRef, eq: _Lin) -> tuple[_Lin, int, int]:
     m = eq.coeffs[v]
     if m < 0:
         m, b = -m, -b
-    if m == 1:
-        coeffs = dict(c.coeffs)
-        del coeffs[v]
-        const = c.const - b * eq.const
-    else:
-        coeffs = {w: m * cw for w, cw in c.coeffs.items() if w != v}
-        const = m * c.const - b * eq.const
+    coeffs = {w: m * cw for w, cw in c.coeffs.items() if w != v}
+    const = m * c.const - b * eq.const
     for w, ew in eq.coeffs.items():
         if w != v:
             x = coeffs.get(w, 0) - b * ew
@@ -223,10 +223,9 @@ class _LinTheory:
                 return c, p, q
             _, v = min(ranked)
             c, m, g = _substitute(c, v, subst[v][1])
-            if m != g:
-                p, q = p * m, q * g
-                r = gcd(p, q)
-                p, q = p // r, q // r
+            p, q = p * m, q * g
+            r = gcd(p, q)
+            p, q = p // r, q // r
 
     def check(self) -> list[tuple[VariableRef, list[_Lin]]]:
         """Fourier-Motzkin levels of the reduced inequalities; raises
@@ -328,7 +327,7 @@ def _fourier_motzkin(ineqs: list[_Lin]) -> list[tuple[VariableRef, list[_Lin]]]:
                 if g > 1:
                     coeffs = {w: cw // g for w, cw in coeffs.items()}
                     const //= g
-                k = (False, frozenset(coeffs.items()), const)  # the row's key()
+                k = _key(False, coeffs, const)
                 if k not in seen:
                     seen.add(k)
                     derived.append(_Lin(coeffs, const, False, up.origins | lo.origins))

@@ -1,5 +1,4 @@
 import itertools
-import time
 
 import pytest
 
@@ -194,38 +193,65 @@ def test_evaluate_with_propvars():
         evaluate(f, {X: 1}, {})
 
 
-def _shared_dag(depth: int, leaf: int):
+def _shared_dag(depth: int, leaf: int, negate: bool = False):
     """A depth-`depth` formula in which every level uses the level below
-    twice, so it has 2**depth paths; also returns every node built, in
-    construction order."""
+    twice (under two separately built `Not`s when `negate`), so it has
+    2**depth paths; also returns every node built, in construction order."""
     f = compare("<=", tvar("x"), const(leaf))
     nodes = [f]
     for i in range(depth):
         a = compare("<=", tvar("y", i), const(0))
         b = compare(">=", tvar("y", i), const(2))
-        left, right = f_or(f, a), f_or(f, b)
+        below = [f_not(f), f_not(f)] if negate else [f, f]
+        left, right = f_or(below[0], a), f_or(below[1], b)
         f = f_and(left, right)
-        nodes += [a, b, left, right, f]
+        nodes += [a, b, *below[:2 if negate else 0], left, right, f]
     return f, nodes
 
 
-class TestDagEquality:
-    def test_shared_subformulas_compare_once(self):
-        one, _ = _shared_dag(30, 0)
-        two, _ = _shared_dag(30, 0)
-        start = time.perf_counter()
-        assert one == two and one is not two
-        assert {one: 1}[two] == 1
-        assert time.perf_counter() - start < 0.5
+DEPTH = 16
 
-    def test_difference_below_equal_hashes(self):
-        one, one_nodes = _shared_dag(30, 0)
-        two, two_nodes = _shared_dag(30, 1)
+
+@pytest.fixture
+def atom_comparisons(monkeypatch):
+    """Counts Atom.__eq__ calls; reset it after building the formulas."""
+    calls = [0]
+    eq = Atom.__eq__
+
+    def counting(self, other):
+        calls[0] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(Atom, "__eq__", counting)
+    return calls
+
+
+class TestDagEquality:
+    # a comparison meets the two atoms of each level once and the shared
+    # leaf atom once from each of the two lowest nodes above it: 2 * DEPTH + 2
+    # atom comparisons, where one per path would be about 2**DEPTH
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_shared_subformulas_compare_once(self, negate, atom_comparisons):
+        one, _ = _shared_dag(DEPTH, 0, negate)
+        two, _ = _shared_dag(DEPTH, 0, negate)
+        assert one is not two
+        atom_comparisons[0] = 0
+        assert one == two
+        assert atom_comparisons[0] <= 2 * DEPTH + 2
+        atom_comparisons[0] = 0
+        assert {one: 1}[two] == 1
+        assert atom_comparisons[0] <= 2 * DEPTH + 2
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_difference_below_equal_hashes(self, negate, atom_comparisons):
+        one, one_nodes = _shared_dag(DEPTH, 0, negate)
+        two, two_nodes = _shared_dag(DEPTH, 1, negate)
         # give the second formula the first one's hashes, as if they all
         # collided, so only the walk down to the leaf can tell them apart
         for p, q in zip(one_nodes, two_nodes):
             object.__setattr__(q, "_h", p._h)
-        start = time.perf_counter()
+        atom_comparisons[0] = 0
         assert one != two and not (one == two)
-        assert time.perf_counter() - start < 0.5
-        assert _shared_dag(30, 0)[0] == one
+        assert atom_comparisons[0] <= 2 * (2 * DEPTH + 2)
+        assert _shared_dag(DEPTH, 0, negate)[0] == one
