@@ -405,6 +405,9 @@ def normalize(f: Formula) -> Formula:
 # Tseitin CNF + CDCL with an incremental theory
 # ---------------------------------------------------------------------------
 
+_NO_VARS: frozenset[VariableRef] = frozenset()
+
+
 class _Cnf:
     """Tseitin encoding keyed by structural formula identity.
 
@@ -414,6 +417,12 @@ class _Cnf:
     (besides the AllSAT-important variables) pick an argument of an active,
     still-unsatisfied selection clause, so the search enumerates branch
     selections instead of wandering through arbitrary atom assignments.
+
+    Each atom and gate variable maps to the arithmetic variables below it,
+    a gate's set built from its arguments' sets as the gate is made.  A
+    selection clause keeps its disjunction's set, and `select_of` indexes
+    the selection clauses by arithmetic variable, for the scores `_Dpll`
+    maintains.
     """
 
     def __init__(self) -> None:
@@ -425,7 +434,11 @@ class _Cnf:
         self.decisions: list[int] = []  # important vars, decided first
         self.select_clauses: list[int] = []
         self.select_vars: dict[int, frozenset[VariableRef]] = {}
+        # arithmetic variable -> selection clauses whose set holds it
+        self.select_of: dict[VariableRef, list[int]] = {}
         self._gate: dict[Formula, int] = {}
+        # atom or gate variable -> the arithmetic variables below it
+        self._vars: dict[int, frozenset[VariableRef]] = {}
         self._const_true: int | None = None
 
     def new_var(self) -> int:
@@ -458,6 +471,7 @@ class _Cnf:
             self.var_of_input[f] = v
             if isinstance(f, Atom):
                 self.atom_of[v] = f
+                self._vars[v] = frozenset(w for w, _ in f.term.coeffs)
         return v
 
     def literal(self, f: Formula) -> int:
@@ -473,7 +487,9 @@ class _Cnf:
         if gate is not None:
             return gate
         args = [self.literal(a) for a in f.args]
+        vs = _NO_VARS.union(*(self._vars.get(abs(a), _NO_VARS) for a in args))
         g = self.new_var()
+        self._vars[g] = vs
         if isinstance(f, And):
             for a in args:
                 self.add_clause([-g, a])
@@ -484,7 +500,9 @@ class _Cnf:
             idx = self.add_clause([-g] + args)
             if idx is not None:
                 self.select_clauses.append(idx)
-                self.select_vars[idx] = frozenset(variables(f))
+                self.select_vars[idx] = vs
+                for v in vs:
+                    self.select_of.setdefault(v, []).append(idx)
         self._gate[f] = g
         return g
 
@@ -514,7 +532,13 @@ class _Dpll:
     The true atoms are kept in trail order and mirrored by a _LinTheory,
     so a theory check pushes only the atoms asserted since the last one,
     after popping those the search has retracted.  A per-variable count of
-    the true atoms' arithmetic variables scores the selection clauses.
+    the true atoms' arithmetic variables gives the set of asserted
+    variables, and each selection clause's score, the size of its
+    intersection with that set, is maintained as the set changes: an
+    assignment or a pop that moves a variable's count between 0 and 1
+    adjusts the scores of the clauses `_Cnf.select_of` lists for it, the
+    lazy bookkeeping of Chaff (Moskewicz et al., DAC 2001).  A decision
+    compares scores and recounts nothing.
 
     `solve_under` decides the clauses under one assumption literal, the
     way MiniSat does (Een & Sorensson, SAT 2003), and can be called again
@@ -547,6 +571,10 @@ class _Dpll:
         self._synced = 0
         # arithmetic variable -> number of true atoms mentioning it
         self._asserted: dict[VariableRef, int] = {}
+        # selection clause -> |asserted variables & its select_vars|, for
+        # the first _n_scored selection clauses
+        self._score: dict[int, int] = {}
+        self._n_scored = 0
 
     # -- assignment bookkeeping ---------------------------------------------
 
@@ -560,7 +588,10 @@ class _Dpll:
             self._true_atoms.append(var)
             asserted = self._asserted
             for v in self._lin(var).coeffs:
-                asserted[v] = asserted.get(v, 0) + 1
+                n = asserted.get(v, 0)
+                asserted[v] = n + 1
+                if not n:
+                    self._rescore(v, 1)
         conflict = None
         for idx in self.cnf.occ[var if value else -var]:
             self._n_true[idx] += 1
@@ -585,6 +616,7 @@ class _Dpll:
             for v in self._lins[var].coeffs:
                 if asserted[v] == 1:
                     del asserted[v]
+                    self._rescore(v, -1)
                 else:
                     asserted[v] -= 1
         for idx in self.cnf.occ[var if value else -var]:
@@ -592,6 +624,12 @@ class _Dpll:
         for idx in self.cnf.occ[-var if value else var]:
             self._n_false[idx] -= 1
         self._decide_head = 0
+
+    def _rescore(self, v: VariableRef, delta: int) -> None:
+        """v entered (delta 1) or left (-1) the asserted variables."""
+        score = self._score
+        for idx in self.cnf.select_of.get(v, ()):
+            score[idx] += delta
 
     def _pop_to_level(self, level: int) -> None:
         while self.trail and self.level_of[self.trail[-1]] > level:
@@ -608,8 +646,14 @@ class _Dpll:
         return self.cnf.clauses[idx]
 
     def _count_new_clauses(self) -> None:
-        """Initialize the counters of clauses the CNF gained since the last
-        call, from the current assignment."""
+        """Initialize the counters and scores of clauses the CNF gained
+        since the last call, from the current assignment.  Must run before
+        the assignment changes after the CNF grows."""
+        select = self.cnf.select_clauses
+        asserted = self._asserted.keys()
+        for idx in select[self._n_scored:]:
+            self._score[idx] = len(asserted & self.cnf.select_vars[idx])
+        self._n_scored = len(select)
         assign = self.assign
         for clause in self.cnf.clauses[len(self._n_true):]:
             n_true = n_false = 0
@@ -813,7 +857,7 @@ class _Dpll:
             if v not in self.assign:
                 return v, True
             self._decide_head += 1
-        asserted_vars = self._asserted.keys()
+        score = self._score
         best = None
         best_score = -1
         for idx in self.cnf.select_clauses:
@@ -825,9 +869,8 @@ class _Dpll:
             guard = clause[0]  # the not-gate literal of the disjunction
             if self.assign.get(abs(guard)) != (guard <= 0):
                 continue  # disjunction not active
-            score = len(asserted_vars & self.cnf.select_vars[idx])
-            if score > best_score:
-                best, best_score = idx, score
+            if score[idx] > best_score:
+                best, best_score = idx, score[idx]
         if best is None:
             return None
         for lit in self.cnf.clauses[best][1:]:
