@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bdd import Bdd
 from .formula import Formula, PropVar, TRUE, at_indices, f_and, f_iff, f_not, f_or
-from .semantics import Choice, Operation, Seq, encode_edge
+from .semantics import Choice, Operation, Seq, drop_dead_pads, encode_edge
 
 CARTESIAN = "cartesian"
 BOOLEAN = "boolean"
@@ -131,6 +131,8 @@ class Abstractor:
         self._preds: list[Formula] = []
         self._concretize_memo: dict[int, Formula] = {}
         self._post_memo: dict[tuple, AbstractFormula] = {}
+        # (op, pi) -> op's pruned SSA constraint, pi at op's output indices
+        self._edge_memo: dict[tuple, tuple[Formula, list[Formula]]] = {}
 
     # -- predicate registry --------------------------------------------------
 
@@ -219,7 +221,7 @@ class Abstractor:
         if mode == CARTESIAN:
             out = self._cartesian_post(state, op, pi)
         elif mode == BOOLEAN:
-            out = self._boolean_on(*self._post_query(state, op, pi), pi)
+            out = self._boolean_on(*self._post_query(state, op, pi, mode), pi)
         else:
             raise ValueError(f"unknown abstraction mode {mode!r}")
         self._post_memo[key] = out
@@ -236,14 +238,30 @@ class Abstractor:
                 self._post(state, op.right, pi, CARTESIAN),
                 pi,
             )
-        return self._cartesian_on(*self._post_query(state, op, pi), pi)
+        return self._cartesian_on(*self._post_query(state, op, pi, CARTESIAN), pi)
 
-    def _post_query(self, state: AbstractFormula, op: Operation, pi: Precision):
+    def _post_query(self, state: AbstractFormula, op: Operation, pi: Precision,
+                    mode: str):
         """The incoming region at index 0 conjoined with op's SSA constraint,
-        and the precision predicates read at op's output indices."""
-        edge_formula, out_map = encode_edge(op, {})
-        base = f_and(at_indices(self.concretize(state), {}), edge_formula)
-        return base, [at_indices(p, out_map) for p in pi]
+        and the precision predicates read at op's output indices.
+
+        In Boolean mode the constraint leaves out the choice pads nothing
+        reads (`drop_dead_pads`), which keeps the models over the
+        predicates; Cartesian posts come here one operation at a time,
+        with no choices to pad.  The incoming region reads only index 0,
+        which no pad defines, so the constraint depends on op, pi and the
+        mode alone and is cached.
+        """
+        key = (op, pi, mode)
+        edge = self._edge_memo.get(key)
+        if edge is None:
+            edge_formula, out_map = encode_edge(op, {})
+            shifted = [at_indices(p, out_map) for p in pi]
+            if mode == BOOLEAN:
+                edge_formula = drop_dead_pads(edge_formula, shifted)
+            edge = self._edge_memo[key] = (edge_formula, shifted)
+        edge_formula, shifted = edge
+        return f_and(at_indices(self.concretize(state), {}), edge_formula), shifted
 
     def _conjunction_join(self, a: AbstractFormula, b: AbstractFormula,
                           pi: Precision) -> AbstractFormula:

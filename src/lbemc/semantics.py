@@ -16,13 +16,19 @@ and an index map is threaded through the operation.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .formula import (
+    And,
+    Atom,
+    EQ,
     Formula,
+    Not,
+    Or,
     Term,
     TRUE,
     VariableRef,
+    _dag_nodes,
     at_indices,
     canon_eq,
     f_and,
@@ -245,8 +251,9 @@ def encode_edge(op: Operation, ssa: SsaMap) -> tuple[Formula, dict[str, int]]:
     Returns (formula over indexed variables, output index map).  The
     conjunction of the incoming constraints with the returned formula is
     satisfiable exactly when some concrete execution of op exists.  Choice
-    branches are padded with equalities onto fresh indices so both end at a
-    common output map.
+    branches are padded with equalities `x@j = x@i` onto fresh indices so
+    both end at a common output map.  Every pad is kept; `drop_dead_pads`
+    removes the ones nothing reads where only satisfiability matters.
 
     Summarized operations share subtrees heavily; encoding is memoized per
     (subtree, index map) so the output formula is shared the same way.
@@ -330,3 +337,82 @@ def ssa_after(op: Operation, ssa: SsaMap, memo: dict) -> dict[str, int]:
         raise TypeError(f"not an operation: {op!r}")
     memo[key] = out
     return out
+
+
+def _pad(atom: Atom) -> VariableRef | None:
+    """x@j for an atom x@j = x@i with j > i, which defines x@j; else None.
+
+    Choice pads have this form, and so does the atom of `x = x`.  Neither
+    an assumption, whose atoms read each name at one index, nor any other
+    assignment gives it.
+    """
+    term = atom.term
+    if atom.rel != EQ or term.const or len(term.coeffs) != 2:
+        return None
+    (u, a), (w, b) = term.coeffs  # in variable order: u.index < w.index
+    if a + b or u.name != w.name or u.index is None or w.index is None:
+        return None
+    return w
+
+
+def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
+    """An encode_edge formula without the pads of the variables nothing reads.
+
+    A pad x@j = x@i is dead when x@j occurs in no other atom of f (pads
+    that define x@j aside), in no pad of a live variable and in none of
+    `targets`, the formulas read over f's output indices.  Dead pads become
+    TRUE, which is exact for satisfiability over the other variables: the
+    SSA encoding defines x@j once on each path through the choices, so on
+    the path a model of the pruned formula takes, one pad at most mentions
+    x@j, and giving x@j the value of that pad's x@i satisfies it.  The
+    result is satisfiable with a formula F over other variables exactly
+    when f is; `f` itself is returned when no pad is dead.
+
+    The rebuild is memoized per node, so shared subformulas stay shared,
+    and returns a node itself where nothing below it changed.
+    """
+    defined: dict[int, VariableRef] = {}  # id of a pad -> its variable
+    reads: dict[VariableRef, list[VariableRef]] = {}  # pad variable -> x@i
+    live: set[VariableRef] = set()
+    for g in _dag_nodes(f):
+        if isinstance(g, Atom):
+            v = _pad(g)
+            if v is None:
+                live.update(w for w, _ in g.term.coeffs)
+            else:
+                defined[id(g)] = v
+                reads.setdefault(v, []).append(g.term.coeffs[0][0])
+        elif isinstance(g, Not) and isinstance(g.arg, Atom):
+            live.update(w for w, _ in g.arg.term.coeffs)  # not rebuilt below
+    if not reads:
+        return f
+    for t in targets:
+        live.update(variables(t))
+    stack = [v for v in live if v in reads]
+    while stack:
+        for u in reads[stack.pop()]:
+            if u not in live:
+                live.add(u)
+                if u in reads:
+                    stack.append(u)
+    if live.issuperset(reads):
+        return f
+    memo: dict[int, Formula] = {}
+
+    def walk(g: Formula) -> Formula:
+        out = memo.get(id(g))
+        if out is not None:
+            return out
+        if isinstance(g, (And, Or)):
+            args = [walk(a) for a in g.args]
+            if all(a is b for a, b in zip(args, g.args)):
+                out = g
+            else:
+                out = (f_and if isinstance(g, And) else f_or)(*args)
+        else:
+            v = defined.get(id(g))
+            out = g if v is None or v in live else TRUE
+        memo[id(g)] = out
+        return out
+
+    return walk(f)
