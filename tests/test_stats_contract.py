@@ -323,13 +323,13 @@ THEORY = {
     "locks2/lbe/boolean": (22, None),
     "locks2/lbe/cartesian": (110, None),
     "locks3/sbe/cartesian": (3066, None),
-    "locks3/lbe/boolean": (41, None),
+    "locks3/lbe/boolean": (36, None),
     "locks3/lbe/cartesian": (212, None),
-    "bug2/lbe/boolean": (36,
+    "bug2/lbe/boolean": (33,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
         'lk2@1=0 lk2@2=0 lk2@3=0 p1@1=0 p2@1=0'),
     "bug2/sbe/cartesian": (14, 'cond@1=-1 lk1@1=0 lk2@1=0 p1@1=0 p2@1=0'),
-    "bug3/lbe/boolean": (60,
+    "bug3/lbe/boolean": (55,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
         'lk1@7=0 lk2@1=0 lk2@2=0 lk2@3=0 lk2@4=0 lk2@5=0 lk2@6=0 '
         'lk3@1=0 lk3@2=0 lk3@3=0 p1@1=0 p2@1=0 p3@1=0'),
@@ -338,7 +338,7 @@ THEORY = {
     "locks4/lbe/cartesian": (348, None),
     "locks5/lbe/cartesian": (514, None),
     "locks6/lbe/cartesian": (712, None),
-    "bug4/lbe/boolean": (98,
+    "bug4/lbe/boolean": (88,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
         'lk1@7=0 lk1@8=0 lk2@1=0 lk2@2=0 lk2@3=0 lk2@4=0 lk2@5=0 '
         'lk2@6=0 lk2@7=0 lk3@1=0 lk3@2=0 lk3@3=0 lk3@4=0 lk3@5=0 '
