@@ -369,7 +369,7 @@ def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
     when f is; `f` itself is returned when no pad is dead.
 
     The rebuild is memoized per node, so shared subformulas stay shared,
-    and returns a node itself where nothing below it changed.
+    and keeps a node itself where nothing below it changed.
     """
     defined: dict[int, VariableRef] = {}  # id of a pad -> its variable
     reads: dict[VariableRef, list[VariableRef]] = {}  # pad variable -> x@i
@@ -397,14 +397,21 @@ def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
                     stack.append(u)
     if live.issuperset(reads):
         return f
+    # rebuilt bottom-up with an explicit stack: LBE formulas nest deeper
+    # than the interpreter's recursion limit
     memo: dict[int, Formula] = {}
-
-    def walk(g: Formula) -> Formula:
-        out = memo.get(id(g))
-        if out is not None:
-            return out
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in memo:
+            stack.pop()
+            continue
         if isinstance(g, (And, Or)):
-            args = [walk(a) for a in g.args]
+            todo = [a for a in g.args if id(a) not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            args = [memo[id(a)] for a in g.args]
             if all(a is b for a, b in zip(args, g.args)):
                 out = g
             else:
@@ -413,6 +420,5 @@ def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
             v = defined.get(id(g))
             out = g if v is None or v in live else TRUE
         memo[id(g)] = out
-        return out
-
-    return walk(f)
+        stack.pop()
+    return memo[id(f)]
