@@ -436,6 +436,7 @@ class _Cnf:
         self.select_vars: dict[int, frozenset[VariableRef]] = {}
         # arithmetic variable -> selection clauses whose set holds it
         self.select_of: dict[VariableRef, list[int]] = {}
+        self.select_guard: dict[int, int] = {}  # gate -> its selection clause
         self._gate: dict[Formula, int] = {}
         # atom or gate variable -> the arithmetic variables below it
         self._vars: dict[int, frozenset[VariableRef]] = {}
@@ -501,6 +502,7 @@ class _Cnf:
             if idx is not None:
                 self.select_clauses.append(idx)
                 self.select_vars[idx] = vs
+                self.select_guard[g] = idx
                 for v in vs:
                     self.select_of.setdefault(v, []).append(idx)
         self._gate[f] = g
@@ -575,6 +577,7 @@ class _Dpll:
         # the first _n_scored selection clauses
         self._score: dict[int, int] = {}
         self._n_scored = 0
+        self._active: set[int] = set()  # selection clauses whose gate is true
 
     # -- assignment bookkeeping ---------------------------------------------
 
@@ -584,14 +587,19 @@ class _Dpll:
         self.level_of[var] = self.level
         self.reason[var] = reason
         self.trail.append(var)
-        if value and var in self.cnf.atom_of:
-            self._true_atoms.append(var)
-            asserted = self._asserted
-            for v in self._lin(var).coeffs:
-                n = asserted.get(v, 0)
-                asserted[v] = n + 1
-                if not n:
-                    self._rescore(v, 1)
+        if value:
+            if var in self.cnf.atom_of:
+                self._true_atoms.append(var)
+                asserted = self._asserted
+                for v in self._lin(var).coeffs:
+                    n = asserted.get(v, 0)
+                    asserted[v] = n + 1
+                    if not n:
+                        self._rescore(v, 1)
+            else:
+                idx = self.cnf.select_guard.get(var)
+                if idx is not None:
+                    self._active.add(idx)
         conflict = None
         for idx in self.cnf.occ[var if value else -var]:
             self._n_true[idx] += 1
@@ -609,16 +617,19 @@ class _Dpll:
         value = self.assign.pop(var)
         del self.level_of[var]
         del self.reason[var]
-        if value and var in self.cnf.atom_of:
-            self._true_atoms.pop()
-            self._synced = min(self._synced, len(self._true_atoms))
-            asserted = self._asserted
-            for v in self._lins[var].coeffs:
-                if asserted[v] == 1:
-                    del asserted[v]
-                    self._rescore(v, -1)
-                else:
-                    asserted[v] -= 1
+        if value:
+            if var in self.cnf.atom_of:
+                self._true_atoms.pop()
+                self._synced = min(self._synced, len(self._true_atoms))
+                asserted = self._asserted
+                for v in self._lins[var].coeffs:
+                    if asserted[v] == 1:
+                        del asserted[v]
+                        self._rescore(v, -1)
+                    else:
+                        asserted[v] -= 1
+            else:
+                self._active.discard(self.cnf.select_guard.get(var))
         for idx in self.cnf.occ[var if value else -var]:
             self._n_true[idx] -= 1
         for idx in self.cnf.occ[-var if value else var]:
@@ -860,17 +871,14 @@ class _Dpll:
         score = self._score
         best = None
         best_score = -1
-        for idx in self.cnf.select_clauses:
+        for idx in self._active:
             if self._n_true[idx] > 0:
                 continue
-            clause = self.cnf.clauses[idx]
-            if self._n_false[idx] >= len(clause) - 1:
+            if self._n_false[idx] >= len(self.cnf.clauses[idx]) - 1:
                 continue  # unit or conflicting: propagation handles it
-            guard = clause[0]  # the not-gate literal of the disjunction
-            if self.assign.get(abs(guard)) != (guard <= 0):
-                continue  # disjunction not active
-            if score[idx] > best_score:
-                best, best_score = idx, score[idx]
+            s = score[idx]
+            if s > best_score or (s == best_score and idx < best):
+                best, best_score = idx, s
         if best is None:
             return None
         for lit in self.cnf.clauses[best][1:]:
