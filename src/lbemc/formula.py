@@ -7,9 +7,10 @@ quantified and never bound by an explicit quantifier.
 
 Atoms are kept in a canonical form ``t = 0`` or ``t <= 0`` where ``t`` is a
 linear term with gcd-reduced integer coefficients.  Strict comparisons are
-tightened at construction (``t < 0`` becomes ``t + 1 <= 0``), which is exact
-because all program variables range over integers; ``!=``, ``>=``, ``>`` are
-rewritten.  Everything in this module is immutable; formulas hash and
+tightened at construction (``t < 0`` becomes ``t + 1 <= 0``), and an
+equality whose coefficient gcd does not divide its constant (``2x = 1``) is
+FALSE, which is exact because all program variables range over integers;
+``!=``, ``>=``, ``>`` are rewritten.  Everything in this module is immutable; formulas hash and
 compare structurally, with the hash cached per node.
 """
 
@@ -357,12 +358,15 @@ def canon_le(term: Term) -> Formula:
 
 
 def canon_eq(term: Term) -> Formula:
-    """Canonical form of term = 0."""
+    """Canonical form of term = 0; FALSE when the gcd of the coefficients
+    does not divide the constant, as then no integers satisfy it."""
     if not term.coeffs:
         return TRUE if term.const == 0 else FALSE
-    g = abs(term.const)
+    g = 0
     for _, c in term.coeffs:
         g = gcd(g, abs(c))
+    if term.const % g:
+        return FALSE
     if g > 1:
         term = Term(term.const // g, tuple((v, c // g) for v, c in term.coeffs))
     if term.coeffs[0][1] < 0:

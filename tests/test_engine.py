@@ -190,6 +190,16 @@ class TestVerify:
         assert r.stats.refinement_steps == 0
         assert r.stats.solver_queries == 4
 
+    @pytest.mark.parametrize("condition", ["2*x == 1", "2*x + 2*y == 3"])
+    @pytest.mark.parametrize("lbe, mode", [(False, CARTESIAN), (False, BOOLEAN),
+                                           (True, CARTESIAN), (True, BOOLEAN)])
+    def test_equality_without_integer_solutions_is_safe(self, condition, lbe, mode):
+        p = parse_program("int x; int y; x = nondet(); y = nondet(); "
+                          f"if ({condition}) {{ error(); }}")
+        if lbe:
+            p, _ = summarize(p)
+        assert verify(p, mode=mode).verdict == "safe"
+
     def test_refinement_bound_returns_unknown(self):
         p, _ = summarize(parse_program(gen_test_locks(3)))
         r = verify(p, mode=CARTESIAN, max_refinements=50)

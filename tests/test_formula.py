@@ -48,6 +48,13 @@ class TestCanonicalization:
             "<=", tvar("x"), const(1)
         )
 
+    def test_equality_without_integer_solutions_is_false(self):
+        # the coefficient gcd 2 does not divide the constant
+        assert compare("==", tvar("x").scale(2), const(1)) is FALSE
+        assert compare("==", tvar("x").scale(2) + tvar("y").scale(2), const(3)) is FALSE
+        assert compare("!=", tvar("x").scale(2), const(1)) is TRUE
+        assert compare("==", tvar("x").scale(2), const(4)) == compare("==", tvar("x"), const(2))
+
     def test_equality_sign_normalized(self):
         a = compare("==", -tvar("x"), -tvar("y"))
         b = compare("==", tvar("x"), tvar("y"))
