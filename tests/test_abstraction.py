@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import lbemc.abstraction
 from lbemc.abstraction import (
     Abstractor,
     BOOLEAN,
@@ -10,9 +11,14 @@ from lbemc.abstraction import (
     Precision,
     ProgramPrecision,
 )
-from lbemc.formula import FALSE, TRUE, compare, f_and, f_not, f_or
-from lbemc.oracle import random_formula, semantically_equivalent
+from lbemc.cfa import summarize
+from lbemc.cli import gen_test_locks
+from lbemc.engine import verify
+from lbemc.formula import Atom, FALSE, TRUE, _dag_nodes, compare, f_and, f_not, f_or
+from lbemc.frontend import parse_program
+from lbemc.oracle import random_formula, random_program, semantically_equivalent
 from lbemc.semantics import Assign, Assume, Choice, Seq
+from lbemc.smt import InternalSolver, normalize
 
 from conftest import const, tvar
 
@@ -177,3 +183,48 @@ class TestPrecision:
         pp2 = pp.with_added(3, [compare(">", tvar("x"), const(0))])
         assert len(pp2.at(3)) == 1
         assert len(pp.at(3)) == 0  # original untouched
+
+
+def _boolean_queries(source: str):
+    """LBE+Boolean verify of source: the verdict and, per all_sat call, the
+    query and its models as a set."""
+    p, _ = summarize(parse_program(source))
+    solver = InternalSolver()
+    all_sat = solver.all_sat
+    queries = []
+
+    def recording(phi, important):
+        out = all_sat(phi, important)
+        queries.append((phi, {tuple(sorted(m.items())) for m in out}))
+        return out
+
+    solver.all_sat = recording
+    return verify(p, mode=BOOLEAN, solver=solver).verdict, queries
+
+
+def _query_atoms(phi) -> int:
+    """Distinct atoms of the query as the solver sees it."""
+    return len({g for g in _dag_nodes(normalize(phi)) if isinstance(g, Atom)})
+
+
+def test_dropping_dead_pads_keeps_every_boolean_post(monkeypatch):
+    sources = ([gen_test_locks(n, bug=bug) for n in range(2, 7) for bug in (False, True)]
+               + [random_program(k) for k in range(40)])
+    pruned = [_boolean_queries(src) for src in sources]
+    monkeypatch.setattr(lbemc.abstraction, "drop_dead_pads", lambda f, targets=(): f)
+    padded = [_boolean_queries(src) for src in sources]
+    smaller = 0
+    for (verdict, queries), (want_verdict, want_queries) in zip(pruned, padded):
+        assert verdict == want_verdict
+        assert [models for _, models in queries] == [models for _, models in want_queries]
+        smaller += sum(_query_atoms(a) < _query_atoms(b)
+                       for (a, _), (b, _) in zip(queries, want_queries))
+    assert smaller >= 10
+
+
+def test_boolean_queries_of_forty_locks_stay_linear():
+    verdict, queries = _boolean_queries(gen_test_locks(40))
+    assert verdict == "safe" and len(queries) == 4
+    # the query of the edge into the error location had 2,078 atoms, 1,718
+    # of them padding equalities; the bound is 20 atoms per lock
+    assert max(_query_atoms(phi) for phi, _ in queries) <= 20 * 40

@@ -1,10 +1,13 @@
 import random
 
 from lbemc.formula import (
+    PropVar,
     TRUE,
     VariableRef,
+    at_indices,
     compare,
     f_and,
+    f_iff,
     f_or,
     variables,
 )
@@ -15,6 +18,7 @@ from lbemc.semantics import (
     Choice,
     Havoc,
     Seq,
+    drop_dead_pads,
     encode_edge,
     op_label,
     op_variables,
@@ -149,3 +153,54 @@ def test_op_label_and_variables():
     assert op_label(op) == "[i >= 1]; (z = 0 || z = 1)"
     assert op_variables(op) == {"i", "z"}
     assert op_label(op, limit=8).endswith("...")
+
+
+class TestDropDeadPads:
+    # x ends at x@2 on the left and at x@1 on the right; both pad onto x@3
+    OP = Choice(Seq(Assign("x", const(1)), Assign("x", tvar("x") + 1)),
+                Assign("x", const(5)))
+
+    def test_pads_read_at_the_output_stay(self):
+        f, out = encode_edge(self.OP, {})
+        assert out == {"x": 3}
+        assert drop_dead_pads(f, [compare("<=", tvar("x", 3), const(0))]) is f
+
+    def test_unread_pads_become_true(self):
+        f, _ = encode_edge(self.OP, {})
+        assert drop_dead_pads(f) == f_or(
+            f_and(compare("==", tvar("x", 1), const(1)),
+                  compare("==", tvar("x", 2), tvar("x", 1) + 1)),
+            compare("==", tvar("x", 1), const(5)))
+
+    def test_pads_read_by_live_pads_stay(self):
+        # each choice sets x in one branch only, so x@2 and x@4 are defined
+        # by pads alone and read only by the pads of the next choice
+        op = Choice(Assign("y", const(0)), Assign("x", const(0)))
+        for k in (1, 2):
+            op = Seq(op, Choice(Assign("y", const(k)), Assign("x", const(k))))
+        f, out = encode_edge(op, {})
+        assert out == {"x": 6, "y": 6}
+        xs = {v for v in variables(f) if v.name == "x"}
+        ys = {v for v in variables(f) if v.name == "y"}
+        assert {VariableRef("x", 2), VariableRef("x", 4)} <= xs
+        kept = variables(drop_dead_pads(f, [compare("<=", tvar("x", 6), const(0))]))
+        assert xs <= kept and VariableRef("y", 6) not in kept
+        assert not {VariableRef("x", 6), VariableRef("y", 6)} & variables(drop_dead_pads(f))
+
+    def test_models_over_the_targets_are_kept(self, solver):
+        rng = random.Random(23)
+        names = ["a", "b", "c"]
+        pruned_count = 0
+        for _ in range(150):
+            op = random_operation(rng, names, depth=4)
+            f, out = encode_edge(op, {})
+            targets = [at_indices(random_formula(rng, names, depth=1), out)
+                       for _ in range(rng.randint(0, 2))]
+            pruned = drop_dead_pads(f, targets)
+            pruned_count += pruned is not f
+            marks = [f"t{i}" for i in range(len(targets))]
+            links = [f_iff(t, PropVar(m)) for t, m in zip(targets, marks)]
+            want = solver.all_sat(f_and(f, *links), marks)
+            got = solver.all_sat(f_and(pruned, *links), marks)
+            assert sorted(map(str, got)) == sorted(map(str, want)), op
+        assert pruned_count > 20

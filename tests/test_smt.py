@@ -30,6 +30,7 @@ from lbemc.oracle import _eliminate, _exact_atom, random_formula
 from lbemc.smt import (
     InternalSolver,
     Smtlib2Solver,
+    _Dpll,
     _LinTheory,
     _TheoryConflict,
     _lin_of_atom,
@@ -653,6 +654,55 @@ class TestAllSat:
     def test_no_important_vars(self, solver):
         assert solver.all_sat(compare(">", tvar("x"), const(0)), []) == [{}]
         assert solver.all_sat(FALSE, []) == []
+
+
+class TestSelectionScores:
+    """The scores and the active set _Dpll maintains equal a recount at
+    every decision."""
+
+    @pytest.fixture
+    def decisions(self, monkeypatch):
+        """Per decision: (session, selection clauses, largest score)."""
+        seen = []
+        original = _Dpll._next_decision
+
+        def checking(dpll):
+            cnf, asserted = dpll.cnf, dpll._asserted.keys()
+            for idx in cnf.select_clauses:
+                assert dpll._score[idx] == len(asserted & cnf.select_vars[idx])
+            assert dpll._active == {idx for idx in cnf.select_clauses
+                                    if dpll.assign.get(-cnf.clauses[idx][0]) is True}
+            seen.append((id(dpll), len(cnf.select_clauses),
+                         max((dpll._score[i] for i in dpll._active), default=0)))
+            return original(dpll)
+
+        monkeypatch.setattr(_Dpll, "_next_decision", checking)
+        return seen
+
+    def test_all_sat_sessions(self, solver, decisions):
+        rng = random.Random(5)
+        names = ["a", "b", "c"]
+        for _ in range(60):
+            qs = [random_formula(rng, names, depth=1) for _ in range(3)]
+            qs.append(compare("==", tvar(rng.choice(names)), const(rng.randint(-1, 1))))
+            marks = [f"m{i}" for i in range(len(qs))]
+            phi = f_and(random_formula(rng, names, depth=3),
+                        *(f_iff(q, PropVar(m)) for q, m in zip(qs, marks)))
+            solver.all_sat(phi, marks)
+        assert len(decisions) > 200
+        assert max(score for _, _, score in decisions) >= 2
+
+    def test_entailed_sessions(self, solver, decisions):
+        for phi, qs in _entailment_cases(43, 120):
+            solver.entailed(phi, qs)
+        assert len(decisions) > 200
+        # complements of equality predicates add selection clauses to a
+        # session after its first decisions
+        first: dict[int, int] = {}
+        grown = 0
+        for session, n_select, _ in decisions:
+            grown += n_select > first.setdefault(session, n_select)
+        assert grown > 20
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,129 @@
+"""How LBE+Boolean verification time grows with the lock count.
+
+    python3 tools/lbe_scaling.py
+    python3 tools/lbe_scaling.py --label change --out BENCH_lbe_scaling.json
+    python3 tools/lbe_scaling.py --root path/to/other/checkout --label parent \\
+        --out BENCH_lbe_scaling.json
+
+For each lock count n, `test_locks_n` (`lbemc.cli.gen_test_locks`) is
+parsed and summarized under LBE, and `verify` runs in Boolean mode with a
+fresh `InternalSolver`.  Only `verify` is timed.  One record per n holds
+
+  - `verify_s`: the median `verify` time over `--repeat` runs;
+  - `theory_checks`, `art_size` and `verdict` of the run;
+  - `query_atoms`: the distinct atoms of each `all_sat` query after
+    `smt.normalize` (the atoms the solver decides), in call order.
+
+The formulas of the ladder at n = 160 nest deeper than the interpreter's
+default limit of 1,000 frames allows the recursive formula walks to go
+(`formula.nnf` is the first to fail), so the tool raises that limit; the
+`lbemc` command itself stops at that depth with an internal error.
+
+The run also holds `loglog_slope`, the least-squares slope of
+log(verify_s) over log(n) for n >= 20, and the interpreter and machine it
+ran on.  lbemc is imported from `<root>/src`, by default this checkout's.
+Without `--out` the run is printed as JSON; with it, the run is stored
+under its label in that file, keeping the runs of other labels, so one
+file can hold a parent's and a change's numbers side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+SIZES = (10, 20, 40, 80, 160)
+RECURSION_LIMIT = 10_000
+
+
+def measure(lbemc, n: int, repeat: int = 1) -> dict:
+    """The record of `test_locks_n` under LBE+Boolean."""
+    source = lbemc.cli.gen_test_locks(n)
+    times = []
+    for _ in range(repeat):
+        program, _ = lbemc.cfa.summarize(lbemc.frontend.parse_program(source))
+        solver = lbemc.smt.InternalSolver()
+        queries = []
+        all_sat = solver.all_sat
+
+        def recording_all_sat(phi, important):
+            queries.append(phi)
+            return all_sat(phi, important)
+
+        solver.all_sat = recording_all_sat
+        start = time.perf_counter()
+        result = lbemc.engine.verify(program, mode="boolean", solver=solver)
+        times.append(time.perf_counter() - start)
+        solver.close()
+    # counted after the timed run, on the last run's queries
+    atoms = [len({g for g in lbemc.formula._dag_nodes(lbemc.smt.normalize(phi))
+                  if isinstance(g, lbemc.formula.Atom)}) for phi in queries]
+    return {"n": n, "verify_s": round(statistics.median(times), 4),
+            "verdict": result.verdict, "art_size": result.stats.art_size,
+            "theory_checks": solver.theory_checks, "query_atoms": atoms}
+
+
+def loglog_slope(records: list[dict], n_min: int = 20) -> float | None:
+    """Least-squares slope of log(verify_s) over log(n), for n >= n_min."""
+    points = [(math.log(r["n"]), math.log(r["verify_s"]))
+              for r in records if r["n"] >= n_min and r["verify_s"] > 0]
+    if len(points) < 2:
+        return None
+    mx = sum(x for x, _ in points) / len(points)
+    my = sum(y for _, y in points) / len(points)
+    sxx = sum((x - mx) ** 2 for x, _ in points)
+    sxy = sum((x - mx) * (y - my) for x, y in points)
+    return round(sxy / sxx, 3)
+
+
+def run(lbemc, sizes, repeat: int = 1) -> dict:
+    records = [measure(lbemc, n, repeat) for n in sizes]
+    return {
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "repeat": repeat,
+        "sizes": records,
+        "loglog_slope": loglog_slope(records),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="checkout whose src/lbemc is run (default: this one)")
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES),
+                        help="lock counts (default: %(default)s)")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="verify runs per size; the median is recorded")
+    parser.add_argument("--label", default="run", help="key of the run in --out")
+    parser.add_argument("--out", type=Path, help="JSON file to store the run in")
+    args = parser.parse_args(argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
+    try:
+        result = run(workloads.load_lbemc(args.root), args.sizes, args.repeat)
+    finally:
+        sys.setrecursionlimit(limit)
+    if args.out is None:
+        print(json.dumps(result, indent=1))
+        return 0
+    stored = json.loads(args.out.read_text()) if args.out.exists() else {}
+    stored[args.label] = result
+    args.out.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
