@@ -420,9 +420,9 @@ class _Cnf:
 
     Each atom and gate variable maps to the arithmetic variables below it,
     a gate's set built from its arguments' sets as the gate is made.  A
-    selection clause keeps its disjunction's set, and `select_of` indexes
-    the selection clauses by arithmetic variable, for the scores `_Dpll`
-    maintains.
+    selection clause keeps its disjunction's set, `select_of` indexes the
+    selection clauses by arithmetic variable and `select_guard` by gate,
+    for the scores and the active set `_Dpll` maintains.
     """
 
     def __init__(self) -> None:
@@ -539,8 +539,10 @@ class _Dpll:
     intersection with that set, is maintained as the set changes: an
     assignment or a pop that moves a variable's count between 0 and 1
     adjusts the scores of the clauses `_Cnf.select_of` lists for it, the
-    lazy bookkeeping of Chaff (Moskewicz et al., DAC 2001).  A decision
-    compares scores and recounts nothing.
+    lazy bookkeeping of Chaff (Moskewicz et al., DAC 2001).  The selection
+    clauses whose gate is true are kept in a set as gates are assigned and
+    popped, so a decision compares the scores of those clauses only and
+    recounts nothing; ties go to the lowest clause index.
 
     `solve_under` decides the clauses under one assumption literal, the
     way MiniSat does (Een & Sorensson, SAT 2003), and can be called again
@@ -858,7 +860,7 @@ class _Dpll:
 
     def _next_decision(self) -> tuple[int, bool] | None:
         """The assumption, else the next important variable, else an
-        argument of a pending selection."""
+        argument of the pending selection with the highest score."""
         lit = self._assumption
         if lit is not None and abs(lit) not in self.assign:
             return abs(lit), lit > 0
