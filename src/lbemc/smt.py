@@ -418,9 +418,9 @@ class _Cnf:
     still-unsatisfied selection clause, so the search enumerates branch
     selections instead of wandering through arbitrary atom assignments.
 
-    Each atom and gate variable maps to the arithmetic variables below it,
-    a gate's set built from its arguments' sets as the gate is made.  A
-    selection clause keeps its disjunction's set, `select_of` indexes the
+    A selection clause keeps the arithmetic variables of its disjunction,
+    the union of its arguments' sets, memoized per atom and gate and
+    computed only below disjunctions.  `select_of` indexes the
     selection clauses by arithmetic variable and `select_guard` by gate,
     for the scores and the active set `_Dpll` maintains.
     """
@@ -438,6 +438,7 @@ class _Cnf:
         self.select_of: dict[VariableRef, list[int]] = {}
         self.select_guard: dict[int, int] = {}  # gate -> its selection clause
         self._gate: dict[Formula, int] = {}
+        self._args: dict[int, list[int]] = {}  # gate -> argument literals
         # atom or gate variable -> the arithmetic variables below it
         self._vars: dict[int, frozenset[VariableRef]] = {}
         self._const_true: int | None = None
@@ -472,7 +473,6 @@ class _Cnf:
             self.var_of_input[f] = v
             if isinstance(f, Atom):
                 self.atom_of[v] = f
-                self._vars[v] = frozenset(w for w, _ in f.term.coeffs)
         return v
 
     def literal(self, f: Formula) -> int:
@@ -488,9 +488,8 @@ class _Cnf:
         if gate is not None:
             return gate
         args = [self.literal(a) for a in f.args]
-        vs = _NO_VARS.union(*(self._vars.get(abs(a), _NO_VARS) for a in args))
         g = self.new_var()
-        self._vars[g] = vs
+        self._args[g] = args
         if isinstance(f, And):
             for a in args:
                 self.add_clause([-g, a])
@@ -500,6 +499,7 @@ class _Cnf:
                 self.add_clause([g, -a])
             idx = self.add_clause([-g] + args)
             if idx is not None:
+                vs = self._vars_below(g)
                 self.select_clauses.append(idx)
                 self.select_vars[idx] = vs
                 self.select_guard[g] = idx
@@ -507,6 +507,19 @@ class _Cnf:
                     self.select_of.setdefault(v, []).append(idx)
         self._gate[f] = g
         return g
+
+    def _vars_below(self, lit: int) -> frozenset[VariableRef]:
+        """The arithmetic variables of lit's atom or gate, memoized."""
+        v = abs(lit)
+        vs = self._vars.get(v)
+        if vs is None:
+            atom = self.atom_of.get(v)
+            if atom is not None:
+                vs = frozenset(w for w, _ in atom.term.coeffs)
+            else:
+                vs = _NO_VARS.union(*map(self._vars_below, self._args.get(v, ())))
+            self._vars[v] = vs
+        return vs
 
     def true_lit(self) -> int:
         if self._const_true is None:
@@ -597,7 +610,8 @@ class _Dpll:
                     n = asserted.get(v, 0)
                     asserted[v] = n + 1
                     if not n:
-                        self._rescore(v, 1)
+                        for idx in self.cnf.select_of.get(v, ()):
+                            self._score[idx] += 1
             else:
                 idx = self.cnf.select_guard.get(var)
                 if idx is not None:
@@ -627,7 +641,8 @@ class _Dpll:
                 for v in self._lins[var].coeffs:
                     if asserted[v] == 1:
                         del asserted[v]
-                        self._rescore(v, -1)
+                        for idx in self.cnf.select_of.get(v, ()):
+                            self._score[idx] -= 1
                     else:
                         asserted[v] -= 1
             else:
@@ -637,12 +652,6 @@ class _Dpll:
         for idx in self.cnf.occ[-var if value else var]:
             self._n_false[idx] -= 1
         self._decide_head = 0
-
-    def _rescore(self, v: VariableRef, delta: int) -> None:
-        """v entered (delta 1) or left (-1) the asserted variables."""
-        score = self._score
-        for idx in self.cnf.select_of.get(v, ()):
-            score[idx] += delta
 
     def _pop_to_level(self, level: int) -> None:
         while self.trail and self.level_of[self.trail[-1]] > level:
@@ -663,10 +672,11 @@ class _Dpll:
         since the last call, from the current assignment.  Must run before
         the assignment changes after the CNF grows."""
         select = self.cnf.select_clauses
-        asserted = self._asserted.keys()
-        for idx in select[self._n_scored:]:
-            self._score[idx] = len(asserted & self.cnf.select_vars[idx])
-        self._n_scored = len(select)
+        if self._n_scored < len(select):
+            asserted = self._asserted.keys()
+            for idx in select[self._n_scored:]:
+                self._score[idx] = len(asserted & self.cnf.select_vars[idx])
+            self._n_scored = len(select)
         assign = self.assign
         for clause in self.cnf.clauses[len(self._n_true):]:
             n_true = n_false = 0
