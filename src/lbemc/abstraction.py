@@ -247,20 +247,21 @@ class Abstractor:
 
         In Boolean mode the constraint leaves out the choice pads nothing
         reads (`drop_dead_pads`), which keeps the models over the
-        predicates; Cartesian posts come here one operation at a time,
-        with no choices to pad.  The incoming region reads only index 0,
-        which no pad defines, so the constraint depends on op, pi and the
-        mode alone and is cached.
+        predicates.  The incoming region reads only index 0, which no pad
+        defines, so the pruned constraint depends on op and pi alone and
+        is cached.  Cartesian posts come here one operation at a time,
+        with no choices to pad.
         """
-        key = (op, pi, mode)
-        edge = self._edge_memo.get(key)
+        edge = self._edge_memo.get((op, pi)) if mode == BOOLEAN else None
         if edge is None:
-            edge_formula, out_map = encode_edge(op, {})
+            pads: list[Formula] = []
+            edge_formula, out_map = encode_edge(op, {}, pads)
             shifted = [at_indices(p, out_map) for p in pi]
             if mode == BOOLEAN:
-                edge_formula = drop_dead_pads(edge_formula, shifted)
-            edge = self._edge_memo[key] = (edge_formula, shifted)
-        edge_formula, shifted = edge
+                edge_formula = drop_dead_pads(edge_formula, pads, shifted)
+                self._edge_memo[op, pi] = (edge_formula, shifted)
+        else:
+            edge_formula, shifted = edge
         return f_and(at_indices(self.concretize(state), {}), edge_formula), shifted
 
     def _conjunction_join(self, a: AbstractFormula, b: AbstractFormula,

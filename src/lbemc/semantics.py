@@ -21,7 +21,6 @@ from typing import Iterable, Mapping
 from .formula import (
     And,
     Atom,
-    EQ,
     Formula,
     Not,
     Or,
@@ -245,24 +244,28 @@ def sp(op: Operation, phi: Formula) -> Formula:
 SsaMap = Mapping[str, int]
 
 
-def encode_edge(op: Operation, ssa: SsaMap) -> tuple[Formula, dict[str, int]]:
+def encode_edge(op: Operation, ssa: SsaMap,
+                pads: list[Formula] | None = None) -> tuple[Formula, dict[str, int]]:
     """SSA constraint for op starting at index map ssa.
 
     Returns (formula over indexed variables, output index map).  The
     conjunction of the incoming constraints with the returned formula is
     satisfiable exactly when some concrete execution of op exists.  Choice
     branches are padded with equalities `x@j = x@i` onto fresh indices so
-    both end at a common output map.  Every pad is kept; `drop_dead_pads`
-    removes the ones nothing reads where only satisfiability matters.
+    both end at a common output map.  The formula keeps every pad; when
+    `pads` is a list, the pad atoms are also appended to it, for
+    `drop_dead_pads` to remove the ones nothing reads where only the
+    models over other variables matter.
 
     Summarized operations share subtrees heavily; encoding is memoized per
     (subtree, index map) so the output formula is shared the same way.
     """
     memo: dict[tuple[int, tuple], tuple[Formula, dict[str, int]]] = {}
-    return _encode(op, dict(ssa), memo)
+    return _encode(op, dict(ssa), memo, [] if pads is None else pads)
 
 
-def _encode(op: Operation, ssa: dict[str, int], memo) -> tuple[Formula, dict[str, int]]:
+def _encode(op: Operation, ssa: dict[str, int], memo,
+            pads: list[Formula]) -> tuple[Formula, dict[str, int]]:
     key = (id(op), tuple(sorted(ssa.items())))
     cached = memo.get(key)
     if cached is not None:
@@ -281,12 +284,12 @@ def _encode(op: Operation, ssa: dict[str, int], memo) -> tuple[Formula, dict[str
         out[op.var] = out.get(op.var, 0) + 1
         result = TRUE, out
     elif isinstance(op, Seq):
-        f1, mid = _encode(op.first, ssa, memo)
-        f2, end = _encode(op.second, mid, memo)
+        f1, mid = _encode(op.first, ssa, memo, pads)
+        f2, end = _encode(op.second, mid, memo, pads)
         result = f_and(f1, f2), end
     elif isinstance(op, Choice):
-        f1, m1 = _encode(op.left, ssa, memo)
-        f2, m2 = _encode(op.right, ssa, memo)
+        f1, m1 = _encode(op.left, ssa, memo, pads)
+        f2, m2 = _encode(op.right, ssa, memo, pads)
         merged = _merge(m1, m2)
         pads1: list[Formula] = []
         pads2: list[Formula] = []
@@ -296,6 +299,8 @@ def _encode(op: Operation, ssa: dict[str, int], memo) -> tuple[Formula, dict[str
                 fresh = Term.variable(VariableRef(name, j))
                 pads1.append(canon_eq(fresh - Term.variable(VariableRef(name, i1))))
                 pads2.append(canon_eq(fresh - Term.variable(VariableRef(name, i2))))
+        pads += pads1
+        pads += pads2
         result = f_or(f_and(f1, *pads1), f_and(f2, *pads2)), merged
     else:
         raise TypeError(f"not an operation: {op!r}")
@@ -339,53 +344,39 @@ def ssa_after(op: Operation, ssa: SsaMap, memo: dict) -> dict[str, int]:
     return out
 
 
-def _pad(atom: Atom) -> VariableRef | None:
-    """x@j for an atom x@j = x@i with j > i, which defines x@j; else None.
+def drop_dead_pads(f: Formula, pads: list[Formula],
+                   targets: Iterable[Formula] = ()) -> Formula:
+    """f without the pads of the variables nothing reads.
 
-    Choice pads have this form, and so does the atom of `x = x`.  Neither
-    an assumption, whose atoms read each name at one index, nor any other
-    assignment gives it.
-    """
-    term = atom.term
-    if atom.rel != EQ or term.const or len(term.coeffs) != 2:
-        return None
-    (u, a), (w, b) = term.coeffs  # in variable order: u.index < w.index
-    if a + b or u.name != w.name or u.index is None or w.index is None:
-        return None
-    return w
-
-
-def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
-    """An encode_edge formula without the pads of the variables nothing reads.
-
-    A pad x@j = x@i is dead when x@j occurs in no other atom of f (pads
-    that define x@j aside), in no pad of a live variable and in none of
+    `pads` holds the pad atoms `encode_edge` reported for f.  A pad
+    x@j = x@i is dead when x@j occurs in no other atom of f (pads that
+    define x@j aside), in no pad of a live variable and in none of
     `targets`, the formulas read over f's output indices.  Dead pads become
-    TRUE, which is exact for satisfiability over the other variables: the
-    SSA encoding defines x@j once on each path through the choices, so on
-    the path a model of the pruned formula takes, one pad at most mentions
-    x@j, and giving x@j the value of that pad's x@i satisfies it.  The
-    result is satisfiable with a formula F over other variables exactly
-    when f is; `f` itself is returned when no pad is dead.
+    TRUE, which is exact for the models over the other variables: the SSA
+    encoding defines x@j once on each path through the choices, so on the
+    path a model of the pruned formula takes, one pad at most mentions
+    x@j, and giving x@j the value of that pad's x@i satisfies it.  `f`
+    itself is returned when no pad is dead.
 
     The rebuild is memoized per node, so shared subformulas stay shared,
     and keeps a node itself where nothing below it changed.
     """
+    if not pads:
+        return f
+    is_pad = {id(a) for a in pads}
     defined: dict[int, VariableRef] = {}  # id of a pad -> its variable
     reads: dict[VariableRef, list[VariableRef]] = {}  # pad variable -> x@i
     live: set[VariableRef] = set()
     for g in _dag_nodes(f):
         if isinstance(g, Atom):
-            v = _pad(g)
-            if v is None:
-                live.update(w for w, _ in g.term.coeffs)
-            else:
+            if id(g) in is_pad:
+                (u, _), (v, _) = g.term.coeffs  # in variable order: u = x@i
                 defined[id(g)] = v
-                reads.setdefault(v, []).append(g.term.coeffs[0][0])
+                reads.setdefault(v, []).append(u)
+            else:
+                live.update(w for w, _ in g.term.coeffs)
         elif isinstance(g, Not) and isinstance(g.arg, Atom):
-            live.update(w for w, _ in g.arg.term.coeffs)  # not rebuilt below
-    if not reads:
-        return f
+            live.update(w for w, _ in g.arg.term.coeffs)  # kept as it is
     for t in targets:
         live.update(variables(t))
     stack = [v for v in live if v in reads]

@@ -160,14 +160,26 @@ class TestDropDeadPads:
     OP = Choice(Seq(Assign("x", const(1)), Assign("x", tvar("x") + 1)),
                 Assign("x", const(5)))
 
+    @staticmethod
+    def _encode(op):
+        pads = []
+        f, out = encode_edge(op, {}, pads)
+        return f, out, pads
+
+    def test_pads_are_reported(self):
+        f, _, pads = self._encode(self.OP)
+        assert pads == [compare("==", tvar("x", 3), tvar("x", 2)),
+                        compare("==", tvar("x", 3), tvar("x", 1))]
+        assert encode_edge(self.OP, {}) == (f, {"x": 3})
+
     def test_pads_read_at_the_output_stay(self):
-        f, out = encode_edge(self.OP, {})
+        f, out, pads = self._encode(self.OP)
         assert out == {"x": 3}
-        assert drop_dead_pads(f, [compare("<=", tvar("x", 3), const(0))]) is f
+        assert drop_dead_pads(f, pads, [compare("<=", tvar("x", 3), const(0))]) is f
 
     def test_unread_pads_become_true(self):
-        f, _ = encode_edge(self.OP, {})
-        assert drop_dead_pads(f) == f_or(
+        f, _, pads = self._encode(self.OP)
+        assert drop_dead_pads(f, pads) == f_or(
             f_and(compare("==", tvar("x", 1), const(1)),
                   compare("==", tvar("x", 2), tvar("x", 1) + 1)),
             compare("==", tvar("x", 1), const(5)))
@@ -178,14 +190,13 @@ class TestDropDeadPads:
         op = Choice(Assign("y", const(0)), Assign("x", const(0)))
         for k in (1, 2):
             op = Seq(op, Choice(Assign("y", const(k)), Assign("x", const(k))))
-        f, out = encode_edge(op, {})
+        f, out, pads = self._encode(op)
         assert out == {"x": 6, "y": 6}
         xs = {v for v in variables(f) if v.name == "x"}
-        ys = {v for v in variables(f) if v.name == "y"}
         assert {VariableRef("x", 2), VariableRef("x", 4)} <= xs
-        kept = variables(drop_dead_pads(f, [compare("<=", tvar("x", 6), const(0))]))
+        kept = variables(drop_dead_pads(f, pads, [compare("<=", tvar("x", 6), const(0))]))
         assert xs <= kept and VariableRef("y", 6) not in kept
-        assert not {VariableRef("x", 6), VariableRef("y", 6)} & variables(drop_dead_pads(f))
+        assert not {VariableRef("x", 6), VariableRef("y", 6)} & variables(drop_dead_pads(f, pads))
 
     def test_models_over_the_targets_are_kept(self, solver):
         rng = random.Random(23)
@@ -193,10 +204,10 @@ class TestDropDeadPads:
         pruned_count = 0
         for _ in range(150):
             op = random_operation(rng, names, depth=4)
-            f, out = encode_edge(op, {})
+            f, out, pads = self._encode(op)
             targets = [at_indices(random_formula(rng, names, depth=1), out)
                        for _ in range(rng.randint(0, 2))]
-            pruned = drop_dead_pads(f, targets)
+            pruned = drop_dead_pads(f, pads, targets)
             pruned_count += pruned is not f
             marks = [f"t{i}" for i in range(len(targets))]
             links = [f_iff(t, PropVar(m)) for t, m in zip(targets, marks)]
