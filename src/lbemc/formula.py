@@ -10,8 +10,9 @@ linear term with gcd-reduced integer coefficients.  Strict comparisons are
 tightened at construction (``t < 0`` becomes ``t + 1 <= 0``), and an
 equality whose coefficient gcd does not divide its constant (``2x = 1``) is
 FALSE, which is exact because all program variables range over integers;
-``!=``, ``>=``, ``>`` are rewritten.  Everything in this module is immutable; formulas hash and
-compare structurally, with the hash cached per node.
+``!=``, ``>=``, ``>`` are rewritten.  Everything in this module is
+immutable; formulas hash and compare structurally, with the hash cached per
+node.
 """
 
 from __future__ import annotations
