@@ -23,7 +23,7 @@ BOOLEAN = "boolean"
 class Precision:
     """Ordered, duplicate-free list of predicates."""
 
-    __slots__ = ("preds",)
+    __slots__ = ("preds", "_h")
 
     def __init__(self, preds: Iterable[Formula] = ()) -> None:
         out: list[Formula] = []
@@ -33,6 +33,7 @@ class Precision:
                 seen.add(p)
                 out.append(p)
         self.preds: tuple[Formula, ...] = tuple(out)
+        self._h = hash(self.preds)  # precisions key the post memos
 
     def merged(self, more: Iterable[Formula]) -> "Precision":
         return Precision(list(self.preds) + list(more))
@@ -50,7 +51,7 @@ class Precision:
         return isinstance(other, Precision) and self.preds == other.preds
 
     def __hash__(self) -> int:
-        return hash(self.preds)
+        return self._h
 
     def __repr__(self) -> str:
         return f"Precision({list(map(str, self.preds))})"
@@ -221,7 +222,7 @@ class Abstractor:
         if mode == CARTESIAN:
             out = self._cartesian_post(state, op, pi)
         elif mode == BOOLEAN:
-            out = self._boolean_on(*self._post_query(state, op, pi, mode), pi)
+            out = self._boolean_on(*self._post_query(state, op, pi), pi)
         else:
             raise ValueError(f"unknown abstraction mode {mode!r}")
         self._post_memo[key] = out
@@ -238,30 +239,25 @@ class Abstractor:
                 self._post(state, op.right, pi, CARTESIAN),
                 pi,
             )
-        return self._cartesian_on(*self._post_query(state, op, pi, CARTESIAN), pi)
+        return self._cartesian_on(*self._post_query(state, op, pi), pi)
 
-    def _post_query(self, state: AbstractFormula, op: Operation, pi: Precision,
-                    mode: str):
+    def _post_query(self, state: AbstractFormula, op: Operation, pi: Precision):
         """The incoming region at index 0 conjoined with op's SSA constraint,
         and the precision predicates read at op's output indices.
 
-        In Boolean mode the constraint leaves out the choice pads nothing
-        reads (`drop_dead_pads`), which keeps the models over the
-        predicates.  The incoming region reads only index 0, which no pad
-        defines, so the pruned constraint depends on op and pi alone and
-        is cached.  Cartesian posts come here one operation at a time,
-        with no choices to pad.
+        The constraint leaves out the choice pads nothing reads
+        (`drop_dead_pads`), which keeps the models over the predicates.
+        The incoming region reads only index 0, which no pad defines, so
+        the pruned constraint depends on op and pi alone and is cached.
         """
-        edge = self._edge_memo.get((op, pi)) if mode == BOOLEAN else None
+        edge = self._edge_memo.get((op, pi))
         if edge is None:
             pads: list[Formula] = []
             edge_formula, out_map = encode_edge(op, {}, pads)
             shifted = [at_indices(p, out_map) for p in pi]
-            if mode == BOOLEAN:
-                edge_formula = drop_dead_pads(edge_formula, pads, shifted)
-                self._edge_memo[op, pi] = (edge_formula, shifted)
-        else:
-            edge_formula, shifted = edge
+            edge = self._edge_memo[op, pi] = (drop_dead_pads(edge_formula, pads, shifted),
+                                              shifted)
+        edge_formula, shifted = edge
         return f_and(at_indices(self.concretize(state), {}), edge_formula), shifted
 
     def _conjunction_join(self, a: AbstractFormula, b: AbstractFormula,
