@@ -419,8 +419,8 @@ class _Cnf:
     selections instead of wandering through arbitrary atom assignments.
 
     A selection clause keeps the arithmetic variables of its disjunction,
-    the union of its arguments' sets, memoized per atom and gate and
-    computed only below disjunctions.  `select_of` indexes the
+    the union of its arguments' sets, where a disjunction argument's set
+    is the one recorded when it was encoded.  `select_of` indexes the
     selection clauses by arithmetic variable and `select_guard` by gate,
     for the scores and the active set `_Dpll` maintains.
     """
@@ -438,8 +438,7 @@ class _Cnf:
         self.select_of: dict[VariableRef, list[int]] = {}
         self.select_guard: dict[int, int] = {}  # gate -> its selection clause
         self._gate: dict[Formula, int] = {}
-        self._args: dict[int, list[int]] = {}  # gate -> argument literals
-        # atom or gate variable -> the arithmetic variables below it
+        # disjunction gate -> the arithmetic variables below it
         self._vars: dict[int, frozenset[VariableRef]] = {}
         self._const_true: int | None = None
 
@@ -489,7 +488,6 @@ class _Cnf:
             return gate
         args = [self.literal(a) for a in f.args]
         g = self.new_var()
-        self._args[g] = args
         if isinstance(f, And):
             for a in args:
                 self.add_clause([-g, a])
@@ -497,9 +495,9 @@ class _Cnf:
         else:
             for a in args:
                 self.add_clause([g, -a])
+            vs = self._vars[g] = _NO_VARS.union(*map(self._vars_of, f.args))
             idx = self.add_clause([-g] + args)
             if idx is not None:
-                vs = self._vars_below(g)
                 self.select_clauses.append(idx)
                 self.select_vars[idx] = vs
                 self.select_guard[g] = idx
@@ -508,18 +506,17 @@ class _Cnf:
         self._gate[f] = g
         return g
 
-    def _vars_below(self, lit: int) -> frozenset[VariableRef]:
-        """The arithmetic variables of lit's atom or gate, memoized."""
-        v = abs(lit)
-        vs = self._vars.get(v)
-        if vs is None:
-            atom = self.atom_of.get(v)
-            if atom is not None:
-                vs = frozenset(w for w, _ in atom.term.coeffs)
-            else:
-                vs = _NO_VARS.union(*map(self._vars_below, self._args.get(v, ())))
-            self._vars[v] = vs
-        return vs
+    def _vars_of(self, f: Formula) -> frozenset[VariableRef]:
+        """The arithmetic variables of an encoded formula."""
+        if isinstance(f, Atom):
+            return frozenset(v for v, _ in f.term.coeffs)
+        if isinstance(f, Not):
+            return self._vars_of(f.arg)
+        if isinstance(f, Or):
+            return self._vars[self._gate[f]]
+        if isinstance(f, And):
+            return _NO_VARS.union(*map(self._vars_of, f.args))
+        return _NO_VARS
 
     def true_lit(self) -> int:
         if self._const_true is None:
