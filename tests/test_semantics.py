@@ -177,6 +177,10 @@ class TestDropDeadPads:
         assert out == {"x": 3}
         assert drop_dead_pads(f, pads, [compare("<=", tvar("x", 3), const(0))]) is f
 
+    def test_pads_read_by_a_later_atom_stay(self):
+        f, _, pads = self._encode(Seq(self.OP, Assume(compare("<=", tvar("x"), const(0)))))
+        assert drop_dead_pads(f, pads) is f
+
     def test_unread_pads_become_true(self):
         f, _, pads = self._encode(self.OP)
         assert drop_dead_pads(f, pads) == f_or(

@@ -9,11 +9,13 @@ from math import gcd
 import pytest
 
 from lbemc.formula import (
+    And,
     Atom,
     EQ,
     PropVar,
     TRUE,
     FALSE,
+    Or,
     VariableRef,
     compare,
     evaluate,
@@ -22,6 +24,7 @@ from lbemc.formula import (
     f_not,
     f_or,
     var_sort_key,
+    variables,
 )
 from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
@@ -30,12 +33,14 @@ from lbemc.oracle import _eliminate, _exact_atom, random_formula
 from lbemc.smt import (
     InternalSolver,
     Smtlib2Solver,
+    _Cnf,
     _Dpll,
     _LinTheory,
     _TheoryConflict,
     _lin_of_atom,
     _solve_lin,
     make_solver,
+    normalize,
     theory_check,
 )
 
@@ -691,6 +696,20 @@ class TestSelectionScores:
             solver.all_sat(phi, marks)
         assert len(decisions) > 200
         assert max(score for _, _, score in decisions) >= 2
+
+    def test_selection_variables_are_those_of_the_disjunction(self):
+        rng = random.Random(9)
+        nested = 0  # disjunctions with a disjunction below a conjunction
+        for _ in range(200):
+            cnf = _Cnf()
+            cnf.literal(normalize(random_formula(rng, ["a", "b", "c"], depth=4)))
+            for f, g in cnf._gate.items():
+                idx = cnf.select_guard.get(g)
+                if idx is not None:
+                    assert cnf.select_vars[idx] == variables(f)
+                    nested += any(isinstance(a, And) and any(isinstance(b, Or) for b in a.args)
+                                  for a in f.args)
+        assert nested > 10
 
     def test_entailed_sessions(self, solver, decisions):
         for phi, qs in _entailment_cases(43, 120):
