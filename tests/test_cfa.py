@@ -233,3 +233,175 @@ def test_program_invariants_enforced():
 def test_program_variables():
     p = parse_program(FIG2_SOURCE)
     assert program_variables(p) == ["i", "x", "z"]
+
+
+# ---------------------------------------------------------------------------
+# reference: the restart-the-scan summarization the worklist must reproduce
+# ---------------------------------------------------------------------------
+
+def _ref_seq(first, second):
+    if isinstance(first, Seq):
+        return _ref_seq(first.first, _ref_seq(first.second, second))
+    return Seq(first, second)
+
+
+def _ref_rule1(p, l2):
+    if l2 in (p.entry, p.error):
+        return None
+    incoming = p.cfa.incoming(l2)
+    if len(incoming) != 1 or incoming[0].source == l2:
+        return None
+    outgoing = p.cfa.outgoing(l2)
+    if not outgoing:
+        return None
+    l1, op1 = incoming[0].source, incoming[0].op
+    removed = {incoming[0]} | set(outgoing)
+    new_edges = [e for e in p.cfa.edges if e not in removed]
+    for e in outgoing:
+        new_edges.append(Edge(l1, _ref_seq(op1, e.op), e.target))
+    locations = tuple(l for l in p.cfa.locations if l != l2)
+    return Program(CFA(locations, tuple(new_edges)), p.entry, p.error)
+
+
+def _ref_rule2(p, l1, l2):
+    parallel = [e for e in p.cfa.edges if e.source == l1 and e.target == l2]
+    if len(parallel) < 2:
+        return None
+    first, second = parallel[0], parallel[1]
+    merged = Edge(l1, Choice(first.op, second.op), l2)
+    new_edges = [merged if e is first else e for e in p.cfa.edges if e is not second]
+    return Program(CFA(p.cfa.locations, tuple(new_edges)), p.entry, p.error)
+
+
+def _ref_summarize(p):
+    """Rule 0 once; then scan locations in ascending order, at each one
+    exhaust rule 2, then try rule 1; restart the scan after any change."""
+    from lbemc.cfa import TraceEntry
+
+    trace = []
+    q = apply_rule0(p)
+    removed0 = len(p.cfa.edges) - len(q.cfa.edges)
+    if removed0:
+        trace.append(TraceEntry(0, {"removed_edges": removed0}))
+    changed = True
+    while changed:
+        changed = False
+        for loc in sorted(q.cfa.locations):
+            while True:
+                targets = {}
+                merged = None
+                for e in q.cfa.outgoing(loc):
+                    if e.target in targets:
+                        merged = _ref_rule2(q, loc, e.target)
+                        trace.append(TraceEntry(2, {"source": loc, "target": e.target}))
+                        q = merged
+                        break
+                    targets[e.target] = e
+                if merged is None:
+                    break
+                changed = True
+            fused = _ref_rule1(q, loc)
+            if fused is not None:
+                via = q.cfa.incoming(loc)[0].source
+                trace.append(TraceEntry(1, {"removed_loc": loc, "via": via}))
+                q = fused
+                changed = True
+            if changed:
+                break
+    return q, trace
+
+
+def _same_op(a, b):
+    """Structural equality of two operation DAGs, each pair of nodes
+    compared once (a plain recursive comparison revisits shared subtrees
+    once per path to them)."""
+    seen = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if type(x) is not type(y) or hash(x) != hash(y):
+            return False
+        if isinstance(x, Seq):
+            stack += [(x.first, y.first), (x.second, y.second)]
+        elif isinstance(x, Choice):
+            stack += [(x.left, y.left), (x.right, y.right)]
+        elif x != y:
+            return False
+    return True
+
+
+def _random_cfa(seed):
+    """Seeded CFA with parallel edges, self-loops, sinks and locations with
+    several exits; entry 0 has no incoming edge, error is 1."""
+    import random
+
+    from lbemc.oracle import random_operation
+
+    rng = random.Random(seed)
+    names = ["a", "b", "c"]
+    n = rng.randint(3, 12)
+    locs = list(range(n))
+    edges = []
+
+    def op():
+        return random_operation(rng, names, depth=rng.choice([0, 0, 1, 2]))
+
+    for loc in range(2, n):  # a spine from the entry through every location
+        edges.append(Edge(rng.randrange(0, loc), op(), loc))
+    for _ in range(rng.randint(0, 2 * n)):
+        kind = rng.random()
+        src = rng.randrange(0, n)
+        if kind < 0.15:
+            dst = src if src != 0 else 1  # self-loop
+        elif kind < 0.35 and edges:
+            src, _, dst = (lambda e: (e.source, None, e.target))(rng.choice(edges))
+        else:
+            dst = rng.randrange(1, n)
+        if dst == 0:
+            continue
+        edges.append(Edge(src, op(), dst))
+    rng.shuffle(edges)
+    return prog(locs, edges)
+
+
+def _summarize_inputs():
+    from lbemc.cli import gen_test_locks
+    from lbemc.oracle import random_program
+
+    for n in range(1, 41):
+        yield f"locks{n}", parse_program(gen_test_locks(n))
+        yield f"locks{n}bug", parse_program(gen_test_locks(n, bug=True))
+    for k in range(200):
+        yield f"random{k}", parse_program(random_program(k))
+    yield "fig2", parse_program(FIG2_SOURCE)
+    for seed in range(300):
+        yield f"cfa{seed}", _random_cfa(seed)
+
+
+def test_random_cfas_exercise_every_shape():
+    shapes = {"parallel": 0, "self_loop": 0, "sink": 0, "multi_exit": 0}
+    for seed in range(300):
+        p = _random_cfa(seed)
+        pairs = [(e.source, e.target) for e in p.cfa.edges]
+        shapes["parallel"] += len(pairs) != len(set(pairs))
+        shapes["self_loop"] += any(s == t for s, t in pairs)
+        shapes["sink"] += any(not p.cfa.outgoing(loc) for loc in p.cfa.locations
+                              if loc != p.error)
+        shapes["multi_exit"] += any(len({t for s, t in pairs if s == loc}) > 1
+                                    for loc in p.cfa.locations)
+    assert all(count >= 30 for count in shapes.values()), shapes
+
+
+def test_summarize_matches_restart_scan_reference():
+    for name, p in _summarize_inputs():
+        want, want_trace = _ref_summarize(p)
+        got, got_trace = summarize(p)
+        assert trace_to_json_lines(got_trace) == trace_to_json_lines(want_trace), name
+        assert got.cfa.locations == want.cfa.locations, name
+        assert [(e.source, e.target) for e in got.cfa.edges] == \
+            [(e.source, e.target) for e in want.cfa.edges], name
+        assert all(_same_op(a.op, b.op) for a, b in zip(got.cfa.edges, want.cfa.edges)), name
+        assert to_dot(got) == to_dot(want), name

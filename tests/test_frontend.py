@@ -152,3 +152,106 @@ class TestToCfa:
                 ["cond"] + [f"p{i}" for i in range(1, n + 1)]
                 + [f"lk{i}" for i in range(1, n + 1)]
             )
+
+
+# ---------------------------------------------------------------------------
+# reference lexer: symbols tried in table order with startswith
+# ---------------------------------------------------------------------------
+
+_REF_KEYWORDS = {"int", "assume", "assert", "if", "else", "while", "error", "skip",
+                 "nondet"}
+_REF_SYMBOLS = ("&&", "||", "==", "!=", "<=", ">=", "=", "<", ">", "!", "+", "-",
+                "*", "(", ")", "{", "}", ";")
+
+
+def _ref_tokenize(source):
+    """(kind, text, line, col) tuples, or ("error", message, line, col)."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            tokens.append(("int", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            tokens.append((word if word in _REF_KEYWORDS else "ident", word, line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _REF_SYMBOLS:
+            if source.startswith(sym, i):
+                tokens.append((sym, sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            return tokens + [("error", f"unexpected character {ch!r}", line, col)]
+    return tokens + [("eof", "", line, col)]
+
+
+def _lex(source):
+    from lbemc.frontend import tokenize
+
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(source)]
+    except ParseError as exc:
+        # the tokens before the error are not observable; compare the error
+        ref = _ref_tokenize(source)
+        return ref[:-1] + [("error", str(exc).split(": ", 1)[1], exc.line, exc.col)]
+
+
+_MALFORMED = [
+    "", "\n", "//", "// only a comment", "int x;\n//", "x", "$", "int x; x = $;",
+    "a & b", "a | b", "a&&b||c", "x==y!=z<=w>=v", "x=<y", "x=>y", "!!x", "a/b",
+    "a / / b", "int x;\r\n\tx = 1;\r\n", "int x; x = 1; // c $ @\n x = 2;",
+    "12ab", "_a1_ = 3;", "é = 1;", "x² = 1;", "٣ + 1", "int x;",
+    "tab\there", "  \t  @", "{}();;*-+<>=!", "int x; // a\n// b\n  #", "x = 1;\n\n\n  ~",
+    "if (x < 1) {\n  y = -2 * z;\n}\n", "éé", "a​b",
+]
+
+
+def test_tokenizer_matches_reference_lexer():
+    from lbemc.cli import gen_test_locks
+    from lbemc.oracle import random_program
+
+    sources = [random_program(k) for k in range(200)]
+    sources += [gen_test_locks(n, bug=bug) for n in range(1, 21) for bug in (False, True)]
+    sources += _MALFORMED
+    for text in list(sources[:40]):  # comments and damage inside real programs
+        sources.append(text.replace(";", "; // note ;\n", 3))
+        sources.append(text.replace("(", "$", 1))
+        sources.append(text[: len(text) // 2] + "&" + text[len(text) // 2:])
+    for text in sources:
+        assert _lex(text) == _ref_tokenize(text), text
+
+
+def test_parse_error_positions_match_reference_lexer():
+    for text in _MALFORMED:
+        ref = _ref_tokenize(text)
+        if ref[-1][0] == "error":
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.col) == ref[-1][2:], text
