@@ -13,15 +13,24 @@ Rule 0 runs once, then rules 1 and 2 run to fixpoint under a deterministic
 schedule.  Entry, error, loop heads (several incoming edges) and sink
 locations survive; everything else is folded away.  Since every rule 1/2
 application removes at least one edge, at most |G|-1 of them can fire.
+
+The schedule always works on the lowest location where a rule applies:
+all of its rule-2 merges first, then rule 1 (`summarize`).  The order is
+observable: `--trace` prints the rule applications, and the edge order
+and operation shapes of the result fix the order in which the ART
+explores edges, and so the stats.  `summarize` keeps this order in one
+worklist pass over edges indexed by location, building each large block's
+sequence once, so its cost grows linearly with the automaton.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .semantics import Choice, Operation, op_label, op_variables, seq
+from .semantics import Choice, Operation, op_label, op_variables, seq_chain
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,104 @@ def apply_rule0(p: Program) -> Program:
     return Program(CFA(p.cfa.locations, kept), p.entry, p.error)
 
 
+class _Rewriter:
+    """A program under rules 1 and 2, its edges indexed by location.
+
+    Edges live under position keys in `edges`, whose insertion order is
+    the edge order of the program: a merged edge keeps the earlier edge's
+    key and fused edges get fresh keys, so they come last, in the order of
+    the fused location's outgoing edges.  `out` and `inc` map each location
+    to the keys of its outgoing and incoming edges, in the same order.
+
+    Fused operations are kept as pairs (first, second) until the end or
+    until a choice takes them in, and only then built into Seq chains,
+    right-associated and once: fusing along a straight line copies no
+    spine.
+    """
+
+    def __init__(self, p: Program) -> None:
+        self.p = p
+        self.edges: dict[int, tuple] = {}  # key -> (source, op or pair, target)
+        self.out: dict[int, dict[int, None]] = {l: {} for l in p.cfa.locations}
+        self.inc: dict[int, dict[int, None]] = {l: {} for l in p.cfa.locations}
+        self.next_key = 0
+        for e in p.cfa.edges:
+            self._add(e.source, e.op, e.target)
+
+    def _add(self, source: int, op, target: int) -> None:
+        key = self.next_key
+        self.next_key += 1
+        self.edges[key] = (source, op, target)
+        self.out[source][key] = None
+        self.inc[target][key] = None
+
+    def _remove(self, key: int) -> tuple:
+        edge = self.edges.pop(key)
+        del self.out[edge[0]][key], self.inc[edge[2]][key]
+        return edge
+
+    def merge(self, first: int, second: int) -> None:
+        """Rule 2 on two parallel edges: first becomes their choice."""
+        source, op1, target = self.edges[first]
+        op2 = self._remove(second)[1]
+        self.edges[first] = (source, Choice(_build(op1), _build(op2)), target)
+
+    def merge_all(self, loc: int) -> list[int]:
+        """Rule 2 at loc until no parallel edges leave it; the target of
+        each merge, in order.
+
+        Each merge takes the first outgoing edge whose target an earlier
+        edge shares, and that earlier edge: one pass over the edges finds
+        them all, as the merged edge keeps the earlier one's place.
+        """
+        first_to: dict[int, int] = {}
+        merged = []
+        for key in list(self.out[loc]):
+            target = self.edges[key][2]
+            if target in first_to:
+                self.merge(first_to[target], key)
+                merged.append(target)
+            else:
+                first_to[target] = key
+        return merged
+
+    def fuse(self, l2: int) -> Optional[int]:
+        """Rule 1 at l2: its predecessor, or None when blocked."""
+        p = self.p
+        if l2 in (p.entry, p.error) or len(self.inc[l2]) != 1 or not self.out[l2]:
+            return None
+        (key,) = self.inc[l2]
+        l1, op1, _ = self.edges[key]
+        if l1 == l2:
+            return None
+        self._remove(key)
+        for key in list(self.out[l2]):
+            _, op, target = self._remove(key)
+            self._add(l1, (op1, op), target)
+        del self.out[l2], self.inc[l2]
+        return l1
+
+    def program(self) -> Program:
+        locations = tuple(l for l in self.p.cfa.locations if l in self.out)
+        edges = tuple(Edge(s, _build(op), t) for s, op, t in self.edges.values())
+        return Program(CFA(locations, edges), self.p.entry, self.p.error)
+
+
+def _build(op) -> Operation:
+    """The operation of a fused pair tree: its leaves in sequence."""
+    if isinstance(op, Operation):
+        return op
+    leaves = []
+    stack = [op]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, Operation):
+            leaves.append(o)
+        else:
+            stack += (o[1], o[0])
+    return seq_chain(leaves)
+
+
 def try_rule1(p: Program, l2: int) -> Optional[Program]:
     """Fuse l2 into its unique predecessor; None when the rule does not apply.
 
@@ -93,21 +200,8 @@ def try_rule1(p: Program, l2: int) -> Optional[Program]:
     """
     if l2 not in p.cfa.locations:
         raise KeyError(f"unknown location {l2}")
-    if l2 in (p.entry, p.error):
-        return None
-    incoming = p.cfa.incoming(l2)
-    if len(incoming) != 1 or incoming[0].source == l2:
-        return None
-    outgoing = p.cfa.outgoing(l2)
-    if not outgoing:
-        return None
-    l1, op1 = incoming[0].source, incoming[0].op
-    removed = {incoming[0]} | set(outgoing)
-    new_edges = [e for e in p.cfa.edges if e not in removed]
-    for e in outgoing:
-        new_edges.append(Edge(l1, seq(op1, e.op), e.target))
-    locations = tuple(l for l in p.cfa.locations if l != l2)
-    return Program(CFA(locations, tuple(new_edges)), p.entry, p.error)
+    rw = _Rewriter(p)
+    return None if rw.fuse(l2) is None else rw.program()
 
 
 def try_rule2(p: Program, l1: int, l2: int) -> Optional[Program]:
@@ -118,17 +212,12 @@ def try_rule2(p: Program, l1: int, l2: int) -> Optional[Program]:
     """
     if l1 not in p.cfa.locations or l2 not in p.cfa.locations:
         raise KeyError(f"unknown location {l1 if l1 not in p.cfa.locations else l2}")
-    parallel = [e for e in p.cfa.edges if e.source == l1 and e.target == l2]
+    rw = _Rewriter(p)
+    parallel = [key for key in rw.out[l1] if rw.edges[key][2] == l2]
     if len(parallel) < 2:
         return None
-    first, second = parallel[0], parallel[1]
-    merged = Edge(l1, Choice(first.op, second.op), l2)
-    new_edges = [
-        merged if e is first else e
-        for e in p.cfa.edges
-        if e is not second
-    ]
-    return Program(CFA(p.cfa.locations, tuple(new_edges)), p.entry, p.error)
+    rw.merge(parallel[0], parallel[1])
+    return rw.program()
 
 
 @dataclass(frozen=True)
@@ -147,9 +236,22 @@ def rule_count(trace: list[TraceEntry]) -> int:
 def summarize(p: Program) -> tuple[Program, list[TraceEntry]]:
     """Apply rule 0 once, then rules 1 and 2 to fixpoint.
 
-    Schedule: scan locations in ascending id order; at each location first
-    exhaust rule 2 over its outgoing edge pairs, then attempt rule 1 with
-    the location as the fused target; restart the scan after any change.
+    Schedule: take the lowest location where rule 1 or rule 2 applies;
+    there, first exhaust rule 2 over its outgoing edges, then try rule 1
+    with the location as the fused target; repeat.  This is the schedule
+    of scanning locations in ascending order and restarting the scan after
+    every change, and it fixes the trace (`--trace` prints it), the edge
+    order of the result and so the order in which the ART explores edges.
+
+    One worklist pass does it: a min-heap holds every location where a
+    rule may apply, so the lowest queued location where one does is the
+    lowest such location.  A location where none applies is dropped until
+    a rewrite makes one applicable there, and only two rewrites can:
+      - a merge lowers its target's in-degree (rule 1 may now apply);
+      - a fusion gives the predecessor new outgoing edges (rule 2 may).
+    A fusion leaves every other in-degree as it was; an incoming edge of a
+    successor just starts at the predecessor, which can only block rule 1
+    there (a self-loop).
     """
     trace: list[TraceEntry] = []
     q = apply_rule0(p)
@@ -157,35 +259,28 @@ def summarize(p: Program) -> tuple[Program, list[TraceEntry]]:
     if removed0:
         trace.append(TraceEntry(0, {"removed_edges": removed0}))
 
-    changed = True
-    while changed:
-        changed = False
-        for loc in sorted(q.cfa.locations):
-            while True:
-                targets = {}
-                merged = None
-                for e in q.cfa.outgoing(loc):
-                    if e.target in targets:
-                        merged = try_rule2(q, loc, e.target)
-                        if merged is not None:
-                            trace.append(
-                                TraceEntry(2, {"source": loc, "target": e.target})
-                            )
-                            q = merged
-                        break
-                    targets[e.target] = e
-                if merged is None:
-                    break
-                changed = True
-            fused = try_rule1(q, loc) if loc in q.cfa.locations else None
-            if fused is not None:
-                via = q.cfa.incoming(loc)[0].source
-                trace.append(TraceEntry(1, {"removed_loc": loc, "via": via}))
-                q = fused
-                changed = True
-            if changed:
-                break
-    return q, trace
+    rw = _Rewriter(q)
+    heap = sorted(q.cfa.locations)
+    queued = set(heap)
+
+    def touch(loc: int) -> None:
+        if loc not in queued:
+            queued.add(loc)
+            heapq.heappush(heap, loc)
+
+    while heap:
+        loc = heapq.heappop(heap)
+        queued.discard(loc)
+        if loc not in rw.out:
+            continue
+        for target in rw.merge_all(loc):
+            trace.append(TraceEntry(2, {"source": loc, "target": target}))
+            touch(target)
+        via = rw.fuse(loc)
+        if via is not None:
+            trace.append(TraceEntry(1, {"removed_loc": loc, "via": via}))
+            touch(via)
+    return rw.program(), trace
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,7 @@ class Seq(Operation):
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return (isinstance(other, Seq) and self._h == other._h
-                and self.first == other.first and self.second == other.second)
+        return isinstance(other, Seq) and self._h == other._h and _same_op(self, other)
 
     __hash__ = Operation.__hash__
 
@@ -133,17 +132,72 @@ class Choice(Operation):
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return (isinstance(other, Choice) and self._h == other._h
-                and self.left == other.left and self.right == other.right)
+        return isinstance(other, Choice) and self._h == other._h and _same_op(self, other)
 
     __hash__ = Operation.__hash__
 
 
-def seq(first: Operation, second: Operation) -> Seq:
-    """Sequence constructor keeping the tree right-associated."""
-    if isinstance(first, Seq):
-        return seq(first.first, seq(first.second, second))
-    return Seq(first, second)
+def _same_op(a: Operation, b: Operation) -> bool:
+    """Structural equality of two Seq/Choice nodes of equal type and hash.
+
+    Like `formula._same_dag`: each pair of subtrees is compared once, so
+    shared subtrees cost no more than once and long sequences do not
+    recurse.
+    """
+    seen = {(id(a), id(b))}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        pairs = (((x.first, y.first), (x.second, y.second)) if isinstance(x, Seq)
+                 else ((x.left, y.left), (x.right, y.right)))
+        for u, v in pairs:
+            if u is v:
+                continue
+            if type(u) is not type(v) or u._h != v._h:
+                return False
+            if isinstance(u, (Seq, Choice)):
+                if (id(u), id(v)) not in seen:
+                    seen.add((id(u), id(v)))
+                    stack.append((u, v))
+            elif u != v:
+                return False
+    return True
+
+
+def seq_elements(op: Operation) -> list[Operation]:
+    """The operations op runs in sequence: the leaves of its Seq nodes, in
+    order (op itself when it is no Seq)."""
+    out: list[Operation] = []
+    stack = [op]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, Seq):
+            stack.append(o.second)
+            stack.append(o.first)
+        else:
+            out.append(o)
+    return out
+
+
+def seq_chain(ops: list[Operation]) -> Operation:
+    """The right-associated sequence of ops, built once from the right.
+
+    Every operation but the last contributes its `seq_elements`; the last
+    one is the tail, kept whole.  Folding `seq` over ops from the left
+    gives an equal operation, but copies the incoming spine at every step;
+    this builds one Seq node per element.
+    """
+    out = ops[-1]
+    for op in reversed(ops[:-1]):
+        for element in reversed(seq_elements(op)):
+            out = Seq(element, out)
+    return out
+
+
+def seq(first: Operation, second: Operation) -> Operation:
+    """Sequence constructor keeping the tree right-associated: the
+    elements of first, then second."""
+    return seq_chain([first, second])
 
 
 def op_variables(op: Operation) -> set[str]:
@@ -179,30 +233,32 @@ def op_label(op: Operation, seq_sep: str = "; ", limit: int | None = None) -> st
     """
     parts: list[str] = []
     length = 0
-
-    def emit(text: str) -> bool:
-        nonlocal length
+    # an explicit stack of operations and separators still to print:
+    # summarized sequences are longer than the interpreter's recursion limit
+    stack: list[Operation | str] = [op]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, str):
+            text = o
+        elif isinstance(o, Assign):
+            text = f"{o.var} = {term_infix(o.expr)}"
+        elif isinstance(o, Assume):
+            text = f"[{formula_infix(o.cond)}]"
+        elif isinstance(o, Havoc):
+            text = f"{o.var} = *"
+        elif isinstance(o, Seq):
+            stack += (o.second, seq_sep, o.first)
+            continue
+        elif isinstance(o, Choice):
+            stack += (")", o.right, " || ", o.left, "(")
+            continue
+        else:
+            raise TypeError(f"not an operation: {o!r}")
         parts.append(text)
         length += len(text)
-        return limit is None or length <= limit
-
-    def walk(o: Operation) -> bool:
-        if isinstance(o, Assign):
-            return emit(f"{o.var} = {term_infix(o.expr)}")
-        if isinstance(o, Assume):
-            return emit(f"[{formula_infix(o.cond)}]")
-        if isinstance(o, Havoc):
-            return emit(f"{o.var} = *")
-        if isinstance(o, Seq):
-            return walk(o.first) and emit(seq_sep) and walk(o.second)
-        if isinstance(o, Choice):
-            return (emit("(") and walk(o.left) and emit(" || ")
-                    and walk(o.right) and emit(")"))
-        raise TypeError(f"not an operation: {o!r}")
-
-    if walk(op):
-        return "".join(parts)
-    return "".join(parts)[: (limit or 0)] + "..."
+        if limit is not None and length > limit:
+            return "".join(parts)[:limit] + "..."
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +287,9 @@ def sp(op: Operation, phi: Formula) -> Formula:
             return rename(phi, {cur: fresh})
         return phi
     if isinstance(op, Seq):
-        return sp(op.second, sp(op.first, phi))
+        for element in seq_elements(op):
+            phi = sp(element, phi)
+        return phi
     if isinstance(op, Choice):
         return f_or(sp(op.left, phi), sp(op.right, phi))
     raise TypeError(f"not an operation: {op!r}")
@@ -259,17 +317,53 @@ def encode_edge(op: Operation, ssa: SsaMap,
 
     Summarized operations share subtrees heavily; encoding is memoized per
     (subtree, index map) so the output formula is shared the same way.
+    Only subtrees with more than one parent are keyed: the index map a
+    subtree starts at is a one-to-one function of its parent's, so a
+    subtree with one parent never meets an index map twice.  A sequence's
+    right spine is encoded in a loop, with one conjunction for the spine.
     """
     memo: dict[tuple[int, tuple], tuple[Formula, dict[str, int]]] = {}
-    return _encode(op, dict(ssa), memo, [] if pads is None else pads)
+    return _encode(op, dict(ssa), _shared_nodes(op), memo,
+                   [] if pads is None else pads)
 
 
-def _encode(op: Operation, ssa: dict[str, int], memo,
+def _shared_nodes(op: Operation) -> set[int]:
+    """The ids of op's subtrees that have more than one parent."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [op]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            shared.add(id(o))
+            continue
+        seen.add(id(o))
+        if isinstance(o, Seq):
+            stack += (o.first, o.second)
+        elif isinstance(o, Choice):
+            stack += (o.left, o.right)
+    return shared
+
+
+def _spine(op: Seq, shared: set[int]) -> tuple[list[Operation], Operation]:
+    """The elements run before the tail of op's right spine, and the tail:
+    the first node on the spine that is no Seq or has other parents."""
+    heads: list[Operation] = []
+    while True:
+        heads.append(op.first)
+        op = op.second
+        if not isinstance(op, Seq) or id(op) in shared:
+            return heads, op
+
+
+def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
             pads: list[Formula]) -> tuple[Formula, dict[str, int]]:
-    key = (id(op), tuple(sorted(ssa.items())))
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    key = None
+    if id(op) in shared:
+        key = (id(op), tuple(sorted(ssa.items())))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
     if isinstance(op, Assign):
         out = dict(ssa)
         i = out.get(op.var, 0) + 1
@@ -284,12 +378,15 @@ def _encode(op: Operation, ssa: dict[str, int], memo,
         out[op.var] = out.get(op.var, 0) + 1
         result = TRUE, out
     elif isinstance(op, Seq):
-        f1, mid = _encode(op.first, ssa, memo, pads)
-        f2, end = _encode(op.second, mid, memo, pads)
-        result = f_and(f1, f2), end
+        heads, tail = _spine(op, shared)
+        parts = []
+        for element in heads + [tail]:
+            f, ssa = _encode(element, ssa, shared, memo, pads)
+            parts.append(f)
+        result = f_and(*parts), ssa
     elif isinstance(op, Choice):
-        f1, m1 = _encode(op.left, ssa, memo, pads)
-        f2, m2 = _encode(op.right, ssa, memo, pads)
+        f1, m1 = _encode(op.left, ssa, shared, memo, pads)
+        f2, m2 = _encode(op.right, ssa, shared, memo, pads)
         merged = _merge(m1, m2)
         pads1: list[Formula] = []
         pads2: list[Formula] = []
@@ -304,7 +401,8 @@ def _encode(op: Operation, ssa: dict[str, int], memo,
         result = f_or(f_and(f1, *pads1), f_and(f2, *pads2)), merged
     else:
         raise TypeError(f"not an operation: {op!r}")
-    memo[key] = result
+    if key is not None:
+        memo[key] = result
     return result
 
 
@@ -322,25 +420,42 @@ def ssa_after(op: Operation, ssa: SsaMap, memo: dict) -> dict[str, int]:
     """The output index map of encode_edge(op, ssa), without the formula.
 
     memo is keyed like encode_edge's, by subtree identity and index map, so
-    calls may share it only while every operation they saw is alive.  The
-    maps returned are shared and must not be modified.
+    calls may share it only while every operation they saw is alive.  It
+    holds op's map and those of op's subtrees with more than one parent.
+    The maps returned are shared and must not be modified.
     """
     key = (id(op), tuple(sorted(ssa.items())))
     cached = memo.get(key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = memo[key] = _after(op, dict(ssa), _shared_nodes(op), memo)
+    return cached
+
+
+def _after(op: Operation, ssa: dict[str, int], shared: set[int],
+           memo: dict) -> dict[str, int]:
+    key = None
+    if id(op) in shared:
+        key = (id(op), tuple(sorted(ssa.items())))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
     if isinstance(op, (Assign, Havoc)):
         out = dict(ssa)
         out[op.var] = out.get(op.var, 0) + 1
     elif isinstance(op, Assume):
-        out = dict(ssa)
+        out = ssa
     elif isinstance(op, Seq):
-        out = ssa_after(op.second, ssa_after(op.first, ssa, memo), memo)
+        heads, tail = _spine(op, shared)
+        out = ssa
+        for element in heads + [tail]:
+            out = _after(element, out, shared, memo)
     elif isinstance(op, Choice):
-        out = _merge(ssa_after(op.left, ssa, memo), ssa_after(op.right, ssa, memo))
+        out = _merge(_after(op.left, ssa, shared, memo),
+                     _after(op.right, ssa, shared, memo))
     else:
         raise TypeError(f"not an operation: {op!r}")
-    memo[key] = out
+    if key is not None:
+        memo[key] = out
     return out
 
 

@@ -311,28 +311,6 @@ def _ref_summarize(p):
     return q, trace
 
 
-def _same_op(a, b):
-    """Structural equality of two operation DAGs, each pair of nodes
-    compared once (a plain recursive comparison revisits shared subtrees
-    once per path to them)."""
-    seen = set()
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y or (id(x), id(y)) in seen:
-            continue
-        seen.add((id(x), id(y)))
-        if type(x) is not type(y) or hash(x) != hash(y):
-            return False
-        if isinstance(x, Seq):
-            stack += [(x.first, y.first), (x.second, y.second)]
-        elif isinstance(x, Choice):
-            stack += [(x.left, y.left), (x.right, y.right)]
-        elif x != y:
-            return False
-    return True
-
-
 def _random_cfa(seed):
     """Seeded CFA with parallel edges, self-loops, sinks and locations with
     several exits; entry 0 has no incoming edge, error is 1."""
@@ -403,5 +381,23 @@ def test_summarize_matches_restart_scan_reference():
         assert got.cfa.locations == want.cfa.locations, name
         assert [(e.source, e.target) for e in got.cfa.edges] == \
             [(e.source, e.target) for e in want.cfa.edges], name
-        assert all(_same_op(a.op, b.op) for a, b in zip(got.cfa.edges, want.cfa.edges)), name
+        assert all(a.op == b.op for a, b in zip(got.cfa.edges, want.cfa.edges)), name
         assert to_dot(got) == to_dot(want), name
+
+
+def test_straight_line_builds_one_seq_per_statement(monkeypatch):
+    k = 300
+    p = parse_program("int x;\n" + "x = x + 1;\n" * k)
+    built = []
+    init = Seq.__init__
+
+    def counting_init(self, first, second):
+        built.append(self)
+        init(self, first, second)
+
+    monkeypatch.setattr(Seq, "__init__", counting_init)
+    q, trace = summarize(p)
+    assert len(built) <= 2 * k
+    (edge,) = q.cfa.edges
+    assert rule_count(trace) == k - 1
+    assert edge.op == _ref_summarize(p)[0].cfa.edges[0].op

@@ -3,8 +3,10 @@ import random
 from lbemc.formula import (
     PropVar,
     TRUE,
+    Term,
     VariableRef,
     at_indices,
+    canon_eq,
     compare,
     f_and,
     f_iff,
@@ -23,6 +25,7 @@ from lbemc.semantics import (
     op_label,
     op_variables,
     seq,
+    seq_chain,
     sp,
     ssa_after,
 )
@@ -145,6 +148,28 @@ def test_seq_constructor_right_associates():
     assert s == Seq(a, Seq(b, c))
 
 
+def test_seq_chain_equals_folding_seq():
+    rng = random.Random(3)
+    for _ in range(100):
+        ops = [random_operation(rng, ["a", "b"], depth=2) for _ in range(rng.randint(1, 5))]
+        folded = ops[0]
+        for op in ops[1:]:
+            folded = seq(folded, op)
+        assert seq_chain(ops) == folded
+
+
+def test_long_sequences_need_no_recursion():
+    k = 3000  # beyond the interpreter's default recursion limit
+    ops = [Assign("x", tvar("x") + 1) for _ in range(k)]
+    op = seq_chain(ops)
+    assert op == seq_chain(list(ops))
+    f, out = encode_edge(op, {})
+    assert out == {"x": k} and len(f.args) == k
+    assert ssa_after(op, {}, {}) == {"x": k}
+    assert op_label(op).count(";") == k - 1
+    assert len(op_label(op, limit=50)) == 53
+
+
 def test_op_label_and_variables():
     op = Seq(
         Assume(compare(">", tvar("i"), const(0))),
@@ -219,3 +244,67 @@ class TestDropDeadPads:
             got = solver.all_sat(f_and(pruned, *links), marks)
             assert sorted(map(str, got)) == sorted(map(str, want)), op
         assert pruned_count > 20
+
+
+# ---------------------------------------------------------------------------
+# reference: the encoder that recursed along sequences and keyed every node
+# ---------------------------------------------------------------------------
+
+def _ref_encode(op, ssa, memo, pads):
+    key = (id(op), tuple(sorted(ssa.items())))
+    if key in memo:
+        return memo[key]
+    if isinstance(op, Assign):
+        out = dict(ssa)
+        i = out.get(op.var, 0) + 1
+        rhs = op.expr.at_indices(out)
+        out[op.var] = i
+        result = canon_eq(Term.variable(VariableRef(op.var, i)) - rhs), out
+    elif isinstance(op, Assume):
+        result = at_indices(op.cond, ssa), ssa
+    elif isinstance(op, Havoc):
+        result = TRUE, {**ssa, op.var: ssa.get(op.var, 0) + 1}
+    elif isinstance(op, Seq):
+        f1, mid = _ref_encode(op.first, ssa, memo, pads)
+        f2, end = _ref_encode(op.second, mid, memo, pads)
+        result = f_and(f1, f2), end
+    else:
+        f1, m1 = _ref_encode(op.left, ssa, memo, pads)
+        f2, m2 = _ref_encode(op.right, ssa, memo, pads)
+        merged, pads1, pads2 = {}, [], []
+        for name in sorted(set(m1) | set(m2)):
+            i1, i2 = m1.get(name, 0), m2.get(name, 0)
+            merged[name] = j = i1 if i1 == i2 else max(i1, i2) + 1
+            if i1 != i2:
+                fresh = Term.variable(VariableRef(name, j))
+                pads1.append(canon_eq(fresh - Term.variable(VariableRef(name, i1))))
+                pads2.append(canon_eq(fresh - Term.variable(VariableRef(name, i2))))
+        pads += pads1 + pads2
+        result = f_or(f_and(f1, *pads1), f_and(f2, *pads2)), merged
+    memo[key] = result
+    return result
+
+
+def test_encoding_matches_reference_encoder():
+    from lbemc.cfa import summarize
+    from lbemc.cli import gen_test_locks
+    from lbemc.frontend import parse_program
+    from lbemc.oracle import random_program
+
+    rng = random.Random(29)
+    names = ["a", "b", "c"]
+    cases = []
+    sources = [gen_test_locks(n, bug=bug) for n in range(1, 13) for bug in (False, True)]
+    sources += [random_program(k) for k in range(60)]
+    for source in sources:
+        program, _ = summarize(parse_program(source))
+        cases += [(e.op, {}) for e in program.cfa.edges]
+    for _ in range(200):
+        ssa = {n: rng.randint(0, 3) for n in rng.sample(names, rng.randint(0, 3))}
+        cases.append((random_operation(rng, names, depth=5), ssa))
+    for op, ssa in cases:
+        want_pads, got_pads = [], []
+        want = _ref_encode(op, dict(ssa), {}, want_pads)
+        assert encode_edge(op, ssa, got_pads) == want, op
+        assert got_pads == want_pads, op
+        assert ssa_after(op, ssa, {}) == want[1], op
