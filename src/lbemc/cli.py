@@ -143,6 +143,8 @@ def run(config: RunConfig) -> int:
             solver=solver,
             rule_applications=rule_applications,
         )
+    except RecursionError:
+        raise  # a RuntimeError, but an internal error, not the solver's
     except (OSError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

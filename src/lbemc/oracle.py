@@ -325,65 +325,57 @@ def equivalent_modulo_indexed(a: Formula, b: Formula, solver) -> bool:
 # model-guided replay of counterexample paths
 # ---------------------------------------------------------------------------
 
-def _exec_guided(op: Operation, env: dict[str, Fraction], ssa: dict[str, int], model,
-                 maps: dict):
-    """Yield (env', ssa') resolutions of op, reading havoc values from model;
-    maps is the `ssa_after` memo of the replay."""
-    if isinstance(op, Assign):
-        ref_env = {VariableRef(n): v for n, v in env.items()}
-        val = op.expr.evaluate(ref_env)
-        out = dict(ssa)
-        out[op.var] = out.get(op.var, 0) + 1
-        yield {**env, op.var: val}, out
-        return
-    if isinstance(op, Assume):
-        ref_env = {VariableRef(n): v for n, v in env.items()}
-        if evaluate(op.cond, ref_env):
-            yield env, ssa
-        return
-    if isinstance(op, Havoc):
-        out = dict(ssa)
-        i = out.get(op.var, 0) + 1
-        out[op.var] = i
-        val = model.get(VariableRef(op.var, i), Fraction(0))
-        yield {**env, op.var: val}, out
-        return
-    if isinstance(op, Seq):
-        for env1, m1 in _exec_guided(op.first, env, ssa, model, maps):
-            yield from _exec_guided(op.second, env1, m1, model, maps)
-        return
-    if isinstance(op, Choice):
-        merged = ssa_after(op, ssa, maps)
-        for env1, _ in _exec_guided(op.left, env, ssa, model, maps):
-            yield env1, merged
-        for env2, _ in _exec_guided(op.right, env, ssa, model, maps):
-            yield env2, merged
-        return
-    raise TypeError(f"not an operation: {op!r}")
-
-
 def replay_path(p: Program, edges: list[Edge], model) -> bool:
     """Execute the path concretely with havoc values taken from the model.
 
     Returns True when some resolution of the choices reaches the end of the
     path (whose last edge targets the error location).
+
+    The walk runs the path's operations in order, holding the ones still
+    to run as a linked list, and backtracks over choices with an explicit
+    stack: a choice runs its left branch first and leaves the right one
+    on the stack.  Both branches continue at the choice's output index map
+    (from `ssa_after`), where the encoding pads them to.  Havoc values are
+    read from the model at the index the havoc writes.
     """
+    if edges and edges[-1].target != p.error:
+        return False
     names = program_variables(p)
     env0 = {n: model.get(VariableRef(n, 0), Fraction(0)) for n in names}
     ssa0 = {n: 0 for n in names}
-    maps: dict = {}
-
-    def go(i: int, env: dict[str, Fraction], ssa: dict[str, int]) -> bool:
-        if i == len(edges):
+    maps: dict = {}  # the `ssa_after` memo of the replay
+    todo = None  # the operations still to run: (op or index map, rest) or None
+    for edge in reversed(edges):
+        todo = (edge.op, todo)
+    stack = [(env0, ssa0, todo)]
+    while stack:
+        env, ssa, todo = stack.pop()
+        while todo is not None:
+            op, todo = todo
+            if isinstance(op, dict):  # the end of a choice branch
+                ssa = op
+            elif isinstance(op, Assign):
+                val = op.expr.evaluate({VariableRef(n): v for n, v in env.items()})
+                env = {**env, op.var: val}
+                ssa = {**ssa, op.var: ssa.get(op.var, 0) + 1}
+            elif isinstance(op, Assume):
+                if not evaluate(op.cond, {VariableRef(n): v for n, v in env.items()}):
+                    break
+            elif isinstance(op, Havoc):
+                i = ssa.get(op.var, 0) + 1
+                ssa = {**ssa, op.var: i}
+                env = {**env, op.var: model.get(VariableRef(op.var, i), Fraction(0))}
+            elif isinstance(op, Seq):
+                todo = (op.first, (op.second, todo))
+            elif isinstance(op, Choice):
+                after = (ssa_after(op, ssa, maps), todo)
+                stack.append((env, ssa, (op.right, after)))
+                todo = (op.left, after)
+            else:
+                raise TypeError(f"not an operation: {op!r}")
+        else:
             return True
-        for env2, ssa2 in _exec_guided(edges[i].op, env, ssa, model, maps):
-            if go(i + 1, env2, ssa2):
-                return True
-        return False
-
-    if edges and edges[-1].target != p.error:
-        return False
-    return go(0, env0, ssa0)
+    return False
 
 
 # ---------------------------------------------------------------------------

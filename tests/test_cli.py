@@ -76,14 +76,44 @@ class TestExitCodes:
         monkeypatch.setenv(cli.SOLVER_ENV, "/nonexistent/solver --smt2")
         assert main([locks_file]) == 3
 
-    def test_internal_error_is_three_without_traceback(self, tmp_path, capsys):
-        # deep enough to exhaust the recursion limit during summarization
-        path = tmp_path / "long.imp"
-        path.write_text("int x;\n" + "x = x + 1;\n" * 1500)
-        assert main([str(path)]) == 3
+    def test_internal_error_is_three_without_traceback(self, locks_file, capsys,
+                                                       monkeypatch):
+        def deep_summarize(program):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "summarize", deep_summarize)
+        assert main([locks_file]) == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error: RecursionError: ")
         assert "Traceback" not in err
+
+    def test_recursion_error_in_verify_is_internal(self, locks_file, capsys,
+                                                   monkeypatch):
+        # RecursionError is a RuntimeError, but no solver error
+        def deep_verify(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "verify", deep_verify)
+        assert main([locks_file]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RecursionError: ")
+        assert "solver error" not in err and "Traceback" not in err
+
+    def test_long_straight_line_is_verified(self, tmp_path, capsys):
+        path = tmp_path / "long.imp"
+        path.write_text("int x;\nx = 0;\n" + "x = x + 1;\n" * 2000
+                        + "if (x < 0) { error(); }\n")
+        assert main([str(path)]) == 0
+        assert "SAFE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", [["--encoding", "sbe", "--abstraction", "cartesian"],
+                                        ["--encoding", "lbe", "--abstraction", "boolean"]])
+    def test_long_straight_line_counterexample_replays(self, tmp_path, capsys, config):
+        path = tmp_path / "long.imp"
+        path.write_text("int x;\n" + "x = x + 1;\n" * 1500 + "if (x == 3) { error(); }\n")
+        assert main([str(path), *config]) == 1
+        out = capsys.readouterr().out
+        assert "UNSAFE" in out and "replayed to error" in out
 
     def test_crosscheck_disagreement_is_four(self, locks_file, monkeypatch):
         bogus = VerificationResult("unsafe", Stats())
