@@ -48,6 +48,9 @@ KEYWORDS = {"int", "assume", "assert", "if", "else", "while", "error", "skip",
             "nondet"}
 SYMBOLS = ("&&", "||", "==", "!=", "<=", ">=", "=", "<", ">", "!", "+", "-",
            "*", "(", ")", "{", "}", ";")
+# longest match first: a two-character symbol, then a one-character one
+_SYMBOLS2 = frozenset(sym for sym in SYMBOLS if len(sym) == 2)
+_SYMBOLS1 = frozenset(sym for sym in SYMBOLS if len(sym) == 1)
 
 
 @dataclass
@@ -73,7 +76,7 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if source.startswith("//", i):
+        if ch == "/" and source.startswith("//", i):
             while i < n and source[i] != "\n":
                 i += 1
             continue
@@ -95,14 +98,14 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+        sym = source[i:i + 2]
+        if sym not in _SYMBOLS2:
+            sym = ch
+            if sym not in _SYMBOLS1:
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append(Token(sym, sym, line, col))
+        col += len(sym)
+        i += len(sym)
     tokens.append(Token("eof", "", line, col))
     return tokens
 
