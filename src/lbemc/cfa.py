@@ -260,26 +260,18 @@ def summarize(p: Program) -> tuple[Program, list[TraceEntry]]:
         trace.append(TraceEntry(0, {"removed_edges": removed0}))
 
     rw = _Rewriter(q)
-    heap = sorted(q.cfa.locations)
-    queued = set(heap)
-
-    def touch(loc: int) -> None:
-        if loc not in queued:
-            queued.add(loc)
-            heapq.heappush(heap, loc)
-
+    heap = sorted(q.cfa.locations)  # may hold a location twice: harmless
     while heap:
         loc = heapq.heappop(heap)
-        queued.discard(loc)
         if loc not in rw.out:
             continue
         for target in rw.merge_all(loc):
             trace.append(TraceEntry(2, {"source": loc, "target": target}))
-            touch(target)
+            heapq.heappush(heap, target)
         via = rw.fuse(loc)
         if via is not None:
             trace.append(TraceEntry(1, {"removed_loc": loc, "via": via}))
-            touch(via)
+            heapq.heappush(heap, via)
     return rw.program(), trace
 
 

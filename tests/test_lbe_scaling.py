@@ -25,7 +25,7 @@ def test_run_records_every_size(tmp_path):
     assert [r["n"] for r in records] == [2, 3]
     for r in records:
         assert r["verdict"] == "safe" and r["art_size"] == 4
-        assert r["theory_checks"] > 0 and r["verify_s"] > 0
+        assert r["theory_checks"] > 0 and r["verify_s"] > 0 and r["summarize_s"] > 0
         assert len(r["query_atoms"]) == 4 and max(r["query_atoms"]) > 0
     # the slope is fitted over n >= 20 only
     assert stored["a"]["loglog_slope"] is None

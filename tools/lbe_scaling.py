@@ -7,9 +7,11 @@
 
 For each lock count n, `test_locks_n` (`lbemc.cli.gen_test_locks`) is
 parsed and summarized under LBE, and `verify` runs in Boolean mode with a
-fresh `InternalSolver`.  Only `verify` is timed.  One record per n holds
+fresh `InternalSolver`.  `summarize` and `verify` are timed.  One record
+per n holds
 
-  - `verify_s`: the median `verify` time over `--repeat` runs;
+  - `summarize_s` and `verify_s`: the median `summarize` and `verify`
+    times over `--repeat` runs;
   - `theory_checks`, `art_size` and `verdict` of the run;
   - `query_atoms`: the distinct atoms of each `all_sat` query after
     `smt.normalize` (the atoms the solver decides), in call order.
@@ -52,8 +54,12 @@ def measure(lbemc, n: int, repeat: int = 1) -> dict:
     """The record of `test_locks_n` under LBE+Boolean."""
     source = lbemc.cli.gen_test_locks(n)
     times = []
+    summarize_times = []
     for _ in range(repeat):
-        program, _ = lbemc.cfa.summarize(lbemc.frontend.parse_program(source))
+        parsed = lbemc.frontend.parse_program(source)
+        start = time.perf_counter()
+        program, _ = lbemc.cfa.summarize(parsed)
+        summarize_times.append(time.perf_counter() - start)
         solver = lbemc.smt.InternalSolver()
         queries = []
         all_sat = solver.all_sat
@@ -70,7 +76,8 @@ def measure(lbemc, n: int, repeat: int = 1) -> dict:
     # counted after the timed run, on the last run's queries
     atoms = [len({g for g in lbemc.formula._dag_nodes(lbemc.smt.normalize(phi))
                   if isinstance(g, lbemc.formula.Atom)}) for phi in queries]
-    return {"n": n, "verify_s": round(statistics.median(times), 4),
+    return {"n": n, "summarize_s": round(statistics.median(summarize_times), 5),
+            "verify_s": round(statistics.median(times), 4),
             "verdict": result.verdict, "art_size": result.stats.art_size,
             "theory_checks": solver.theory_checks, "query_atoms": atoms}
 
