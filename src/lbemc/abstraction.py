@@ -213,26 +213,36 @@ class Abstractor:
 
     def _post(self, state: AbstractFormula, op: Operation, pi: Precision,
               mode: str) -> AbstractFormula:
-        if state.is_false:
-            return self.false_state()
-        key = (state.node, op, pi, mode)
-        out = self._post_memo.get(key)
-        if out is not None:
-            return out
-        if mode == CARTESIAN:
-            out = self._cartesian_post(state, op, pi)
-        elif mode == BOOLEAN:
-            out = self._boolean_on(*self._post_query(state, op, pi), pi)
-        else:
-            raise ValueError(f"unknown abstraction mode {mode!r}")
-        self._post_memo[key] = out
+        # a Cartesian post of a sequence composes along its right spine in
+        # a loop; each suffix on the spine is memoized with the end result
+        suffixes = []
+        while True:
+            if state.is_false:
+                out = self.false_state()
+                break
+            key = (state.node, op, pi, mode)
+            out = self._post_memo.get(key)
+            if out is not None:
+                break
+            if mode == CARTESIAN and isinstance(op, Seq):
+                suffixes.append(key)
+                state = self._post(state, op.first, pi, CARTESIAN)
+                op = op.second
+                continue
+            if mode == CARTESIAN:
+                out = self._cartesian_post(state, op, pi)
+            elif mode == BOOLEAN:
+                out = self._boolean_on(*self._post_query(state, op, pi), pi)
+            else:
+                raise ValueError(f"unknown abstraction mode {mode!r}")
+            self._post_memo[key] = out
+            break
+        for key in reversed(suffixes):
+            self._post_memo[key] = out
         return out
 
     def _cartesian_post(self, state: AbstractFormula, op: Operation,
                         pi: Precision) -> AbstractFormula:
-        if isinstance(op, Seq):
-            return self._post(self._post(state, op.first, pi, CARTESIAN),
-                              op.second, pi, CARTESIAN)
         if isinstance(op, Choice):
             return self._conjunction_join(
                 self._post(state, op.left, pi, CARTESIAN),

@@ -107,7 +107,8 @@ class TestExitCodes:
         assert "SAFE" in capsys.readouterr().out
 
     @pytest.mark.parametrize("config", [["--encoding", "sbe", "--abstraction", "cartesian"],
-                                        ["--encoding", "lbe", "--abstraction", "boolean"]])
+                                        ["--encoding", "lbe", "--abstraction", "boolean"],
+                                        ["--encoding", "lbe", "--abstraction", "cartesian"]])
     def test_long_straight_line_counterexample_replays(self, tmp_path, capsys, config):
         path = tmp_path / "long.imp"
         path.write_text("int x;\n" + "x = x + 1;\n" * 1500 + "if (x == 3) { error(); }\n")
