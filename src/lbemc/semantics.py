@@ -345,15 +345,16 @@ def _shared_nodes(op: Operation) -> set[int]:
     return shared
 
 
-def _spine(op: Seq, shared: set[int]) -> tuple[list[Operation], Operation]:
-    """The elements run before the tail of op's right spine, and the tail:
+def _spine(op: Seq, shared: set[int]) -> list[Operation]:
+    """The operations op runs in sequence along its right spine, down to
     the first node on the spine that is no Seq or has other parents."""
-    heads: list[Operation] = []
+    elements: list[Operation] = []
     while True:
-        heads.append(op.first)
+        elements.append(op.first)
         op = op.second
         if not isinstance(op, Seq) or id(op) in shared:
-            return heads, op
+            elements.append(op)
+            return elements
 
 
 def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
@@ -378,9 +379,8 @@ def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
         out[op.var] = out.get(op.var, 0) + 1
         result = TRUE, out
     elif isinstance(op, Seq):
-        heads, tail = _spine(op, shared)
         parts = []
-        for element in heads + [tail]:
+        for element in _spine(op, shared):
             f, ssa = _encode(element, ssa, shared, memo, pads)
             parts.append(f)
         result = f_and(*parts), ssa
@@ -445,9 +445,8 @@ def _after(op: Operation, ssa: dict[str, int], shared: set[int],
     elif isinstance(op, Assume):
         out = ssa
     elif isinstance(op, Seq):
-        heads, tail = _spine(op, shared)
         out = ssa
-        for element in heads + [tail]:
+        for element in _spine(op, shared):
             out = _after(element, out, shared, memo)
     elif isinstance(op, Choice):
         out = _merge(_after(op.left, ssa, shared, memo),

@@ -334,8 +334,9 @@ def _random_cfa(seed):
         src = rng.randrange(0, n)
         if kind < 0.15:
             dst = src if src != 0 else 1  # self-loop
-        elif kind < 0.35 and edges:
-            src, _, dst = (lambda e: (e.source, None, e.target))(rng.choice(edges))
+        elif kind < 0.35 and edges:  # parallel to an earlier edge
+            e = rng.choice(edges)
+            src, dst = e.source, e.target
         else:
             dst = rng.randrange(1, n)
         if dst == 0:
