@@ -131,6 +131,8 @@ class Abstractor:
         self._ids: dict[Formula, int] = {}
         self._preds: list[Formula] = []
         self._concretize_memo: dict[int, Formula] = {}
+        # BDD node -> its concretization with every variable at index 0
+        self._at0_memo: dict[int, Formula] = {}
         self._post_memo: dict[tuple, AbstractFormula] = {}
         # (op, pi) -> op's pruned SSA constraint, pi at op's output indices
         self._edge_memo: dict[tuple, tuple[Formula, list[Formula]]] = {}
@@ -258,7 +260,9 @@ class Abstractor:
         The constraint leaves out the choice pads nothing reads
         (`drop_dead_pads`), which keeps the models over the predicates.
         The incoming region reads only index 0, which no pad defines, so
-        the pruned constraint depends on op and pi alone and is cached.
+        the pruned constraint depends on op and pi alone and is cached; the
+        region at index 0 depends on the state's BDD node alone, and is
+        cached too.
         """
         edge = self._edge_memo.get((op, pi))
         if edge is None:
@@ -268,7 +272,10 @@ class Abstractor:
             edge = self._edge_memo[op, pi] = (drop_dead_pads(edge_formula, pads, shifted),
                                               shifted)
         edge_formula, shifted = edge
-        return f_and(at_indices(self.concretize(state), {}), edge_formula), shifted
+        region = self._at0_memo.get(state.node)
+        if region is None:
+            region = self._at0_memo[state.node] = at_indices(self.concretize(state), {})
+        return f_and(region, edge_formula), shifted
 
     def _conjunction_join(self, a: AbstractFormula, b: AbstractFormula,
                           pi: Precision) -> AbstractFormula:

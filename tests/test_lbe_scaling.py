@@ -1,4 +1,4 @@
-"""The LBE+Boolean scaling tool at tiny lock counts."""
+"""The lock-ladder scaling tool at tiny lock counts."""
 
 import importlib.util
 import json
@@ -29,6 +29,19 @@ def test_run_records_every_size(tmp_path):
         assert len(r["query_atoms"]) == 4 and max(r["query_atoms"]) > 0
     # the slope is fitted over n >= 20 only
     assert stored["a"]["loglog_slope"] is None
+
+
+def test_sbe_cartesian_run(tmp_path):
+    tool = _tool()
+    out = tmp_path / "bench.json"
+    assert tool.main(["--encoding", "sbe", "--mode", "cartesian", "--sizes", "1", "2",
+                      "--out", str(out)]) == 0
+    run = json.loads(out.read_text())["run"]
+    assert (run["encoding"], run["mode"]) == ("sbe", "cartesian")
+    for r in run["sizes"]:
+        assert r["verdict"] == "safe" and r["art_size"] > 4
+        assert r["theory_checks"] > 0 and r["verify_s"] > 0
+        assert "summarize_s" not in r and r["query_atoms"] == []
 
 
 def test_loglog_slope():

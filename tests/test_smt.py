@@ -26,10 +26,12 @@ from lbemc.formula import (
     var_sort_key,
     variables,
 )
+from lbemc import smt
+from lbemc.cfa import summarize
 from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
 from lbemc.frontend import parse_program
-from lbemc.oracle import _eliminate, _exact_atom, random_formula
+from lbemc.oracle import _eliminate, _exact_atom, random_formula, random_program
 from lbemc.smt import (
     InternalSolver,
     Smtlib2Solver,
@@ -616,6 +618,101 @@ class TestEntailed:
             assert solver.queries == before + 3 + len(qs)
 
 
+def _replay(calls, solver):
+    """The answers and the query count after each call of calls."""
+    return [(solver.entailed(phi, qs), solver.queries) for phi, qs in calls]
+
+
+def _recorded_entailed_calls(source: str, encoding: str):
+    """The (phi, qs) of every entailed call of a Cartesian verify run."""
+    program = parse_program(source)
+    if encoding == "lbe":
+        program, _ = summarize(program)
+    solver = InternalSolver()
+    calls = []
+    entailed = solver.entailed
+
+    def recording(phi, qs):
+        calls.append((phi, list(qs)))
+        return entailed(phi, qs)
+
+    solver.entailed = recording
+    verify(program, mode="cartesian", solver=solver)
+    return calls
+
+
+def _verify_sources():
+    for n in (1, 2, 3, 4):
+        yield gen_test_locks(n)
+        yield gen_test_locks(n, bug=True)
+    for k in range(200):
+        yield random_program(k)
+
+
+class TestCubePath:
+    """entailed in the theory alone (a phi of at most CUBE_BOUND cubes)
+    against the CDCL session, forced by a bound of 0."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """How many _decide calls each path took."""
+        taken = Counter()
+        for name in ("_decide_by_cubes", "_decide_in_session"):
+            original = getattr(InternalSolver, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                taken[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(InternalSolver, name, counting)
+        return taken
+
+    def test_entailment_cases(self, monkeypatch, paths):
+        cases = list(_entailment_cases(41, 150))
+        by_cubes = _replay(cases, InternalSolver())
+        assert paths["_decide_by_cubes"] > 50
+        monkeypatch.setattr(smt, "CUBE_BOUND", 0)
+        n_cubes = paths["_decide_by_cubes"]
+        assert _replay(cases, InternalSolver()) == by_cubes
+        assert paths["_decide_by_cubes"] == n_cubes
+
+    def test_calls_of_verify_runs(self, monkeypatch, paths):
+        calls = [call for source in _verify_sources() for encoding in ("sbe", "lbe")
+                 for call in _recorded_entailed_calls(source, encoding)]
+        paths.clear()
+        by_cubes = _replay(calls, InternalSolver())
+        assert paths["_decide_by_cubes"] > 1000 and paths["_decide_in_session"] == 0
+        monkeypatch.setattr(smt, "CUBE_BOUND", 0)
+        assert _replay(calls, InternalSolver()) == by_cubes
+        assert paths["_decide_in_session"] == paths["_decide_by_cubes"]
+
+    def test_condition_over_the_bound(self, monkeypatch, paths):
+        # the guard is 5 disjunctions `v <= -1 or v >= 1`: 32 cubes
+        source = """
+            int a; int b; int c; int d; int e; int x;
+            a = nondet(); b = nondet(); c = nondet(); d = nondet(); e = nondet();
+            x = 0;
+            if (a != 0 && b != 0 && c != 0 && d != 0 && e != 0) { x = 1; }
+            if (x == 1) { if (c == 0) { error(); } }
+        """
+        records = []
+        for bound in (smt.CUBE_BOUND, 0, 32):
+            monkeypatch.setattr(smt, "CUBE_BOUND", bound)
+            before = dict(paths)
+            result = verify(parse_program(source), mode="cartesian", solver=InternalSolver())
+            stats = result.stats.as_dict()
+            del stats["wall_time_ms"]
+            records.append((result.verdict, result.reason, stats))
+            taken = {k: paths[k] - before.get(k, 0) for k in paths}
+            if bound == 0:
+                assert taken.get("_decide_by_cubes", 0) == 0
+            else:
+                assert taken["_decide_by_cubes"] > 0
+                # the guard's phi takes the session only below 32
+                assert (taken.get("_decide_in_session", 0) > 0) == (bound < 32)
+        assert records[0] == records[1] == records[2]
+
+
 class TestAllSat:
     def test_disjunction(self, solver):
         res = solver.all_sat(f_or(PropVar("v1"), PropVar("v2")), ["v1", "v2"])
@@ -697,6 +794,33 @@ class TestSelectionScores:
         assert len(decisions) > 200
         assert max(score for _, _, score in decisions) >= 2
 
+    def test_add_clause_matches_list_reference(self):
+        def reference(lits):
+            out = []
+            for lit in lits:
+                if -lit in out:
+                    return None
+                if lit not in out:
+                    out.append(lit)
+            return out
+
+        rng = random.Random(17)
+        cnf = _Cnf()
+        for _ in range(20):
+            cnf.new_var()
+        tautologies = 0
+        for _ in range(500):
+            lits = [rng.choice([-1, 1]) * rng.randint(1, 20)
+                    for _ in range(rng.randint(0, 30))]
+            want = reference(lits)
+            idx = cnf.add_clause(lits)
+            if want is None:
+                tautologies += 1
+                assert idx is None
+            else:
+                assert cnf.clauses[idx] == want
+        assert 50 < tautologies < 450
+
     def test_selection_variables_are_those_of_the_disjunction(self):
         rng = random.Random(9)
         nested = 0  # disjunctions with a disjunction below a conjunction
@@ -711,7 +835,8 @@ class TestSelectionScores:
                                   for a in f.args)
         assert nested > 10
 
-    def test_entailed_sessions(self, solver, decisions):
+    def test_entailed_sessions(self, solver, decisions, monkeypatch):
+        monkeypatch.setattr(smt, "CUBE_BOUND", 0)  # every phi is over the bound
         for phi, qs in _entailment_cases(43, 120):
             solver.entailed(phi, qs)
         assert len(decisions) > 200

@@ -1,29 +1,33 @@
-"""How LBE+Boolean verification time grows with the lock count.
+"""How verification time grows with the lock count, LBE+Boolean by default.
 
     python3 tools/lbe_scaling.py
     python3 tools/lbe_scaling.py --label change --out BENCH_lbe_scaling.json
     python3 tools/lbe_scaling.py --root path/to/other/checkout --label parent \\
         --out BENCH_lbe_scaling.json
+    python3 tools/lbe_scaling.py --encoding sbe --mode cartesian --sizes 4 5 6 \\
+        --repeat 3 --label change --out BENCH_sbe_cartesian.json
 
 For each lock count n, `test_locks_n` (`lbemc.cli.gen_test_locks`) is
-parsed and summarized under LBE, and `verify` runs in Boolean mode with a
-fresh `InternalSolver`.  `summarize` and `verify` are timed.  One record
-per n holds
+parsed, summarized under LBE (`--encoding lbe`, the default; SBE leaves
+the program as it is), and `verify` runs in the abstraction mode `--mode`
+(default `boolean`) with a fresh `InternalSolver`.  `summarize` and
+`verify` are timed.  One record per n holds
 
-  - `summarize_s` and `verify_s`: the median `summarize` and `verify`
-    times over `--repeat` runs;
+  - `summarize_s` (LBE only) and `verify_s`: the median `summarize` and
+    `verify` times over `--repeat` runs;
   - `theory_checks`, `art_size` and `verdict` of the run;
   - `query_atoms`: the distinct atoms of each `all_sat` query after
-    `smt.normalize` (the atoms the solver decides), in call order.
+    `smt.normalize` (the atoms the solver decides), in call order; empty
+    in Cartesian mode, which makes no `all_sat` query.
 
 The formulas of the ladder at n = 160 nest deeper than the interpreter's
 default limit of 1,000 frames allows the recursive formula walks to go
 (`formula.nnf` is the first to fail), so the tool raises that limit; the
 `lbemc` command itself stops at that depth with an internal error.
 
-The run also holds `loglog_slope`, the least-squares slope of
-log(verify_s) over log(n) for n >= 20, and the interpreter and machine it
-ran on.  lbemc is imported from `<root>/src`, by default this checkout's.
+The run also holds its `encoding` and `mode`, `loglog_slope`, the
+least-squares slope of log(verify_s) over log(n) for n >= 20, and the
+interpreter and machine it ran on.  lbemc is imported from `<root>/src`, by default this checkout's.
 Without `--out` the run is printed as JSON; with it, the run is stored
 under its label in that file, keeping the runs of other labels, so one
 file can hold a parent's and a change's numbers side by side.
@@ -50,16 +54,18 @@ SIZES = (10, 20, 40, 80, 160)
 RECURSION_LIMIT = 10_000
 
 
-def measure(lbemc, n: int, repeat: int = 1) -> dict:
-    """The record of `test_locks_n` under LBE+Boolean."""
+def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
+            mode: str = "boolean") -> dict:
+    """The record of `test_locks_n` under the encoding and mode."""
     source = lbemc.cli.gen_test_locks(n)
     times = []
     summarize_times = []
     for _ in range(repeat):
-        parsed = lbemc.frontend.parse_program(source)
-        start = time.perf_counter()
-        program, _ = lbemc.cfa.summarize(parsed)
-        summarize_times.append(time.perf_counter() - start)
+        program = lbemc.frontend.parse_program(source)
+        if encoding == "lbe":
+            start = time.perf_counter()
+            program, _ = lbemc.cfa.summarize(program)
+            summarize_times.append(time.perf_counter() - start)
         solver = lbemc.smt.InternalSolver()
         queries = []
         all_sat = solver.all_sat
@@ -70,16 +76,18 @@ def measure(lbemc, n: int, repeat: int = 1) -> dict:
 
         solver.all_sat = recording_all_sat
         start = time.perf_counter()
-        result = lbemc.engine.verify(program, mode="boolean", solver=solver)
+        result = lbemc.engine.verify(program, mode=mode, solver=solver)
         times.append(time.perf_counter() - start)
         solver.close()
     # counted after the timed run, on the last run's queries
     atoms = [len({g for g in lbemc.formula._dag_nodes(lbemc.smt.normalize(phi))
                   if isinstance(g, lbemc.formula.Atom)}) for phi in queries]
-    return {"n": n, "summarize_s": round(statistics.median(summarize_times), 5),
-            "verify_s": round(statistics.median(times), 4),
-            "verdict": result.verdict, "art_size": result.stats.art_size,
-            "theory_checks": solver.theory_checks, "query_atoms": atoms}
+    record = {"n": n, "verify_s": round(statistics.median(times), 4),
+              "verdict": result.verdict, "art_size": result.stats.art_size,
+              "theory_checks": solver.theory_checks, "query_atoms": atoms}
+    if summarize_times:
+        record["summarize_s"] = round(statistics.median(summarize_times), 5)
+    return record
 
 
 def loglog_slope(records: list[dict], n_min: int = 20) -> float | None:
@@ -95,9 +103,12 @@ def loglog_slope(records: list[dict], n_min: int = 20) -> float | None:
     return round(sxy / sxx, 3)
 
 
-def run(lbemc, sizes, repeat: int = 1) -> dict:
-    records = [measure(lbemc, n, repeat) for n in sizes]
+def run(lbemc, sizes, repeat: int = 1, encoding: str = "lbe",
+        mode: str = "boolean") -> dict:
+    records = [measure(lbemc, n, repeat, encoding, mode) for n in sizes]
     return {
+        "encoding": encoding,
+        "mode": mode,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "repeat": repeat,
@@ -114,13 +125,18 @@ def main(argv=None) -> int:
                         help="lock counts (default: %(default)s)")
     parser.add_argument("--repeat", type=int, default=1,
                         help="verify runs per size; the median is recorded")
+    parser.add_argument("--encoding", choices=("lbe", "sbe"), default="lbe",
+                        help="block encoding (default: %(default)s)")
+    parser.add_argument("--mode", choices=("boolean", "cartesian"), default="boolean",
+                        help="abstraction mode (default: %(default)s)")
     parser.add_argument("--label", default="run", help="key of the run in --out")
     parser.add_argument("--out", type=Path, help="JSON file to store the run in")
     args = parser.parse_args(argv)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:
-        result = run(workloads.load_lbemc(args.root), args.sizes, args.repeat)
+        result = run(workloads.load_lbemc(args.root), args.sizes, args.repeat,
+                     args.encoding, args.mode)
     finally:
         sys.setrecursionlimit(limit)
     if args.out is None:
