@@ -698,18 +698,18 @@ class TestCubePath:
         records = []
         for bound in (smt.CUBE_BOUND, 0, 32):
             monkeypatch.setattr(smt, "CUBE_BOUND", bound)
-            before = dict(paths)
+            before = Counter(paths)
             result = verify(parse_program(source), mode="cartesian", solver=InternalSolver())
             stats = result.stats.as_dict()
             del stats["wall_time_ms"]
             records.append((result.verdict, result.reason, stats))
-            taken = {k: paths[k] - before.get(k, 0) for k in paths}
+            taken = paths - before
             if bound == 0:
-                assert taken.get("_decide_by_cubes", 0) == 0
+                assert taken["_decide_by_cubes"] == 0
             else:
                 assert taken["_decide_by_cubes"] > 0
                 # the guard's phi takes the session only below 32
-                assert (taken.get("_decide_in_session", 0) > 0) == (bound < 32)
+                assert (taken["_decide_in_session"] > 0) == (bound < 32)
         assert records[0] == records[1] == records[2]
 
 

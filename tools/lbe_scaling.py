@@ -27,10 +27,11 @@ default limit of 1,000 frames allows the recursive formula walks to go
 
 The run also holds its `encoding` and `mode`, `loglog_slope`, the
 least-squares slope of log(verify_s) over log(n) for n >= 20, and the
-interpreter and machine it ran on.  lbemc is imported from `<root>/src`, by default this checkout's.
-Without `--out` the run is printed as JSON; with it, the run is stored
-under its label in that file, keeping the runs of other labels, so one
-file can hold a parent's and a change's numbers side by side.
+interpreter and machine it ran on.  lbemc is imported from `<root>/src`,
+by default this checkout's.  Without `--out` the run is printed as JSON;
+with it, the run is stored under its label in that file, keeping the runs
+of other labels, so one file can hold a parent's and a change's numbers
+side by side.
 """
 
 from __future__ import annotations
