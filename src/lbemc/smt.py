@@ -1256,7 +1256,8 @@ def _disjuncts(nq: Formula) -> tuple[Atom, ...] | None:
 
 
 def _atom_holds(atom: Atom, env: dict[VariableRef, Fraction]) -> bool:
-    """Whether atom holds in env, where missing variables are 0."""
+    """Whether atom holds in env, where missing variables are 0; cheaper
+    than `formula.evaluate`, which wraps every sum in a new Fraction."""
     total = atom.term.const
     for v, c in atom.term.coeffs:
         x = env.get(v)
