@@ -22,6 +22,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import is_
 
 EQ = "="
 LE = "<="
@@ -406,38 +407,63 @@ def negate_atom(atom: Atom) -> Formula:
 # structural operations
 # ---------------------------------------------------------------------------
 
-def nnf(f: Formula, negated: bool = False) -> Formula:
-    """Negation normal form: Not survives only directly on atoms / propvars.
+def _postorder(root, children, key=id):
+    """Iterate each distinct node under root once, after its children, in
+    the order a memoized left-to-right recursive walk finishes them.
 
-    Shared subformulas are rewritten once, so DAG-shaped inputs stay DAGs.
+    `children(node)` is asked when the walk first reaches node, as the
+    recursive walk would ask, and `key` tells nodes apart.  The walk runs
+    on an explicit stack, so it goes as deep as the formula nests.
     """
-    memo: dict[tuple[int, bool], Formula] = {}
-
-    def walk(g: Formula, neg: bool) -> Formula:
-        key = (id(g), neg)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(g, TrueF):
-            out = FALSE if neg else TRUE
-        elif isinstance(g, FalseF):
-            out = TRUE if neg else FALSE
-        elif isinstance(g, (Atom, PropVar)):
-            out = Not(g) if neg else g
-        elif isinstance(g, Not):
-            out = walk(g.arg, not neg)
-        elif isinstance(g, And):
-            parts = tuple(walk(a, neg) for a in g.args)
-            out = f_or(*parts) if neg else f_and(*parts)
-        elif isinstance(g, Or):
-            parts = tuple(walk(a, neg) for a in g.args)
-            out = f_and(*parts) if neg else f_or(*parts)
+    seen = {key(root)}
+    stack = [(root, iter(children(root)))]
+    while stack:
+        node, todo = stack[-1]
+        for child in todo:
+            k = key(child)
+            if k not in seen:
+                seen.add(k)
+                below = children(child)
+                if below:
+                    stack.append((child, iter(below)))
+                    break
+                yield child
         else:
-            raise TypeError(f"not a formula: {g!r}")
-        memo[key] = out
-        return out
+            stack.pop()
+            yield node
 
-    return walk(f, negated)
+
+def _args(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (And, Or)):
+        return f.args
+    if isinstance(f, Not):
+        return (f.arg,)
+    return ()
+
+
+def rebuild(f: Formula, leaf) -> Formula:
+    """f with every leaf g (atom, propositional variable or constant)
+    replaced by leaf(g), and Not/And/Or rebuilt with f_not/f_and/f_or.
+
+    Each shared subformula is rebuilt once, so shared subformulas stay
+    shared, and a node that nothing below it changed is kept itself.
+    """
+    if not isinstance(f, (Not, And, Or)):
+        return leaf(f)
+    out: dict[int, Formula] = {}
+    for g in _postorder(f, _args):
+        if isinstance(g, Not):
+            arg = out[id(g.arg)]
+            out[id(g)] = g if arg is g.arg else f_not(arg)
+        elif isinstance(g, (And, Or)):
+            args = [out[id(a)] for a in g.args]
+            if all(map(is_, args, g.args)):
+                out[id(g)] = g
+            else:
+                out[id(g)] = (f_and if isinstance(g, And) else f_or)(*args)
+        else:
+            out[id(g)] = leaf(g)
+    return out[id(f)]
 
 
 def _dag_nodes(f: Formula):
@@ -473,28 +499,8 @@ def propvars(f: Formula) -> set[str]:
 
 
 def _map_terms(f: Formula, term_map) -> Formula:
-    """Rebuild f with every atom's term replaced by term_map(term), walking
-    each shared subformula once."""
-    memo: dict[int, Formula] = {}
-
-    def walk(g: Formula) -> Formula:
-        cached = memo.get(id(g))
-        if cached is not None:
-            return cached
-        if isinstance(g, Atom):
-            out = Atom(g.rel, term_map(g.term))
-        elif isinstance(g, Not):
-            out = f_not(walk(g.arg))
-        elif isinstance(g, And):
-            out = f_and(*(walk(a) for a in g.args))
-        elif isinstance(g, Or):
-            out = f_or(*(walk(a) for a in g.args))
-        else:
-            out = g
-        memo[id(g)] = out
-        return out
-
-    return walk(f)
+    """Rebuild f with every atom's term replaced by term_map(term)."""
+    return rebuild(f, lambda g: Atom(g.rel, term_map(g.term)) if isinstance(g, Atom) else g)
 
 
 def rename(f: Formula, mapping: Mapping[VariableRef, VariableRef]) -> Formula:

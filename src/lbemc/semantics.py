@@ -19,11 +19,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .formula import (
-    And,
     Atom,
     Formula,
     Not,
-    Or,
     Term,
     TRUE,
     VariableRef,
@@ -34,6 +32,7 @@ from .formula import (
     f_or,
     formula_infix,
     max_index,
+    rebuild,
     rename,
     term_infix,
     variables,
@@ -462,18 +461,19 @@ def drop_dead_pads(f: Formula, pads: list[Formula],
                    targets: Iterable[Formula] = ()) -> Formula:
     """f without the pads of the variables nothing reads.
 
-    `pads` holds the pad atoms `encode_edge` reported for f.  A pad
-    x@j = x@i is dead when x@j occurs in no other atom of f (pads that
-    define x@j aside), in no pad of a live variable and in none of
-    `targets`, the formulas read over f's output indices.  Dead pads become
+    `pads` holds the pad atoms `encode_edge` reported for f, which puts
+    them under no negation.  A pad x@j = x@i is dead when x@j occurs in no
+    other atom of f (pads that define x@j aside), in no pad of a live
+    variable and in none of `targets`, the formulas read over f's output
+    indices.  Dead pads become
     TRUE, which is exact for the models over the other variables: the SSA
     encoding defines x@j once on each path through the choices, so on the
     path a model of the pruned formula takes, one pad at most mentions
     x@j, and giving x@j the value of that pad's x@i satisfies it.  `f`
     itself is returned when no pad is dead.
 
-    The rebuild is memoized per node, so shared subformulas stay shared,
-    and keeps a node itself where nothing below it changed.
+    Shared subformulas stay shared, and a node that nothing below it
+    changed is kept itself (`formula.rebuild`).
     """
     if not pads:
         return f
@@ -490,7 +490,7 @@ def drop_dead_pads(f: Formula, pads: list[Formula],
             else:
                 live.update(w for w, _ in g.term.coeffs)
         elif isinstance(g, Not) and isinstance(g.arg, Atom):
-            live.update(w for w, _ in g.arg.term.coeffs)  # kept as it is
+            live.update(w for w, _ in g.arg.term.coeffs)  # read by the negation
     for t in targets:
         live.update(variables(t))
     stack = [v for v in live if v in reads]
@@ -502,28 +502,5 @@ def drop_dead_pads(f: Formula, pads: list[Formula],
                     stack.append(u)
     if live.issuperset(reads):
         return f
-    # rebuilt bottom-up with an explicit stack: LBE formulas nest deeper
-    # than the interpreter's recursion limit
-    memo: dict[int, Formula] = {}
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if id(g) in memo:
-            stack.pop()
-            continue
-        if isinstance(g, (And, Or)):
-            todo = [a for a in g.args if id(a) not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-            args = [memo[id(a)] for a in g.args]
-            if all(a is b for a, b in zip(args, g.args)):
-                out = g
-            else:
-                out = (f_and if isinstance(g, And) else f_or)(*args)
-        else:
-            v = defined.get(id(g))
-            out = g if v is None or v in live else TRUE
-        memo[id(g)] = out
-        stack.pop()
-    return memo[id(f)]
+    dead = {i for i, v in defined.items() if v not in live}
+    return rebuild(f, lambda g: TRUE if id(g) in dead else g)

@@ -51,8 +51,8 @@ from .formula import (
     f_and,
     f_not,
     f_or,
+    _postorder,
     negate_atom,
-    nnf,
     propvars,
     var_sort_key,
     variables,
@@ -367,42 +367,51 @@ def theory_check(atoms: list[Atom] | tuple[Atom, ...]) -> SatResult:
 
 
 # ---------------------------------------------------------------------------
-# preprocessing: NNF with negations folded into atoms
+# preprocessing: negations pushed to the atoms and folded into them
 # ---------------------------------------------------------------------------
 
-def _positivize(f: Formula) -> Formula:
-    """On an NNF input, rewrite Not(atom) to its integer-exact complement.
+def _polar_args(node: tuple[Formula, bool]) -> tuple[tuple[Formula, bool], ...]:
+    g, neg = node
+    if isinstance(g, Not):
+        return ((g.arg, not neg),)
+    if isinstance(g, (And, Or)):
+        return tuple((a, neg) for a in g.args)
+    return ()
 
-    Memoized per subformula object so shared subtrees stay shared.
-    """
-    memo: dict[int, Formula] = {}
 
-    def walk(g: Formula) -> Formula:
-        cached = memo.get(id(g))
-        if cached is not None:
-            return cached
-        if isinstance(g, Not):
-            if isinstance(g.arg, Atom):
-                out = negate_atom(g.arg)
-            elif isinstance(g.arg, PropVar):
-                out = g
-            else:
-                raise ValueError("input not in NNF")
-        elif isinstance(g, And):
-            out = f_and(*(walk(a) for a in g.args))
-        elif isinstance(g, Or):
-            out = f_or(*(walk(a) for a in g.args))
-        else:
-            out = g
-        memo[id(g)] = out
-        return out
-
-    return walk(f)
+def _polar_key(node: tuple[Formula, bool]) -> tuple[int, bool]:
+    return id(node[0]), node[1]
 
 
 def normalize(f: Formula) -> Formula:
-    """NNF + positive atom rewrite; the form both solver backends decide."""
-    return _positivize(nnf(f))
+    """The form both solver backends decide: negations pushed inward (NNF)
+    and a negated atom rewritten to its integer-exact complement, so Not
+    survives only on propositional variables.
+
+    One pass over the (subformula, negated) pairs of f, each rewritten
+    once, so shared subformulas stay shared.
+    """
+    if isinstance(f, Not) and isinstance(f.arg, Atom):
+        return negate_atom(f.arg)
+    if not isinstance(f, (Not, And, Or)):
+        return f
+    out: dict[tuple[int, bool], Formula] = {}
+    for g, neg in _postorder((f, False), _polar_args, _polar_key):
+        if isinstance(g, Atom):
+            r = negate_atom(g) if neg else g
+        elif isinstance(g, PropVar):
+            r = Not(g) if neg else g
+        elif isinstance(g, TrueF):
+            r = FALSE if neg else TRUE
+        elif isinstance(g, FalseF):
+            r = TRUE if neg else FALSE
+        elif isinstance(g, Not):
+            r = out[id(g.arg), not neg]
+        else:
+            parts = [out[id(a), neg] for a in g.args]
+            r = (f_and if isinstance(g, And) != neg else f_or)(*parts)
+        out[id(g), neg] = r
+    return out[id(f), False]
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +492,36 @@ class _Cnf:
         return v
 
     def literal(self, f: Formula) -> int:
+        """The literal of a normalized formula, encoding the gates it lacks
+        in post-order, below no node that already has one."""
+        if isinstance(f, (And, Or)):
+            for g in _postorder(f, self._unencoded_args):
+                if isinstance(g, (And, Or)):
+                    if g not in self._gate:
+                        self._gate[g] = self._encode_gate(g)
+                else:
+                    self._leaf_literal(g)
+            return self._gate[f]
+        return self._leaf_literal(f)
+
+    def _unencoded_args(self, f: Formula) -> tuple[Formula, ...]:
+        if isinstance(f, (And, Or)) and f not in self._gate:
+            return f.args
+        return ()
+
+    def _leaf_literal(self, f: Formula) -> int:
         if isinstance(f, TrueF):
             return self.true_lit()
         if isinstance(f, FalseF):
             return -self.true_lit()
-        if isinstance(f, (Atom, PropVar)):
-            return self.input_var(f)
         if isinstance(f, Not):
             return -self.input_var(f.arg)
-        gate = self._gate.get(f)
-        if gate is not None:
-            return gate
-        args = [self.literal(a) for a in f.args]
+        return self.input_var(f)
+
+    def _encode_gate(self, f: Formula) -> int:
+        """A new gate for f, whose arguments all have their literals."""
+        args = [self._gate[a] if isinstance(a, (And, Or)) else self._leaf_literal(a)
+                for a in f.args]
         g = self.new_var()
         if isinstance(f, And):
             for a in args:
@@ -511,7 +538,6 @@ class _Cnf:
                 self.select_guard[g] = idx
                 for v in vs:
                     self.select_of.setdefault(v, []).append(idx)
-        self._gate[f] = g
         return g
 
     def _vars_of(self, f: Formula) -> frozenset[VariableRef]:

@@ -27,6 +27,7 @@ from lbemc.formula import (
     VariableRef,
     _dag_nodes,
     at_indices,
+    compare,
     f_and,
     f_not,
     f_or,
@@ -38,6 +39,8 @@ from lbemc.frontend import parse_program
 from lbemc.oracle import random_comparison, random_formula, random_operation, random_program
 from lbemc.semantics import drop_dead_pads, encode_edge
 from lbemc.smt import InternalSolver, _Cnf, normalize
+
+from conftest import const, tvar
 
 NAMES = ["a", "b", "c"]
 
@@ -430,3 +433,79 @@ class TestAgainstRecursiveWalks:
             assert list(got.select_vars.items()) == list(want.select_vars.items())
             assert list(got.select_of.items()) == list(want.select_of.items())
             assert list(got.select_guard.items()) == list(want.select_guard.items())
+
+
+# ---------------------------------------------------------------------------
+# depth: the walks run on an explicit stack
+# ---------------------------------------------------------------------------
+
+DEPTH = 5_000
+
+
+def _deep_formula(negations=True):
+    """A formula nested DEPTH deep, alternating And and Or, with Not over
+    the compound formula below every third level and, every 100 levels, a
+    disjunction shared by the levels above.  Each And level holds a dead
+    pad z{k}@1 = z{k}@0, k < 10, that no other atom reads; the pads are
+    returned too.  Without `negations` no pad is under a Not, as in the
+    formulas `encode_edge` builds."""
+    f = compare("<=", tvar("x"), const(0))
+    shared = PropVar("p")
+    pads = []
+    for i in range(DEPTH):
+        if negations and i % 3 == 0:
+            f = f_not(f)
+        atom = compare("<=", tvar("x") + tvar("y"), const(i))
+        if i % 2 == 0:
+            pad = compare("==", tvar(f"z{i % 10}", 1), tvar(f"z{i % 10}", 0))
+            pads.append(pad)
+            f = f_and(f, atom, pad, shared)
+        else:
+            f = f_or(f, atom, f_not(shared) if negations else shared)
+        if i % 100 == 1:  # an Or, which the And levels do not flatten
+            shared = f
+    return f, pads
+
+
+def _compound_nodes(f):
+    return sum(isinstance(g, (And, Or)) for g in _dag_nodes(f))
+
+
+class TestDepth:
+    """Every rewrite takes a formula nested far deeper than the default
+    recursion limit allows a recursive walk to go."""
+
+    def test_nesting(self):
+        f, _ = _deep_formula()
+        assert _compound_nodes(f) == DEPTH
+
+    def test_normalize(self):
+        f, _ = _deep_formula()
+        g = normalize(f)
+        assert _compound_nodes(g) >= DEPTH
+        assert all(isinstance(h.arg, PropVar) for h in _dag_nodes(g) if isinstance(h, Not))
+        assert normalize(g) == g
+
+    def test_at_indices_and_rename(self):
+        f, _ = _deep_formula()
+        g = at_indices(f, {"x": 3, "y": 4})
+        assert {VariableRef("x", 3), VariableRef("y", 4)} <= variables(g)
+        assert all(v.index is not None for v in variables(g))
+        h = rename(g, _shift(g))
+        assert VariableRef("x", 4) in variables(h) and VariableRef("x", 3) not in variables(h)
+        assert _compound_nodes(h) == DEPTH
+
+    def test_drop_dead_pads(self):
+        f, pads = _deep_formula(negations=False)
+        g = drop_dead_pads(f, pads)
+        assert not any(v.name.startswith("z") for v in variables(g))
+        assert {VariableRef("x"), VariableRef("y")} <= variables(g)
+        assert _compound_nodes(g) == DEPTH and g == _ref_drop_dead_pads(f, pads)
+        assert drop_dead_pads(f, pads, [f]) is f
+
+    def test_cnf(self):
+        f, _ = _deep_formula()
+        cnf = _Cnf()
+        lit = cnf.literal(normalize(f))
+        assert len(cnf._gate) >= DEPTH and cnf._gate[normalize(f)] == lit
+        assert cnf.literal(normalize(f)) == lit
