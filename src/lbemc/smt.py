@@ -1519,30 +1519,26 @@ class Smtlib2Solver(_SolverBase):
                 self._declared.add(sym)
                 self._send(f"(declare-fun {sym} () Bool)")
         self._declare(prep)
-        self._send("(push 1)")
-        if prep != TRUE:
-            self._send(f"(assert {_smt_formula(prep)})")
         results: list[dict[str, bool]] = []
         syms = [f"|{n}|" for n in important]
-        while True:
-            self._send("(check-sat)")
-            verdict = self._read_sexpr()
-            if verdict == "unsat":
-                break
-            if verdict != "sat":
-                raise RuntimeError(f"unexpected solver reply: {verdict!r}")
-            if not important:
-                results.append({})
-                break
-            self._send(f"(get-value ({' '.join(syms)}))")
-            values = _parse_value_reply(self._read_sexpr())
-            assignment = {n: values[n] == "true" for n in important}
-            results.append(assignment)
-            lits = [
-                f"(not {s})" if assignment[n] else s for n, s in zip(important, syms)
-            ]
-            self._send(f"(assert (or {' '.join(lits)}))")
-        self._send("(pop 1)")
+        self._send("(push 1)")
+        try:
+            if prep != TRUE:
+                self._send(f"(assert {_smt_formula(prep)})")
+            while self._is_sat():
+                if not important:
+                    results.append({})
+                    break
+                self._send(f"(get-value ({' '.join(syms)}))")
+                values = _parse_value_reply(self._read_sexpr())
+                assignment = {n: values[n] == "true" for n in important}
+                results.append(assignment)
+                lits = [
+                    f"(not {s})" if assignment[n] else s for n, s in zip(important, syms)
+                ]
+                self._send(f"(assert (or {' '.join(lits)}))")
+        finally:
+            self._send("(pop 1)")
         return results
 
     def close(self) -> None:

@@ -904,6 +904,32 @@ class TestExternalBackend:
         del got_stats["wall_time_ms"], want_stats["wall_time_ms"]
         assert got_stats == want_stats
 
+    def test_all_sat_pops_its_frame_on_an_unexpected_reply(self):
+        ext = Smtlib2Solver(MOCK_SOLVER_CMD)
+        try:
+            read = ext._read_sexpr
+            verdicts = []
+
+            def second_verdict_unknown():
+                # the process's reply is read in any case, so the stream
+                # stays in step; the second check-sat answer reads unknown
+                reply = read()
+                if reply in ("sat", "unsat"):
+                    verdicts.append(reply)
+                    if len(verdicts) == 2:
+                        return "unknown"
+                return reply
+
+            ext._read_sexpr = second_verdict_unknown
+            phi = f_and(compare(">", tvar("x"), const(0)), PropVar("v"))
+            with pytest.raises(RuntimeError, match="unknown"):
+                ext.all_sat(phi, ["v"])
+            del ext._read_sexpr
+            assert verdicts == ["sat", "unsat"]
+            assert ext.check_sat(compare("<", tvar("x"), const(0))).is_sat
+        finally:
+            ext.close()
+
     def test_indexed_variables_round_trip(self, ext):
         f = compare("==", tvar("x", 3), const(4))
         res = ext.check_sat(f)
