@@ -7,11 +7,14 @@ solved into a substitution map as they are asserted, inequalities are
 decided by Fourier-Motzkin, and backjumps pop the theory with the trail.
 The theory's rows are primitive integer vectors combined fraction-free
 and scaled only by positive factors, which is exact over Q; rationals are
-built only for a witness.  Negated literals are folded into positive atoms
-up front using the integer-exact complements from the formula module, so
-the theory layer only ever sees conjunctions of canonical atoms.  Theory
-conflicts are turned into clauses over the conflicting atoms, which keeps
-enumeration on heavily disjunctive inputs polynomial in practice.  A model
+built only for a witness.  `normalize` pushes negations to the atoms and
+folds each negated atom into its integer-exact complement from the
+formula module, in one iterative pass, so the theory layer only ever sees
+conjunctions of canonical atoms; the Tseitin encoding walks the
+normalized formula in the same iterative post-order, so neither is
+bounded by the interpreter's recursion limit.  Theory conflicts are
+turned into clauses over the conflicting atoms, which keeps enumeration on
+heavily disjunctive inputs polynomial in practice.  A model
 returned by `check_sat` is solved from scratch over the final true atoms.
 `entailed` decides which of several predicates a formula entails.  When
 the formula splits into a few conjunctive cubes and each complement is a
@@ -494,15 +497,19 @@ class _Cnf:
     def literal(self, f: Formula) -> int:
         """The literal of a normalized formula, encoding the gates it lacks
         in post-order, below no node that already has one."""
-        if isinstance(f, (And, Or)):
-            for g in _postorder(f, self._unencoded_args):
-                if isinstance(g, (And, Or)):
-                    if g not in self._gate:
-                        self._gate[g] = self._encode_gate(g)
-                else:
-                    self._leaf_literal(g)
-            return self._gate[f]
-        return self._leaf_literal(f)
+        if not isinstance(f, (And, Or)):
+            return self._leaf_literal(f)
+        lits: dict[int, int] = {}
+        for g in _postorder(f, self._unencoded_args):
+            if isinstance(g, (And, Or)):
+                lit = self._gate.get(g)
+                if lit is None:
+                    lit = self._gate[g] = self._encode_gate(
+                        g, [lits[id(a)] for a in g.args])
+            else:
+                lit = self._leaf_literal(g)
+            lits[id(g)] = lit
+        return lits[id(f)]
 
     def _unencoded_args(self, f: Formula) -> tuple[Formula, ...]:
         if isinstance(f, (And, Or)) and f not in self._gate:
@@ -518,10 +525,8 @@ class _Cnf:
             return -self.input_var(f.arg)
         return self.input_var(f)
 
-    def _encode_gate(self, f: Formula) -> int:
-        """A new gate for f, whose arguments all have their literals."""
-        args = [self._gate[a] if isinstance(a, (And, Or)) else self._leaf_literal(a)
-                for a in f.args]
+    def _encode_gate(self, f: Formula, args: list[int]) -> int:
+        """A new gate for f, whose arguments have the literals args."""
         g = self.new_var()
         if isinstance(f, And):
             for a in args:

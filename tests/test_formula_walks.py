@@ -10,7 +10,7 @@ lock ladders of 1..10 locks, their bug twins and corpus programs 0..199
 import functools
 import random
 
-from lbemc import abstraction
+from lbemc import abstraction, smt
 from lbemc.cfa import summarize
 from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
@@ -509,3 +509,22 @@ class TestDepth:
         lit = cnf.literal(normalize(f))
         assert len(cnf._gate) >= DEPTH and cnf._gate[normalize(f)] == lit
         assert cnf.literal(normalize(f)) == lit
+
+    def test_cnf_walk_stops_at_encoded_gates(self, monkeypatch):
+        f, _ = _deep_formula()
+        prep = normalize(f)
+        cnf = _Cnf()
+        cnf.literal(prep)
+        visited = []
+        postorder = smt._postorder
+
+        def recording(root, children, key=id):
+            for g in postorder(root, children, key):
+                visited.append(g)
+                yield g
+
+        monkeypatch.setattr(smt, "_postorder", recording)
+        atom = compare("<=", tvar("w"), const(0))
+        top = (f_and if isinstance(prep, Or) else f_or)(prep, atom)
+        cnf.literal(top)
+        assert visited == [prep, atom, top]
