@@ -20,11 +20,6 @@ the program as it is), and `verify` runs in the abstraction mode `--mode`
     `smt.normalize` (the atoms the solver decides), in call order; empty
     in Cartesian mode, which makes no `all_sat` query.
 
-The formulas of the ladder at n = 160 nest deeper than the interpreter's
-default limit of 1,000 frames allows the recursive formula walks to go
-(`formula.nnf` is the first to fail), so the tool raises that limit; the
-`lbemc` command itself stops at that depth with an internal error.
-
 The run also holds its `encoding` and `mode`, `loglog_slope`, the
 least-squares slope of log(verify_s) over log(n) for n >= 20, and the
 interpreter and machine it ran on.  lbemc is imported from `<root>/src`,
@@ -52,7 +47,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SIZES = (10, 20, 40, 80, 160)
-RECURSION_LIMIT = 10_000
 
 
 def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
@@ -133,13 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="run", help="key of the run in --out")
     parser.add_argument("--out", type=Path, help="JSON file to store the run in")
     args = parser.parse_args(argv)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
-    try:
-        result = run(workloads.load_lbemc(args.root), args.sizes, args.repeat,
-                     args.encoding, args.mode)
-    finally:
-        sys.setrecursionlimit(limit)
+    result = run(workloads.load_lbemc(args.root), args.sizes, args.repeat,
+                 args.encoding, args.mode)
     if args.out is None:
         print(json.dumps(result, indent=1))
         return 0
