@@ -9,13 +9,12 @@ The theory's rows are primitive integer vectors combined fraction-free
 and scaled only by positive factors, which is exact over Q; rationals are
 built only for a witness.  `normalize` pushes negations to the atoms and
 folds each negated atom into its integer-exact complement from the
-formula module, in one iterative pass, so the theory layer only ever sees
-conjunctions of canonical atoms; the Tseitin encoding walks the
-normalized formula in the same iterative post-order, so neither is
-bounded by the interpreter's recursion limit.  Theory conflicts are
-turned into clauses over the conflicting atoms, which keeps enumeration on
-heavily disjunctive inputs polynomial in practice.  A model
-returned by `check_sat` is solved from scratch over the final true atoms.
+formula module, so the theory layer only ever sees conjunctions of
+canonical atoms; it and the Tseitin encoding walk formulas iteratively, at
+any depth.  Theory conflicts are turned into clauses over the conflicting
+atoms, which keeps enumeration on heavily disjunctive inputs polynomial
+in practice.  A model returned by `check_sat` is solved from scratch over
+the final true atoms.
 `entailed` decides which of several predicates a formula entails.  When
 the formula splits into a few conjunctive cubes and each complement is a
 disjunction of atoms, as in every Cartesian post, it asks the theory alone:
@@ -382,10 +381,6 @@ def _polar_args(node: tuple[Formula, bool]) -> tuple[tuple[Formula, bool], ...]:
     return ()
 
 
-def _polar_key(node: tuple[Formula, bool]) -> tuple[int, bool]:
-    return id(node[0]), node[1]
-
-
 def normalize(f: Formula) -> Formula:
     """The form both solver backends decide: negations pushed inward (NNF)
     and a negated atom rewritten to its integer-exact complement, so Not
@@ -399,15 +394,11 @@ def normalize(f: Formula) -> Formula:
     if not isinstance(f, (Not, And, Or)):
         return f
     out: dict[tuple[int, bool], Formula] = {}
-    for g, neg in _postorder((f, False), _polar_args, _polar_key):
+    for g, neg in _postorder((f, False), _polar_args, lambda n: (id(n[0]), n[1])):
         if isinstance(g, Atom):
             r = negate_atom(g) if neg else g
-        elif isinstance(g, PropVar):
-            r = Not(g) if neg else g
-        elif isinstance(g, TrueF):
-            r = FALSE if neg else TRUE
-        elif isinstance(g, FalseF):
-            r = TRUE if neg else FALSE
+        elif not isinstance(g, (Not, And, Or)):  # a propositional variable or constant
+            r = f_not(g) if neg else g
         elif isinstance(g, Not):
             r = out[id(g.arg), not neg]
         else:
@@ -495,55 +486,47 @@ class _Cnf:
         return v
 
     def literal(self, f: Formula) -> int:
-        """The literal of a normalized formula, encoding the gates it lacks
-        in post-order, below no node that already has one."""
-        if not isinstance(f, (And, Or)):
-            return self._leaf_literal(f)
+        """The literal of a normalized formula.  Its gates are encoded in
+        the post-order of a recursive walk that stops at every node with a
+        gate, so the variables and clauses are numbered as that walk
+        would number them."""
         lits: dict[int, int] = {}
-        for g in _postorder(f, self._unencoded_args):
-            if isinstance(g, (And, Or)):
-                lit = self._gate.get(g)
-                if lit is None:
-                    lit = self._gate[g] = self._encode_gate(
-                        g, [lits[id(a)] for a in g.args])
+
+        def unencoded(h: Formula) -> tuple[Formula, ...]:
+            return h.args if isinstance(h, (And, Or)) and h not in self._gate else ()
+
+        for h in _postorder(f, unencoded):
+            if isinstance(h, TrueF):
+                lit = self.true_lit()
+            elif isinstance(h, FalseF):
+                lit = -self.true_lit()
+            elif isinstance(h, Not):
+                lit = -self.input_var(h.arg)
+            elif not isinstance(h, (And, Or)):
+                lit = self.input_var(h)
+            elif h in self._gate:
+                lit = self._gate[h]
             else:
-                lit = self._leaf_literal(g)
-            lits[id(g)] = lit
+                args = [lits[id(a)] for a in h.args]
+                g = self.new_var()
+                if isinstance(h, And):
+                    for a in args:
+                        self.add_clause([-g, a])
+                    self.add_clause([g] + [-a for a in args])
+                else:
+                    for a in args:
+                        self.add_clause([g, -a])
+                    vs = self._vars[g] = _NO_VARS.union(*map(self._vars_of, h.args))
+                    idx = self.add_clause([-g] + args)
+                    if idx is not None:
+                        self.select_clauses.append(idx)
+                        self.select_vars[idx] = vs
+                        self.select_guard[g] = idx
+                        for v in vs:
+                            self.select_of.setdefault(v, []).append(idx)
+                lit = self._gate[h] = g
+            lits[id(h)] = lit
         return lits[id(f)]
-
-    def _unencoded_args(self, f: Formula) -> tuple[Formula, ...]:
-        if isinstance(f, (And, Or)) and f not in self._gate:
-            return f.args
-        return ()
-
-    def _leaf_literal(self, f: Formula) -> int:
-        if isinstance(f, TrueF):
-            return self.true_lit()
-        if isinstance(f, FalseF):
-            return -self.true_lit()
-        if isinstance(f, Not):
-            return -self.input_var(f.arg)
-        return self.input_var(f)
-
-    def _encode_gate(self, f: Formula, args: list[int]) -> int:
-        """A new gate for f, whose arguments have the literals args."""
-        g = self.new_var()
-        if isinstance(f, And):
-            for a in args:
-                self.add_clause([-g, a])
-            self.add_clause([g] + [-a for a in args])
-        else:
-            for a in args:
-                self.add_clause([g, -a])
-            vs = self._vars[g] = _NO_VARS.union(*map(self._vars_of, f.args))
-            idx = self.add_clause([-g] + args)
-            if idx is not None:
-                self.select_clauses.append(idx)
-                self.select_vars[idx] = vs
-                self.select_guard[g] = idx
-                for v in vs:
-                    self.select_of.setdefault(v, []).append(idx)
-        return g
 
     def _vars_of(self, f: Formula) -> frozenset[VariableRef]:
         """The arithmetic variables of an encoded formula."""

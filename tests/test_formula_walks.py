@@ -25,6 +25,7 @@ from lbemc.formula import (
     TRUE,
     TrueF,
     VariableRef,
+    _args,
     _dag_nodes,
     at_indices,
     compare,
@@ -352,8 +353,7 @@ def _tree_size(f, memo):
     """The node count of f written out as a tree, as `str` writes it."""
     size = memo.get(id(f))
     if size is None:
-        args = f.args if isinstance(f, (And, Or)) else (f.arg,) if isinstance(f, Not) else ()
-        size = memo[id(f)] = 1 + sum(_tree_size(a, memo) for a in args)
+        size = memo[id(f)] = 1 + sum(_tree_size(a, memo) for a in _args(f))
     return size
 
 
