@@ -50,7 +50,7 @@ NAMES = ["a", "b", "c"]
 # references: the recursive walks
 # ---------------------------------------------------------------------------
 
-def _ref_nnf(f, negated=False):
+def _ref_nnf(f):
     memo = {}
 
     def walk(g, neg):
@@ -75,7 +75,7 @@ def _ref_nnf(f, negated=False):
         memo[key] = out
         return out
 
-    return walk(f, negated)
+    return walk(f, False)
 
 
 def _ref_positivize(f):
@@ -253,10 +253,7 @@ def _mixed_formula(rng, depth, pool):
 @functools.lru_cache(maxsize=None)
 def _random_formulas():
     rng = random.Random(59)
-    out = []
-    for _ in range(2000):
-        out.append(_mixed_formula(rng, rng.randint(1, 6), []))
-    return out
+    return [_mixed_formula(rng, rng.randint(1, 6), []) for _ in range(2000)]
 
 
 def _runs():
@@ -264,8 +261,9 @@ def _runs():
 
     Every ladder of 1..10 locks and every bug twin runs under LBE, except
     bug twins over 6 locks, whose replay takes seconds to minutes; SBE
-    runs the safe ladders of at most 3 (Boolean) and 4 (Cartesian) locks
-    and every bug twin.  Corpus programs run in all four configurations.
+    runs every bug twin and the safe ladders of at most 3 (Boolean) and 4
+    (Cartesian) locks, as the next size takes seconds.  Corpus programs
+    run in all four configurations.
     """
     limits = {("lbe", "boolean"): (10, 6), ("lbe", "cartesian"): (10, 6),
               ("sbe", "boolean"): (3, 10), ("sbe", "cartesian"): (4, 10)}
