@@ -1,10 +1,18 @@
-"""Independent brute-force semantics used as ground truth in tests.
+"""Brute-force semantics used as ground truth, and counterexample replay.
 
 Explicit-state reachability over bounded integer domains, syntactic path
 enumeration, solver-backed equivalence, existential projection of indexed
 variables, and model-guided concrete replay of counterexample paths.
-Nothing here shares code with the symbolic engine it is meant to check,
-except the formula data types themselves.
+Tests use all of it as ground truth; `lbemc --crosscheck` runs the
+reachability search, and `engine.verify` replays every integral witness
+before it calls it replayed.
+
+Beyond the formula and operation data types, the module shares this with
+the symbolic engine: projection reads atoms into the solver's rows and
+normalizes with `smt.normalize` (its eliminator is its own), and replay
+joins choices with the path encoding's `semantics._merge`, so it reads a
+model at the indices the path formula gave it.  The reachability search
+and path enumeration share nothing else.
 """
 
 from __future__ import annotations
@@ -34,7 +42,17 @@ from .formula import (
     f_or,
     var_sort_key,
 )
-from .semantics import Assign, Assume, Choice, Havoc, Operation, Seq, ssa_after
+from .semantics import (
+    Assign,
+    Assume,
+    Choice,
+    Havoc,
+    Operation,
+    Seq,
+    _merge,
+    _shared_nodes,
+    seq_elements,
+)
 # unused here; perfbench/tracer.py wraps `encode_edge` in this module's
 # namespace (looked up through __dict__), so the name has to stay
 from .semantics import encode_edge  # noqa: F401
@@ -326,56 +344,73 @@ def equivalent_modulo_indexed(a: Formula, b: Formula, solver) -> bool:
 # ---------------------------------------------------------------------------
 
 def replay_path(p: Program, edges: list[Edge], model) -> bool:
-    """Execute the path concretely with havoc values taken from the model.
+    """Execute the path concretely, taking havoc values and choice
+    resolutions from the model.
 
-    Returns True when some resolution of the choices reaches the end of the
-    path (whose last edge targets the error location).
-
-    The walk runs the path's operations in order, holding the ones still
-    to run as a linked list, and backtracks over choices with an explicit
-    stack: a choice runs its left branch first and leaves the right one
-    on the stack.  Both branches continue at the choice's output index map
-    (from `ssa_after`), where the encoding pads them to.  Havoc values are
-    read from the model at the index the havoc writes.
+    Returns True when the run reaches the end of the path (whose last edge
+    targets the error location).  It does whenever the model satisfies the
+    path's SSA formula, read with 0 for the variables the model lacks; a
+    True answer means the run is a concrete execution.
     """
     if edges and edges[-1].target != p.error:
         return False
     names = program_variables(p)
-    env0 = {n: model.get(VariableRef(n, 0), Fraction(0)) for n in names}
-    ssa0 = {n: 0 for n in names}
-    maps: dict = {}  # the `ssa_after` memo of the replay
-    todo = None  # the operations still to run: (op or index map, rest) or None
-    for edge in reversed(edges):
-        todo = (edge.op, todo)
-    stack = [(env0, ssa0, todo)]
-    while stack:
-        env, ssa, todo = stack.pop()
-        while todo is not None:
-            op, todo = todo
-            if isinstance(op, dict):  # the end of a choice branch
-                ssa = op
-            elif isinstance(op, Assign):
-                val = op.expr.evaluate({VariableRef(n): v for n, v in env.items()})
-                env = {**env, op.var: val}
-                ssa = {**ssa, op.var: ssa.get(op.var, 0) + 1}
-            elif isinstance(op, Assume):
-                if not evaluate(op.cond, {VariableRef(n): v for n, v in env.items()}):
-                    break
-            elif isinstance(op, Havoc):
-                i = ssa.get(op.var, 0) + 1
-                ssa = {**ssa, op.var: i}
-                env = {**env, op.var: model.get(VariableRef(op.var, i), Fraction(0))}
-            elif isinstance(op, Seq):
-                todo = (op.first, (op.second, todo))
-            elif isinstance(op, Choice):
-                after = (ssa_after(op, ssa, maps), todo)
-                stack.append((env, ssa, (op.right, after)))
-                todo = (op.left, after)
+    values = {n: model.get(VariableRef(n, 0), Fraction(0)) for n in names}
+    ssa = {n: 0 for n in names}
+    for edge in edges:
+        values, ssa = _run(edge.op, values, ssa, model, _shared_nodes(edge.op), {})
+        if values is None:
+            return False
+    return True
+
+
+def _run(op: Operation, values, ssa: dict[str, int], model, shared: set[int], memo):
+    """(values, index map) after running op from values at index map ssa.
+
+    The index maps are `encode_edge`'s.  Once an assume fails the values
+    are None, and the run goes on counting indices for the choices above.
+    A choice runs both branches and goes on with the one whose values are
+    the model's at the choice's output indices, so the run follows the
+    model.  Subtrees with more than one parent are run once per index map
+    and values, as `encode_edge` encodes them once per index map.
+    """
+    key = None
+    if id(op) in shared:
+        key = (id(op), tuple(sorted(ssa.items())),
+               None if values is None else tuple(sorted(values.items())))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+    if isinstance(op, (Assign, Havoc)):
+        i = ssa.get(op.var, 0) + 1
+        if values is not None:
+            if isinstance(op, Assign):
+                val = op.expr.evaluate({VariableRef(n): v for n, v in values.items()})
             else:
-                raise TypeError(f"not an operation: {op!r}")
-        else:
-            return True
-    return False
+                val = model.get(VariableRef(op.var, i), Fraction(0))
+            values = {**values, op.var: val}
+        result = values, {**ssa, op.var: i}
+    elif isinstance(op, Assume):
+        if values is not None and not evaluate(
+                op.cond, {VariableRef(n): v for n, v in values.items()}):
+            values = None
+        result = values, ssa
+    elif isinstance(op, Seq):
+        for element in seq_elements(op):
+            values, ssa = _run(element, values, ssa, model, shared, memo)
+        result = values, ssa
+    elif isinstance(op, Choice):
+        left, m1 = _run(op.left, values, ssa, model, shared, memo)
+        right, m2 = _run(op.right, values, ssa, model, shared, memo)
+        merged = _merge(m1, m2)
+        taken = next((v for v in (left, right) if v is not None and all(
+            v[n] == model.get(VariableRef(n, i), 0) for n, i in merged.items())), None)
+        result = taken, merged
+    else:
+        raise TypeError(f"not an operation: {op!r}")
+    if key is not None:
+        memo[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

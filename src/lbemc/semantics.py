@@ -415,48 +415,6 @@ def _merge(m1: dict[str, int], m2: dict[str, int]) -> dict[str, int]:
     return merged
 
 
-def ssa_after(op: Operation, ssa: SsaMap, memo: dict) -> dict[str, int]:
-    """The output index map of encode_edge(op, ssa), without the formula.
-
-    memo is keyed like encode_edge's, by subtree identity and index map, so
-    calls may share it only while every operation they saw is alive.  It
-    holds op's map and those of op's subtrees with more than one parent.
-    The maps returned are shared and must not be modified.
-    """
-    key = (id(op), tuple(sorted(ssa.items())))
-    cached = memo.get(key)
-    if cached is None:
-        cached = memo[key] = _after(op, dict(ssa), _shared_nodes(op), memo)
-    return cached
-
-
-def _after(op: Operation, ssa: dict[str, int], shared: set[int],
-           memo: dict) -> dict[str, int]:
-    key = None
-    if id(op) in shared:
-        key = (id(op), tuple(sorted(ssa.items())))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-    if isinstance(op, (Assign, Havoc)):
-        out = dict(ssa)
-        out[op.var] = out.get(op.var, 0) + 1
-    elif isinstance(op, Assume):
-        out = ssa
-    elif isinstance(op, Seq):
-        out = ssa
-        for element in _spine(op, shared):
-            out = _after(element, out, shared, memo)
-    elif isinstance(op, Choice):
-        out = _merge(_after(op.left, ssa, shared, memo),
-                     _after(op.right, ssa, shared, memo))
-    else:
-        raise TypeError(f"not an operation: {op!r}")
-    if key is not None:
-        memo[key] = out
-    return out
-
-
 def drop_dead_pads(f: Formula, pads: list[Formula],
                    targets: Iterable[Formula] = ()) -> Formula:
     """f without the pads of the variables nothing reads.

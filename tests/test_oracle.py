@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lbemc.cfa import CFA, Edge, Program, program_variables, summarize
-from lbemc.formula import FALSE, TRUE, compare, f_not, f_or
+from lbemc.formula import FALSE, TRUE, VariableRef, compare, f_not, f_or
 from lbemc.frontend import parse_program
 from lbemc.oracle import (
     BUDGET_EXCEEDED,
@@ -14,11 +14,13 @@ from lbemc.oracle import (
     equivalent_modulo_indexed,
     explicit_reachable,
     project_indexed,
+    random_operation,
     random_program,
     replay_path,
     semantically_equivalent,
 )
-from lbemc.semantics import Assign, Assume, Havoc, sp
+from lbemc.semantics import Assign, Assume, Choice, Havoc, Seq, encode_edge, sp
+from lbemc.smt import InternalSolver
 
 from conftest import const, tvar
 
@@ -179,6 +181,64 @@ class TestReplay:
         status, model = check_path(path, program_variables(p), solver)
         assert status == "feasible"
         assert replay_path(p, [e for e, _ in path], model)
+
+    def test_models_of_encode_edge_replay(self):
+        # every integral model of a one-edge program's path formula runs
+        # from the entry to the error location
+        rng = random.Random(17)
+        names = ["a", "b", "c"]
+        ops = [random_operation(rng, names, depth=4) for _ in range(300)]
+        solver = InternalSolver()
+        replayed = nested = 0
+        for op in ops:
+            p = Program(CFA((0, 1), (Edge(0, op, 1),)), entry=0, error=1)
+            f, _ = encode_edge(op, {n: 0 for n in program_variables(p)})
+            res = solver.check_sat(f)
+            if res.is_sat and all(v.denominator == 1 for v in res.model.values()):
+                assert replay_path(p, list(p.cfa.edges), res.model), op
+                replayed += 1
+                nested += _choice_depth(op) >= 2
+        assert replayed > 200 and nested > 20
+
+    def test_a_model_the_path_formula_does_not_hold_in_is_not_replayed(self):
+        # x@1 = 1 takes the first branch, and then x == 2 fails; the other
+        # branch would reach the error, but the model does not take it
+        src = "int x; if (*) { x = 1; } else { x = 2; } if (x == 2) { error(); }"
+        p, _ = summarize(parse_program(src))
+        path = [e for e in p.cfa.edges if e.target == p.error]
+        assert len(path) == 1 and path[0].source == p.entry
+        model = {VariableRef("x", 0): 0, VariableRef("x", 1): 1}
+        assert not replay_path(p, path, model)
+        assert replay_path(p, path, {VariableRef("x", 0): 0, VariableRef("x", 1): 2})
+
+    def test_replay_work_is_linear_in_the_lock_count(self, monkeypatch):
+        # the joins of a summarized bug twin copy their shared prefix into
+        # both arms; running it once per index map and values keeps replay
+        # linear, where resolving every choice is exponential
+        from lbemc import oracle
+        from lbemc.cli import gen_test_locks
+        from lbemc.engine import verify
+
+        calls = []
+        real = oracle.evaluate
+        monkeypatch.setattr(oracle, "evaluate",
+                            lambda *args: calls.append(None) or real(*args))
+        for n in range(1, 13):
+            p, _ = summarize(parse_program(gen_test_locks(n, bug=True)))
+            result = verify(p, mode="boolean")
+            assert result.verdict == "unsafe" and result.replayed
+            calls.clear()
+            assert replay_path(p, [e for e, _ in result.path], result.model)
+            assert len(calls) <= 8 * n, (n, len(calls))
+
+
+def _choice_depth(op) -> int:
+    """Largest number of choices on one root-to-leaf path of op."""
+    if isinstance(op, Seq):
+        return max(_choice_depth(op.first), _choice_depth(op.second))
+    if isinstance(op, Choice):
+        return 1 + max(_choice_depth(op.left), _choice_depth(op.right))
+    return 0
 
 
 class TestRandomProgram:

@@ -27,7 +27,6 @@ from lbemc.semantics import (
     seq,
     seq_chain,
     sp,
-    ssa_after,
 )
 from lbemc.smt import InternalSolver
 
@@ -118,30 +117,6 @@ class TestEncodeEdge:
             assert lhs == rhs, (op, phi)
 
 
-def test_ssa_after_matches_encode_edge_output_map():
-    rng = random.Random(17)
-    names = ["a", "b", "c"]
-    shared: dict = {}  # keyed by id(op): every op must stay alive
-    ops = [random_operation(rng, names, depth=4) for _ in range(300)]
-    nested = 0
-    for op in ops:
-        ssa = {n: rng.randint(0, 3) for n in rng.sample(names, rng.randint(0, 3))}
-        want = encode_edge(op, ssa)[1]
-        assert ssa_after(op, ssa, {}) == want, op
-        assert ssa_after(op, ssa, shared) == want, op
-        nested += _choice_depth(op) >= 2
-    assert nested > 20
-
-
-def _choice_depth(op) -> int:
-    """Largest number of choices on one root-to-leaf path of op."""
-    if isinstance(op, Seq):
-        return max(_choice_depth(op.first), _choice_depth(op.second))
-    if isinstance(op, Choice):
-        return 1 + max(_choice_depth(op.left), _choice_depth(op.right))
-    return 0
-
-
 def test_seq_constructor_right_associates():
     a, b, c = Havoc("a"), Havoc("b"), Havoc("c")
     s = seq(Seq(a, b), c)
@@ -165,7 +140,6 @@ def test_long_sequences_need_no_recursion():
     assert op == seq_chain(list(ops))
     f, out = encode_edge(op, {})
     assert out == {"x": k} and len(f.args) == k
-    assert ssa_after(op, {}, {}) == {"x": k}
     assert op_label(op).count(";") == k - 1
     assert len(op_label(op, limit=50)) == 53
 
@@ -307,4 +281,3 @@ def test_encoding_matches_reference_encoder():
         want = _ref_encode(op, dict(ssa), {}, want_pads)
         assert encode_edge(op, ssa, got_pads) == want, op
         assert got_pads == want_pads, op
-        assert ssa_after(op, ssa, {}) == want[1], op
