@@ -128,6 +128,7 @@ def run(config: RunConfig) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
 
+    parsed = program  # summarization keeps reachability; the oracle runs here
     rule_applications = 0
     trace = []
     if config.encoding == "lbe":
@@ -178,7 +179,7 @@ def run(config: RunConfig) -> int:
             default=(-config.crosscheck, config.crosscheck),
             budget=config.crosscheck_budget,
         )
-        ground = explicit_reachable(program, bound)
+        ground = explicit_reachable(parsed, bound)
         if ground == BUDGET_EXCEEDED:
             print("crosscheck: budget exceeded, skipped", file=sys.stderr)
         else:

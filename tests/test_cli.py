@@ -6,6 +6,7 @@ import lbemc.cli as cli
 from lbemc.cli import gen_test_locks, main
 from lbemc.engine import Stats, VerificationResult
 from lbemc.frontend import parse_program
+from lbemc.semantics import Assign, Assume, Havoc
 
 from conftest import MOCK_SOLVER_CMD
 
@@ -186,6 +187,21 @@ class TestInputModes:
     def test_crosscheck_agreement(self, bug_file, capsys):
         assert main([bug_file, "--crosscheck", "1"]) == 1
         assert "verdicts agree" in capsys.readouterr().err
+
+    def test_crosscheck_searches_the_parsed_program(self, locks_file, monkeypatch):
+        # summarization keeps reachability, and the oracle's successors of
+        # a large block would be every path through its shared choices
+        seen = []
+        real = cli.explicit_reachable
+
+        def recording(program, bound):
+            seen.append(program)
+            return real(program, bound)
+
+        monkeypatch.setattr(cli, "explicit_reachable", recording)
+        assert main([locks_file, "--encoding", "lbe", "--crosscheck", "1"]) == 0
+        (program,) = seen
+        assert all(isinstance(e.op, (Assign, Assume, Havoc)) for e in program.cfa.edges)
 
     def test_external_solver_backend(self, locks_file, monkeypatch):
         monkeypatch.setenv(cli.SOLVER_ENV, MOCK_SOLVER_CMD)
