@@ -18,6 +18,7 @@ node.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -579,33 +580,52 @@ def evaluate(
 # text form (s-expressions) and infix pretty-printing
 # ---------------------------------------------------------------------------
 
-def _term_sexpr(t: Term) -> str:
+def _term_sexpr(t: Term, symbol, integer) -> str:
     parts = []
     for v, c in t.coeffs:
-        parts.append(str(v) if c == 1 else f"(* {c} {v})")
+        parts.append(symbol(v) if c == 1 else f"(* {integer(c)} {symbol(v)})")
     if t.const != 0 or not parts:
-        parts.append(str(t.const))
+        parts.append(integer(t.const))
     if len(parts) == 1:
         return parts[0]
     return "(+ " + " ".join(parts) + ")"
 
 
-def to_sexpr(f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, PropVar):
-        return f.name
-    if isinstance(f, Atom):
-        return f"({f.rel} {_term_sexpr(f.term)} 0)"
-    if isinstance(f, Not):
-        return f"(not {to_sexpr(f.arg)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(to_sexpr(a) for a in f.args) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(to_sexpr(a) for a in f.args) + ")"
-    raise TypeError(f"not a formula: {f!r}")
+def to_sexpr(f: Formula, symbol=str, integer=str) -> str:
+    """f as an s-expression, e.g. `(<= (+ x@1 (* -2 y) 3) 0)`.
+
+    `symbol` renders variables and propositional variables and `integer`
+    the numbers; the defaults give the text `parse_sexpr` reads, and the
+    SMT-LIB backend passes its own (`|x@1|`, `(- 3)`).  One string is built
+    per distinct node, on the post-order walk, so any depth prints, and a
+    node's string is dropped once its last parent has used it.  The text
+    still repeats a shared subformula once per path to it.
+    """
+    uses = Counter(id(a) for g in _dag_nodes(f) for a in _args(g))
+    text: dict[int, str] = {}
+
+    def take(a: Formula) -> str:
+        uses[id(a)] -= 1
+        return text[id(a)] if uses[id(a)] else text.pop(id(a))
+
+    for g in _postorder(f, _args):
+        if isinstance(g, Not):
+            out = f"(not {take(g.arg)})"
+        elif isinstance(g, (And, Or)):
+            head = "(and " if isinstance(g, And) else "(or "
+            out = head + " ".join(map(take, g.args)) + ")"
+        elif isinstance(g, TrueF):
+            out = "true"
+        elif isinstance(g, FalseF):
+            out = "false"
+        elif isinstance(g, PropVar):
+            out = symbol(g.name)
+        elif isinstance(g, Atom):
+            out = f"({g.rel} {_term_sexpr(g.term, symbol, integer)} 0)"
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        text[id(g)] = out
+    return text[id(f)]
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")

@@ -56,6 +56,7 @@ from .formula import (
     _postorder,
     negate_atom,
     propvars,
+    to_sexpr,
     var_sort_key,
     variables,
 )
@@ -1309,43 +1310,12 @@ def make_solver(backend: str | None = None):
     return Smtlib2Solver(backend)
 
 
-def _smt_symbol(v: VariableRef) -> str:
+def _smt_symbol(v: VariableRef | str) -> str:
     return f"|{v}|"
 
 
 def _smt_int(n: int) -> str:
     return str(n) if n >= 0 else f"(- {-n})"
-
-
-def _smt_term(t) -> str:
-    parts = []
-    for v, c in t.coeffs:
-        sym = _smt_symbol(v)
-        parts.append(sym if c == 1 else f"(* {_smt_int(c)} {sym})")
-    if t.const != 0 or not parts:
-        parts.append(_smt_int(t.const))
-    if len(parts) == 1:
-        return parts[0]
-    return "(+ " + " ".join(parts) + ")"
-
-
-def _smt_formula(f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, PropVar):
-        return f"|{f.name}|"
-    if isinstance(f, Atom):
-        op = "=" if f.rel == EQ else "<="
-        return f"({op} {_smt_term(f.term)} 0)"
-    if isinstance(f, Not):
-        return f"(not {_smt_formula(f.arg)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(_smt_formula(a) for a in f.args) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(_smt_formula(a) for a in f.args) + ")"
-    raise TypeError(f"not a formula: {f!r}")
 
 
 class Smtlib2Solver(_SolverBase):
@@ -1413,7 +1383,7 @@ class Smtlib2Solver(_SolverBase):
                 self._declared.add(sym)
                 self._send(f"(declare-fun {sym} () Real)")
         for name in sorted(propvars(phi)):
-            sym = f"|{name}|"
+            sym = _smt_symbol(name)
             if sym not in self._declared:
                 self._declared.add(sym)
                 self._send(f"(declare-fun {sym} () Bool)")
@@ -1432,7 +1402,7 @@ class Smtlib2Solver(_SolverBase):
         model: dict[VariableRef, Fraction] = {}
         bvals: dict[str, bool] = {}
         if arith or bools:
-            syms = [_smt_symbol(v) for v in arith] + [f"|{b}|" for b in bools]
+            syms = [_smt_symbol(v) for v in arith] + [_smt_symbol(b) for b in bools]
             self._send(f"(get-value ({' '.join(syms)}))")
             reply = self._read_sexpr()
             values = _parse_value_reply(reply)
@@ -1449,7 +1419,7 @@ class Smtlib2Solver(_SolverBase):
         self._declare(prep)
         self._send("(push 1)")
         try:
-            self._send(f"(assert {_smt_formula(prep)})")
+            self._send(f"(assert {to_sexpr(prep, _smt_symbol, _smt_int)})")
             if not self._is_sat():
                 return UNSAT
             model, bvals = self._model(prep)
@@ -1474,7 +1444,7 @@ class Smtlib2Solver(_SolverBase):
             self._declare(f)
         self._send("(push 1)")
         try:
-            self._send(f"(assert {_smt_formula(prep)})")
+            self._send(f"(assert {to_sexpr(prep, _smt_symbol, _smt_int)})")
             if not self._is_sat():
                 return None
             env, bools = self._model(prep)
@@ -1486,7 +1456,7 @@ class Smtlib2Solver(_SolverBase):
                     out.append(False)
                     continue
                 self._send("(push 1)")
-                self._send(f"(assert {_smt_formula(nq)})")
+                self._send(f"(assert {to_sexpr(nq, _smt_symbol, _smt_int)})")
                 try:
                     out.append(not self._is_sat())
                 finally:
@@ -1502,7 +1472,7 @@ class Smtlib2Solver(_SolverBase):
         if prep == FALSE:
             return []
         for name in important:
-            sym = f"|{name}|"
+            sym = _smt_symbol(name)
             if sym not in self._declared:
                 self._declared.add(sym)
                 self._send(f"(declare-fun {sym} () Bool)")
@@ -1512,7 +1482,7 @@ class Smtlib2Solver(_SolverBase):
         self._send("(push 1)")
         try:
             if prep != TRUE:
-                self._send(f"(assert {_smt_formula(prep)})")
+                self._send(f"(assert {to_sexpr(prep, _smt_symbol, _smt_int)})")
             while self._is_sat():
                 if not important:
                     results.append({})

@@ -1,8 +1,9 @@
-"""The formula rewrites against the recursive walks they replaced.
+"""The formula walks against the recursive walks they replaced.
 
 `normalize`, `at_indices`, `rename`, `drop_dead_pads` and `_Cnf.literal`
 must build the same formulas and the same CNF as the recursive versions
-kept here, on seeded random formulas and on every solver query of the
+kept here, and `to_sexpr` must print what the two recursive printers
+printed, on seeded random formulas and on every solver query of the
 lock ladders of 1..10 locks, their bug twins and corpus programs 0..199
 (see `_runs` for the configurations).
 """
@@ -17,6 +18,7 @@ from lbemc.engine import verify
 from lbemc.formula import (
     And,
     Atom,
+    EQ,
     FALSE,
     FalseF,
     Not,
@@ -34,6 +36,7 @@ from lbemc.formula import (
     f_or,
     negate_atom,
     rename,
+    to_sexpr,
     variables,
 )
 from lbemc.frontend import parse_program
@@ -181,6 +184,62 @@ def _ref_drop_dead_pads(f, pads, targets=()):
     return memo[id(f)]
 
 
+def _ref_term_sexpr(t, symbol, integer):
+    parts = []
+    for v, c in t.coeffs:
+        parts.append(symbol(v) if c == 1 else f"(* {integer(c)} {symbol(v)})")
+    if t.const != 0 or not parts:
+        parts.append(integer(t.const))
+    if len(parts) == 1:
+        return parts[0]
+    return "(+ " + " ".join(parts) + ")"
+
+
+def _ref_to_sexpr(f):
+    """The recursive `formula.to_sexpr`."""
+    if isinstance(f, TrueF):
+        return "true"
+    if isinstance(f, FalseF):
+        return "false"
+    if isinstance(f, PropVar):
+        return f.name
+    if isinstance(f, Atom):
+        return f"({f.rel} {_ref_term_sexpr(f.term, str, str)} 0)"
+    if isinstance(f, Not):
+        return f"(not {_ref_to_sexpr(f.arg)})"
+    if isinstance(f, And):
+        return "(and " + " ".join(_ref_to_sexpr(a) for a in f.args) + ")"
+    return "(or " + " ".join(_ref_to_sexpr(a) for a in f.args) + ")"
+
+
+def _ref_smt_formula(f):
+    """The recursive SMT-LIB printer of the external backend."""
+    def symbol(v):
+        return f"|{v}|"
+
+    def integer(n):
+        return str(n) if n >= 0 else f"(- {-n})"
+
+    if isinstance(f, TrueF):
+        return "true"
+    if isinstance(f, FalseF):
+        return "false"
+    if isinstance(f, PropVar):
+        return f"|{f.name}|"
+    if isinstance(f, Atom):
+        op = "=" if f.rel == EQ else "<="
+        return f"({op} {_ref_term_sexpr(f.term, symbol, integer)} 0)"
+    if isinstance(f, Not):
+        return f"(not {_ref_smt_formula(f.arg)})"
+    if isinstance(f, And):
+        return "(and " + " ".join(_ref_smt_formula(a) for a in f.args) + ")"
+    return "(or " + " ".join(_ref_smt_formula(a) for a in f.args) + ")"
+
+
+def _smtlib(f):
+    return to_sexpr(f, smt._smt_symbol, smt._smt_int)
+
+
 class _RefCnf(_Cnf):
     """_Cnf with the recursive Tseitin encoding."""
 
@@ -259,13 +318,12 @@ def _random_formulas():
 def _runs():
     """(source, encoding, mode) of every recorded verify run.
 
-    Every ladder of 1..10 locks and every bug twin runs under LBE, except
-    bug twins over 6 locks, whose replay takes seconds to minutes; SBE
-    runs every bug twin and the safe ladders of at most 3 (Boolean) and 4
+    Every ladder of 1..10 locks and its bug twin run under LBE; SBE runs
+    every bug twin and the safe ladders of at most 3 (Boolean) and 4
     (Cartesian) locks, as the next size takes seconds.  Corpus programs
     run in all four configurations.
     """
-    limits = {("lbe", "boolean"): (10, 6), ("lbe", "cartesian"): (10, 6),
+    limits = {("lbe", "boolean"): (10, 10), ("lbe", "cartesian"): (10, 10),
               ("sbe", "boolean"): (3, 10), ("sbe", "cartesian"): (4, 10)}
     for (encoding, mode), (safe, bug) in limits.items():
         for n in range(1, 11):
@@ -432,6 +490,14 @@ class TestAgainstRecursiveWalks:
             assert list(got.select_of.items()) == list(want.select_of.items())
             assert list(got.select_guard.items()) == list(want.select_guard.items())
 
+    def test_sexpr(self):
+        formulas = _random_formulas()
+        for f in formulas:
+            assert to_sexpr(f) == str(f) == _ref_to_sexpr(f)
+            assert _smtlib(f) == _ref_smt_formula(f)
+        texts = [_smtlib(f) for f in formulas]
+        assert any("(- " in t for t in texts) and any("|p|" in t for t in texts)
+
 
 # ---------------------------------------------------------------------------
 # depth: the walks run on an explicit stack
@@ -500,6 +566,26 @@ class TestDepth:
         assert {VariableRef("x"), VariableRef("y")} <= variables(g)
         assert _compound_nodes(g) == DEPTH and g == _ref_drop_dead_pads(f, pads)
         assert drop_dead_pads(f, pads, [f]) is f
+
+    def test_str_and_repr(self):
+        # no sharing here: the text repeats a shared subformula once per
+        # path to it, and the shared levels of `_deep_formula` would write
+        # out to far more text than memory holds
+        f = compare("<=", tvar("x"), const(0))
+        want, want_smt = str(f), _ref_smt_formula(f)
+        for i in range(DEPTH):
+            atom = compare("<=", tvar("y"), const(i))
+            if i % 2:
+                f = f_and(f_not(f), atom)
+                want = f"(and (not {want}) {atom})"
+                want_smt = f"(and (not {want_smt}) {_ref_smt_formula(atom)})"
+            else:
+                f = f_or(f, atom)
+                want = f"(or {want} {atom})"
+                want_smt = f"(or {want_smt} {_ref_smt_formula(atom)})"
+        assert _compound_nodes(f) == DEPTH
+        assert str(f) == want and repr(f) == f"<{want}>"
+        assert _smtlib(f) == want_smt
 
     def test_cnf(self):
         f, _ = _deep_formula()
