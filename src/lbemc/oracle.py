@@ -8,8 +8,9 @@ reachability search, and `engine.verify` replays every integral witness
 before it calls it replayed.
 
 Beyond the formula and operation data types, the module shares this with
-the symbolic engine: projection reads atoms into the solver's rows and
-normalizes with `smt.normalize` (its eliminator is its own), and replay
+the symbolic engine: projection splits a formula into cubes with the
+solver's `smt._cubes` and eliminates with the theory's own `smt.project`
+(substitution, then Fourier-Motzkin over the integer rows), and replay
 joins choices with the path encoding's `semantics._merge`, so it reads a
 model at the indices the path formula gave it.  The reachability search
 and path enumeration share nothing else.
@@ -21,26 +22,16 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .cfa import Edge, Program, program_variables
 from .formula import (
-    And,
-    Atom,
-    EQ,
-    FALSE,
     Formula,
-    LE,
     Not,
-    Or,
-    PropVar,
-    TRUE,
     Term,
     VariableRef,
     evaluate,
     f_and,
     f_or,
-    var_sort_key,
 )
 from .semantics import (
     Assign,
@@ -56,7 +47,7 @@ from .semantics import (
 # unused here; perfbench/tracer.py wraps `encode_edge` in this module's
 # namespace (looked up through __dict__), so the name has to stay
 from .semantics import encode_edge  # noqa: F401
-from .smt import _Lin, _TheoryConflict, _const_check, _lin_of_atom, normalize
+from .smt import _TheoryConflict, _atom_of_lin, _cubes, _lin_of_atom, normalize, project
 
 REACHABLE = "reachable"
 NOT_REACHABLE = "not-reachable"
@@ -182,155 +173,26 @@ def semantically_equivalent(a: Formula, b: Formula, solver) -> bool:
 # existential projection of indexed variables
 # ---------------------------------------------------------------------------
 
-def _dnf_cubes(f: Formula, cap: int = 20000) -> list[list]:
-    """Cubes (lists of atoms / propvar literals) of a normalized formula."""
-    if isinstance(f, Or):
-        out = []
-        for a in f.args:
-            out.extend(_dnf_cubes(a, cap))
-            if len(out) > cap:
-                raise ValueError("DNF expansion too large")
-        return out
-    if isinstance(f, And):
-        cubes: list[list] = [[]]
-        for a in f.args:
-            sub = _dnf_cubes(a, cap)
-            cubes = [c + s for c in cubes for s in sub]
-            if len(cubes) > cap:
-                raise ValueError("DNF expansion too large")
-        return cubes
-    if f == TRUE:
-        return [[]]
-    if f == FALSE:
-        return []
-    return [[f]]
-
-
-def _exact_atom(lin: _Lin) -> Formula:
-    """Integer-scaled atom preserving the rational meaning exactly."""
-    denom = 1
-    for c in lin.coeffs.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    denom = denom * lin.const.denominator // gcd(denom, lin.const.denominator)
-    coeffs = {v: int(c * denom) for v, c in lin.coeffs.items()}
-    const = int(lin.const * denom)
-    g = abs(const)
-    for c in coeffs.values():
-        g = gcd(g, abs(c))
-    if g > 1:
-        coeffs = {v: c // g for v, c in coeffs.items()}
-        const //= g
-    term = Term.of(const, coeffs)
-    if not term.coeffs:
-        if lin.is_eq:
-            return TRUE if const == 0 else FALSE
-        return TRUE if const <= 0 else FALSE
-    if lin.is_eq and term.coeffs[0][1] < 0:
-        term = -term
-    return Atom(EQ if lin.is_eq else LE, term)
-
-
-def _substitute(c: _Lin, v: VariableRef, expr: dict[VariableRef, Fraction],
-                expr_const: Fraction, origins: frozenset[int]) -> _Lin:
-    """c with v replaced by expr + expr_const, in rational arithmetic."""
-    b = c.coeffs.get(v)
-    if b is None:
-        return c
-    coeffs = {w: cw for w, cw in c.coeffs.items() if w != v}
-    for w, cw in expr.items():
-        coeffs[w] = coeffs.get(w, 0) + b * cw
-        if coeffs[w] == 0:
-            del coeffs[w]
-    return _Lin(coeffs, c.const + b * expr_const, c.is_eq, c.origins | origins)
-
-
-def _eliminate(constraints: list[_Lin], targets: set[VariableRef]) -> list[_Lin]:
-    """Existentially eliminate the target variables; raises on contradiction.
-
-    Rows may hold integer or Fraction coefficients.  This is a rational
-    eliminator of its own, a reference independent of the solver's
-    fraction-free one.
-    """
-    eqs = [c for c in constraints if c.is_eq]
-    ineqs = [c for c in constraints if not c.is_eq]
-    kept: list[_Lin] = []
-    while eqs:
-        eq = eqs.pop(0)
-        if _const_check(eq):
-            continue
-        tvars = sorted((v for v in eq.coeffs if v in targets), key=var_sort_key)
-        if not tvars:
-            kept.append(eq)
-            continue
-        v = next((w for w in tvars if abs(eq.coeffs[w]) == 1), tvars[0])
-        a = eq.coeffs[v]
-        expr = {w: Fraction(-c) / a for w, c in eq.coeffs.items() if w != v}
-        expr_const = Fraction(-eq.const) / a
-        eqs = [_substitute(c, v, expr, expr_const, eq.origins) for c in eqs]
-        new_ineqs = []
-        for c in ineqs:
-            c2 = _substitute(c, v, expr, expr_const, eq.origins)
-            if not _const_check(c2):
-                new_ineqs.append(c2)
-        ineqs = new_ineqs
-    remaining = sorted(
-        {v for c in ineqs for v in c.coeffs if v in targets}, key=var_sort_key
-    )
-    for v in remaining:
-        with_v = [c for c in ineqs if v in c.coeffs]
-        rest = [c for c in ineqs if v not in c.coeffs]
-        uppers = [c for c in with_v if c.coeffs[v] > 0]
-        lowers = [c for c in with_v if c.coeffs[v] < 0]
-        derived = []
-        for up in uppers:
-            for lo in lowers:
-                a, b = up.coeffs[v], lo.coeffs[v]
-                coeffs: dict[VariableRef, Fraction] = {}
-                for w, cw in up.coeffs.items():
-                    if w != v:
-                        coeffs[w] = cw * -b
-                for w, cw in lo.coeffs.items():
-                    if w == v:
-                        continue
-                    coeffs[w] = coeffs.get(w, Fraction(0)) + cw * a
-                    if coeffs[w] == 0:
-                        del coeffs[w]
-                comb = _Lin(coeffs, up.const * -b + lo.const * a, False,
-                            up.origins | lo.origins)
-                if not _const_check(comb):
-                    derived.append(comb)
-        ineqs = rest + derived
-    return kept + ineqs
-
-
 def project_indexed(phi: Formula) -> Formula:
     """Quantifier elimination of the implicitly existential indexed variables.
 
     The result ranges over current-state variables only and is equivalent
-    (over the rationals) to exists-indexed phi.  DNF-based, so intended for
-    test-sized formulas.
+    (over the rationals) to exists-indexed phi: each DNF cube is projected
+    with `smt.project`, whose rows become atoms without integer tightening.
+    DNF-based, so intended for test-sized formulas; raises ValueError for a
+    propositional literal or more than 20000 cubes.
     """
-    prep = normalize(phi)
+    cubes = _cubes(normalize(phi), 20000)
+    if cubes is None:
+        raise ValueError("projection needs an arithmetic formula of at most 20000 DNF cubes")
     disjuncts = []
-    for cube in _dnf_cubes(prep):
-        atoms = []
-        for lit in cube:
-            if isinstance(lit, Atom):
-                atoms.append(lit)
-            elif isinstance(lit, (PropVar, Not)):
-                raise ValueError("projection defined for arithmetic formulas only")
-            else:
-                raise AssertionError(lit)
-        targets = {
-            v for a in atoms for v in a.term.variables() if v.index is not None
-        }
+    for cube in cubes:
+        targets = {v for a in cube for v, _ in a.term.coeffs if v.index is not None}
         try:
-            residue = _eliminate(
-                [_lin_of_atom(a, i) for i, a in enumerate(atoms)], targets
-            )
+            residue = project([_lin_of_atom(a, 0) for a in cube], targets)
         except _TheoryConflict:
             continue
-        disjuncts.append(f_and(*(_exact_atom(lin) for lin in residue)))
+        disjuncts.append(f_and(*map(_atom_of_lin, residue)))
     return f_or(*disjuncts)
 
 

@@ -7,14 +7,16 @@ solved into a substitution map as they are asserted, inequalities are
 decided by Fourier-Motzkin, and backjumps pop the theory with the trail.
 The theory's rows are primitive integer vectors combined fraction-free
 and scaled only by positive factors, which is exact over Q; rationals are
-built only for a witness.  `normalize` pushes negations to the atoms and
-folds each negated atom into its integer-exact complement from the
-formula module, so the theory layer only ever sees conjunctions of
-canonical atoms; it and the Tseitin encoding walk formulas iteratively, at
-any depth.  Theory conflicts are turned into clauses over the conflicting
-atoms, which keeps enumeration on heavily disjunctive inputs polynomial
-in practice.  A model returned by `check_sat` is solved from scratch over
-the final true atoms.
+built only for a witness.  `project` runs the same substitution and
+Fourier-Motzkin over a chosen set of variables only, which existentially
+eliminates them from a conjunction over Q.  `normalize` pushes negations
+to the atoms and folds each negated atom into its integer-exact
+complement from the formula module, so the theory layer only ever sees
+conjunctions of canonical atoms; it and the Tseitin encoding walk
+formulas iteratively, at any depth.  Theory conflicts are turned into
+clauses over the conflicting atoms, which keeps enumeration on heavily
+disjunctive inputs polynomial in practice.  A model returned by
+`check_sat` is solved from scratch over the final true atoms.
 `entailed` decides which of several predicates a formula entails.  When
 the formula splits into a few conjunctive cubes and each complement is a
 disjunction of atoms, as in every Cartesian post, it asks the theory alone:
@@ -43,10 +45,12 @@ from .formula import (
     FALSE,
     FalseF,
     Formula,
+    LE,
     Not,
     Or,
     PropVar,
     TRUE,
+    Term,
     TrueF,
     VariableRef,
     evaluate,
@@ -110,6 +114,20 @@ def _key(is_eq: bool, coeffs: dict[VariableRef, int], const: int):
 def _lin_of_atom(atom: Atom, origin: int) -> _Lin:
     # canonical atoms are primitive already
     return _Lin(dict(atom.term.coeffs), atom.term.const, atom.rel == EQ, frozenset([origin]))
+
+
+def _atom_of_lin(c: _Lin) -> Atom:
+    """The atom of a non-constant row, the inverse of `_lin_of_atom`.
+
+    Built as it is, without `canon_le`: its integer tightening would turn
+    `2x - 1 <= 0` into `x <= 0` and lose the row's rational meaning.  An
+    equality is signed with a positive first coefficient, as canonical ones
+    are.
+    """
+    term = Term.of(c.const, c.coeffs)
+    if c.is_eq and term.coeffs[0][1] < 0:
+        term = -term
+    return Atom(EQ if c.is_eq else LE, term)
 
 
 class _TheoryConflict(Exception):
@@ -242,7 +260,9 @@ class _LinTheory:
             c = self._reduce(c)[0]
             if not _const_check(c):
                 reduced.append(c)
-        return _fourier_motzkin(reduced)
+        levels: list[tuple[VariableRef, list[_Lin]]] = []
+        _fourier_motzkin(reduced, None, levels)
+        return levels
 
     def model(self) -> dict[VariableRef, Fraction]:
         """A witness: FM levels solved backwards, then the substitutions."""
@@ -285,15 +305,18 @@ def _solve_lin(constraints: list[_Lin]):
     return theory.model()
 
 
-def _fourier_motzkin(ineqs: list[_Lin]) -> list[tuple[VariableRef, list[_Lin]]]:
-    """Eliminate the variables of `ineqs` (all `<= 0`) in variable order.
+def _fourier_motzkin(ineqs: list[_Lin], elim: set[VariableRef] | None,
+                     levels: list | None = None) -> list[_Lin]:
+    """Eliminate the variables of `ineqs` (all `<= 0`, none constant) that
+    are in the set `elim`, or all of them if it is None, in variable order;
+    returns the rows left, free of them.
 
-    Returns one level per variable: the constraints mentioning it when it
-    was eliminated, from which a model is solved backwards.  Raises
-    _TheoryConflict when a contradiction `0 < c <= 0` is derived.  The
-    combination of an upper bound a*v + ... and a lower bound b*v + ...
-    (a > 0 > b) is -b times the first plus a times the second, made
-    primitive.
+    When `levels` is a list, one level per eliminated variable is appended
+    to it: the constraints mentioning it when it was eliminated, from which
+    a model is solved backwards.  Raises _TheoryConflict when a
+    contradiction `0 < c <= 0` is derived.  The combination of an upper
+    bound a*v + ... and a lower bound b*v + ... (a > 0 > b) is -b times the
+    first plus a times the second, made primitive.
     """
     cur = []
     seen = set()
@@ -303,14 +326,16 @@ def _fourier_motzkin(ineqs: list[_Lin]) -> list[tuple[VariableRef, list[_Lin]]]:
             seen.add(k)
             cur.append(c)
 
-    names = sorted({v for c in cur for v in c.coeffs}, key=var_sort_key)
-    levels: list[tuple[VariableRef, list[_Lin]]] = []
-    for v in names:
+    names = {v for c in cur for v in c.coeffs}
+    if elim is not None:
+        names &= elim
+    for v in sorted(names, key=var_sort_key):
         with_v = [c for c in cur if v in c.coeffs]
         rest = [c for c in cur if v not in c.coeffs]
         uppers = [c for c in with_v if c.coeffs[v] > 0]
         lowers = [c for c in with_v if c.coeffs[v] < 0]
-        levels.append((v, with_v))
+        if levels is not None:
+            levels.append((v, with_v))
         derived = []
         seen = {c.key() for c in rest}
         for up in uppers:
@@ -339,7 +364,35 @@ def _fourier_motzkin(ineqs: list[_Lin]) -> list[tuple[VariableRef, list[_Lin]]]:
                     seen.add(k)
                     derived.append(_Lin(coeffs, const, False, up.origins | lo.origins))
         cur = rest + derived
-    return levels
+    return cur
+
+
+def project(rows: list[_Lin], targets: set[VariableRef]) -> list[_Lin]:
+    """Rows free of the variables in the set `targets` whose conjunction is
+    equivalent over the rationals to the conjunction of `rows` with the
+    targets existentially quantified; raises _TheoryConflict when `rows`
+    are unsatisfiable.
+
+    Each equality that has a target is solved for one (a unit coefficient
+    first, in variable order) and substituted into the rows after it;
+    Fourier-Motzkin then eliminates the targets left in the inequalities.
+    """
+    eqs = [c for c in rows if c.is_eq]
+    ineqs = [c for c in rows if not c.is_eq]
+    kept = []
+    while eqs:
+        eq = eqs.pop(0)
+        if _const_check(eq):
+            continue
+        vs = sorted((v for v in eq.coeffs if v in targets), key=var_sort_key)
+        if not vs:
+            kept.append(eq)
+            continue
+        v = next((w for w in vs if abs(eq.coeffs[w]) == 1), vs[0])
+        eqs = [_substitute(c, v, eq)[0] for c in eqs]
+        ineqs = [_substitute(c, v, eq)[0] for c in ineqs]
+    ineqs = [c for c in ineqs if not _const_check(c)]
+    return kept + _fourier_motzkin(ineqs, targets)
 
 
 def _pick_value(lo: Fraction | None, hi: Fraction | None) -> Fraction:
@@ -710,13 +763,6 @@ class _Dpll:
                     n_false += 1
             self._n_true.append(n_true)
             self._n_false.append(n_false)
-
-    def _violated(self, clause: list[int]) -> bool:
-        assign = self.assign
-        for lit in clause:
-            if assign.get(lit if lit > 0 else -lit) != (lit <= 0):
-                return False
-        return True
 
     # -- propagation ----------------------------------------------------------
 

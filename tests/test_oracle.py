@@ -3,7 +3,18 @@ import random
 import pytest
 
 from lbemc.cfa import CFA, Edge, Program, program_variables, summarize
-from lbemc.formula import FALSE, TRUE, VariableRef, compare, f_not, f_or
+from lbemc.formula import (
+    FALSE,
+    LE,
+    TRUE,
+    Atom,
+    Term,
+    VariableRef,
+    compare,
+    f_and,
+    f_not,
+    f_or,
+)
 from lbemc.frontend import parse_program
 from lbemc.oracle import (
     BUDGET_EXCEEDED,
@@ -122,6 +133,20 @@ class TestProjection:
 
         with pytest.raises(ValueError):
             project_indexed(PropVar("v"))
+
+    def test_rejects_more_than_20000_cubes(self):
+        # 15 two-atom disjunctions make 2**15 = 32768 cubes
+        phi = f_and(*(f_or(compare("<=", tvar(f"x{i}", 1), const(0)),
+                           compare(">=", tvar(f"x{i}", 1), const(2))) for i in range(15)))
+        with pytest.raises(ValueError):
+            project_indexed(phi)
+
+    def test_keeps_the_rational_meaning(self):
+        # exists t. 2x <= t <= 1 is 2x - 1 <= 0 over Q; integer tightening
+        # would give x <= 0
+        x, t = tvar("x"), tvar("t", 1)
+        phi = f_and(compare("<=", x.scale(2), t), compare("<=", t, const(1)))
+        assert project_indexed(phi) == Atom(LE, Term.of(-1, {VariableRef("x"): 2}))
 
 
 class TestLemmaHarnesses:

@@ -31,7 +31,7 @@ from lbemc.cfa import summarize
 from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
 from lbemc.frontend import parse_program
-from lbemc.oracle import _eliminate, _exact_atom, random_formula, random_program
+from lbemc.oracle import random_formula, random_program
 from lbemc.smt import (
     InternalSolver,
     Smtlib2Solver,
@@ -43,6 +43,7 @@ from lbemc.smt import (
     _solve_lin,
     make_solver,
     normalize,
+    project,
     theory_check,
 )
 
@@ -150,9 +151,12 @@ class TestLinTheory:
                 assert core <= {o for c in pushed for o in c.origins}
                 core_lins = [c for c in pushed if c.origins <= core]
                 assert _from_scratch(core_lins)[0] == "unsat"
-                # an independent eliminator agrees that the atoms are unsat
+                # the rational reference agrees that the atoms are unsat
                 with pytest.raises(_TheoryConflict):
-                    _eliminate(core_lins, {v for c in core_lins for v in c.coeffs})
+                    ref = _RefTheory()
+                    for c in core_lins:
+                        ref.push(_ref_lin(c))
+                    ref.check()
                 theory.pop_to(len(pushed) - 1)  # back to a satisfiable state
                 del stack[len(pushed) - 1:]
         assert unsat_seen > 20
@@ -175,6 +179,12 @@ class _RefLin:
 def _ref_lin_of_atom(atom, origin):
     return _RefLin({v: Fraction(c) for v, c in atom.term.coeffs},
                    Fraction(atom.term.const), atom.rel == EQ, frozenset([origin]))
+
+
+def _ref_lin(c):
+    """The integer row c in Fraction arithmetic."""
+    return _RefLin({v: Fraction(x) for v, x in c.coeffs.items()}, Fraction(c.const),
+                   c.is_eq, c.origins)
 
 
 def _ref_const_check(c):
@@ -214,14 +224,16 @@ def _row_key(c):
     return (c.is_eq, items, const // g)
 
 
-def _ref_fourier_motzkin(ineqs):
+def _ref_fourier_motzkin(ineqs, targets=None):
+    """(levels, rows left) after eliminating the targets, or every variable."""
     cur, seen = [], set()
     for c in ineqs:
         k = _row_key(c)
         if k not in seen:
             seen.add(k)
             cur.append(c)
-    names = sorted({v for c in cur for v in c.coeffs}, key=var_sort_key)
+    names = sorted({v for c in cur for v in c.coeffs
+                    if targets is None or v in targets}, key=var_sort_key)
     levels = []
     for v in names:
         with_v = [c for c in cur if v in c.coeffs]
@@ -247,7 +259,32 @@ def _ref_fourier_motzkin(ineqs):
                     seen.add(k)
                     derived.append(comb)
         cur = rest + derived
-    return levels
+    return levels, cur
+
+
+def _ref_project(rows, targets):
+    """smt.project in Fraction arithmetic, with the same pivot rule: a
+    target whose coefficient is a unit in the row's primitive integer form
+    first, in variable order."""
+    eqs = [c for c in rows if c.is_eq]
+    ineqs = [c for c in rows if not c.is_eq]
+    kept = []
+    while eqs:
+        eq = eqs.pop(0)
+        if _ref_const_check(eq):
+            continue
+        vs = sorted((v for v in eq.coeffs if v in targets), key=var_sort_key)
+        if not vs:
+            kept.append(eq)
+            continue
+        primitive = dict(_row_key(eq)[1])
+        v = next((w for w in vs if abs(primitive[w]) == 1), vs[0])
+        a = eq.coeffs[v]
+        expr = {w: -cw / a for w, cw in eq.coeffs.items() if w != v}
+        eqs = [_ref_substitute(c, v, expr, -eq.const / a, eq.origins) for c in eqs]
+        ineqs = [_ref_substitute(c, v, expr, -eq.const / a, eq.origins) for c in ineqs]
+    ineqs = [c for c in ineqs if not _ref_const_check(c)]
+    return kept + _ref_fourier_motzkin(ineqs, targets)[1]
 
 
 def _ref_pick_value(lo, hi):
@@ -310,7 +347,7 @@ class _RefTheory:
 
     def check(self):
         reduced = [c for c in map(self._reduce, self._ineqs) if not _ref_const_check(c)]
-        return _ref_fourier_motzkin(reduced)
+        return _ref_fourier_motzkin(reduced)[0]
 
     def model(self):
         env = {}
@@ -439,7 +476,7 @@ class TestAgainstFractionReference:
                 want = "unsat", exc.core
             assert _from_scratch([_lin_of_atom(a, i) for i, a in enumerate(atoms)]) == want
 
-    def test_exact_atom_accepts_the_rows(self):
+    def test_levels_have_the_reference_rows(self):
         rng = random.Random(61)
         compared = 0
         for _ in range(100):
@@ -452,16 +489,63 @@ class TestAgainstFractionReference:
                 ref_levels, levels = ref.check(), theory.check()
             except _TheoryConflict:
                 continue
+            assert [v for v, _ in levels] == [v for v, _ in ref_levels]
             for (_, ref_rows), (_, rows) in zip(ref_levels, levels):
-                for r, c in zip(ref_rows, rows):
-                    assert _exact_atom(c) == _exact_atom(r)
-                    compared += 1
-            # the oracle's eliminator takes rows of either number type
-            targets = {v for a in atoms for v in a.term.variables() if v.name == "x"}
-            got = _eliminate([_lin_of_atom(a, i) for i, a in enumerate(atoms)], targets)
-            want = _eliminate([_ref_lin_of_atom(a, i) for i, a in enumerate(atoms)], targets)
-            assert [_exact_atom(c) for c in got] == [_exact_atom(c) for c in want]
+                assert [_row_key(c) for c in rows] == [_row_key(r) for r in ref_rows]
+                compared += len(rows)
         assert compared > 100
+
+    def test_projection(self):
+        rng = random.Random(71)
+        outcomes = Counter()
+        for _ in range(300):
+            atoms = [a for a in (_mixed_ssa_atom(rng) for _ in range(rng.randint(3, 8)))
+                     if isinstance(a, Atom)]
+            outcomes[_projected_like_the_reference(atoms, rng)] += 1
+        assert outcomes["conflict"] > 20 and outcomes["inequalities"] > 100, outcomes
+
+    def test_projection_of_dense_inequalities(self):
+        # few variables and many bounds, so that Fourier-Motzkin combines
+        # rows whose combination keeps a variable that is not a target
+        rng = random.Random(73)
+        x, y, z, w = (tvar(n, 1) for n in "xyzw")
+        outcomes = Counter()
+        for _ in range(100):
+            atoms = []
+            for _ in range(8):
+                t = (x.scale(rng.choice([1, -1, 2, -2, 3])) + y.scale(rng.choice([0, 1, -2, 3]))
+                     + z.scale(rng.choice([0, 1, -1, 2])) + w.scale(rng.choice([0, 1, -1])))
+                atom = compare(rng.choice(["<=", "<=", ">=", "=="]), t, const(rng.randint(-6, 6)))
+                if isinstance(atom, Atom):
+                    atoms.append(atom)
+            outcomes[_projected_like_the_reference(atoms, rng)] += 1
+        assert outcomes["conflict"] > 10 and outcomes["combined"] > 15, outcomes
+
+
+def _projected_like_the_reference(atoms, rng):
+    """Project a random subset of the atoms' variables with smt.project and
+    with the reference, assert that both give the same residue (or the same
+    conflict core) and say which: "conflict", "combined" when the residue
+    holds a Fourier-Motzkin combination (a row with two inequality origins),
+    "inequalities" when it holds other inequalities, or "equalities"."""
+    names = sorted({v for a in atoms for v, _ in a.term.coeffs}, key=var_sort_key)
+    targets = set(rng.sample(names, rng.randint(0, len(names))))
+    rows = [_lin_of_atom(a, i) for i, a in enumerate(atoms)]
+    try:
+        want = _ref_project([_ref_lin(c) for c in rows], targets)
+    except _TheoryConflict as exc:
+        with pytest.raises(_TheoryConflict) as got:
+            project(rows, targets)
+        assert got.value.core == exc.core
+        return "conflict"
+    residue = project(rows, targets)
+    assert [(_row_key(c), c.origins) for c in residue] == \
+        [(_row_key(c), c.origins) for c in want]
+    assert not any(v in targets for c in residue for v in c.coeffs)
+    ineqs = {i for i, a in enumerate(atoms) if a.rel != EQ}
+    if any(len(c.origins & ineqs) > 1 for c in residue):
+        return "combined"
+    return "inequalities" if any(not c.is_eq for c in residue) else "equalities"
 
 
 class TestCheckSat:
