@@ -1073,6 +1073,10 @@ class InternalSolver(_SolverBase):
         # phi is unsat
         self._verdicts: dict[Formula, dict[Formula, bool] | None] = {}
         self._complements: dict[Formula, Formula] = {}  # q -> normalize(not q)
+        # the cube path's theory, kept across calls, and the atoms pushed
+        # into it, one per undo record
+        self._theory = _LinTheory()
+        self._pushed: list[Atom] = []
 
     # -- public interface --------------------------------------------------
 
@@ -1163,35 +1167,60 @@ class InternalSolver(_SolverBase):
 
     def _decide_by_cubes(self, cubes, qs, disjuncts, known) -> bool:
         """_decide for phi with the DNF cubes `cubes`: phi entails q iff
-        each disjunct of q's complement contradicts every satisfiable cube.
+        for every satisfiable cube, q is an atom of the cube or each
+        disjunct of q's complement contradicts the cube.
 
-        Each cube is pushed once into its own theory; a disjunct is pushed
-        on top, checked and popped.  A complement that the first model
-        satisfies is not entailed, as in the session.
+        The cubes are decided one after another on the solver's one theory,
+        synced to each cube by `_sync`; a disjunct is pushed on top, checked
+        and popped.  A complement that the first model satisfies is not
+        entailed, as in the session.
         """
-        theories = []
+        found = False
+        open_qs = list(zip(qs, disjuncts))
         for cube in cubes:
-            theory = _LinTheory()
             self.theory_checks += 1
             try:
-                for atom in cube:
-                    theory.push(_lin_of_atom(atom, 0))
-                theory.check()
+                self._sync(cube)
+                self._theory.check()
             except _TheoryConflict:
                 continue
-            theories.append(theory)
-        if not theories:
-            return False
-        if qs:
-            env = theories[0].model()
-        for q, atoms in zip(qs, disjuncts):
-            # the complement, not q: see _decide_in_session
-            known[q] = not any(_atom_holds(a, env) for a in atoms) and all(
-                self._refutes(theory, a) for a in atoms for theory in theories)
-        return True
+            if not found and open_qs:
+                # the complement, not q: see _decide_in_session
+                env = self._theory.model()
+                for q, atoms in open_qs:
+                    if any(_atom_holds(a, env) for a in atoms):
+                        known[q] = False
+                open_qs = [(q, atoms) for q, atoms in open_qs if q not in known]
+            found = True
+            if open_qs:
+                stated = set(cube)  # a predicate the cube states is entailed
+                for q, atoms in open_qs:
+                    if q not in stated and not all(self._refutes(a) for a in atoms):
+                        known[q] = False
+                open_qs = [(q, atoms) for q, atoms in open_qs if q not in known]
+        for q, _ in open_qs:
+            known[q] = True
+        return found
 
-    def _refutes(self, theory: _LinTheory, atom: Atom) -> bool:
-        """Whether atom contradicts theory, which is left as it was."""
+    def _sync(self, cube: list[Atom]) -> None:
+        """Make the theory hold exactly the atoms of cube: pop to the longest
+        prefix it shares with the atoms pushed so far, then push the rest.
+        Raises _TheoryConflict when a push does; the atoms before it stay."""
+        pushed = self._pushed
+        k = 0
+        for have, want in zip(pushed, cube):
+            if have != want:
+                break
+            k += 1
+        self._theory.pop_to(k)
+        del pushed[k:]
+        for atom in cube[k:]:
+            self._theory.push(_lin_of_atom(atom, 0))
+            pushed.append(atom)
+
+    def _refutes(self, atom: Atom) -> bool:
+        """Whether atom contradicts the theory, which is left as it was."""
+        theory = self._theory
         n = len(theory)
         self.theory_checks += 1
         try:

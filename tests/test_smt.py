@@ -797,6 +797,66 @@ class TestCubePath:
         assert records[0] == records[1] == records[2]
 
 
+class TestSharedTheory:
+    """The cube path keeps one theory across entailed calls and syncs it to
+    each cube by common prefix; answers must not depend on what it held."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """How often the theory is pushed and a disjunct is refuted."""
+        counts = Counter()
+        for cls, name in ((_LinTheory, "push"), (InternalSolver, "_refutes")):
+            original = getattr(cls, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+        return counts
+
+    def test_replay_in_any_order_answers_as_a_fresh_solver(self):
+        sources = [gen_test_locks(n, bug=bug) for n in (1, 2, 3, 4) for bug in (False, True)]
+        sources += [random_program(k) for k in range(50)]
+        calls = [call for source in sources for encoding in ("sbe", "lbe")
+                 for call in _recorded_entailed_calls(source, encoding)]
+        # no recorded cube has an equality that conflicts on push; these
+        # variants open with two that do
+        z = tvar("z")
+        clash = f_and(compare("==", z, const(0)), compare("==", z, const(1)))
+        calls += [(f_and(clash, phi), qs) for phi, qs in calls[::7]]
+        fresh = []
+        for phi, qs in calls:
+            solver = InternalSolver()
+            fresh.append((solver.entailed(phi, qs), solver.queries))
+        shuffled = list(range(len(calls)))
+        random.Random(12).shuffle(shuffled)
+        for order in (shuffled, shuffled[::-1]):
+            solver = InternalSolver()
+            for i in order:
+                before = solver.queries
+                answer = solver.entailed(*calls[i])
+                assert (answer, solver.queries - before) == fresh[i], calls[i]
+
+    def test_a_predicate_the_cubes_state_needs_no_refutation(self, counted):
+        x_is_1 = compare("==", tvar("x"), const(1))
+        phi = f_or(f_and(x_is_1, compare("==", tvar("y"), const(0))),
+                   f_and(x_is_1, compare("==", tvar("y"), const(1))))
+        solver = InternalSolver()
+        assert solver.entailed(phi, [x_is_1]) == [True]
+        assert counted["_refutes"] == 0
+        assert solver.entailed(phi, [compare("==", tvar("y"), const(0))]) == [False]
+
+    def test_locks_3_pushes_and_refutes_less(self, counted):
+        result = verify(parse_program(gen_test_locks(3)), mode="cartesian",
+                        solver=InternalSolver())
+        assert result.verdict == "safe"
+        # with a fresh theory per cube, SBE+Cartesian test_locks_3 made 2,959
+        # _LinTheory.push and 1,374 _refutes calls
+        assert counted["push"] <= 2959 // 2
+        assert counted["_refutes"] <= 1374 // 2
+
+
 class TestAllSat:
     def test_disjunction(self, solver):
         res = solver.all_sat(f_or(PropVar("v1"), PropVar("v2")), ["v1", "v2"])
