@@ -316,15 +316,15 @@ CONTRACT = {
 
 
 THEORY = {
-    "locks1/sbe/cartesian": (61, None),
+    "locks1/sbe/cartesian": (45, None),
     "locks1/lbe/boolean": (11, None),
-    "locks1/lbe/cartesian": (39, None),
-    "locks2/sbe/cartesian": (384, None),
+    "locks1/lbe/cartesian": (35, None),
+    "locks2/sbe/cartesian": (196, None),
     "locks2/lbe/boolean": (22, None),
-    "locks2/lbe/cartesian": (85, None),
-    "locks3/sbe/cartesian": (1770, None),
+    "locks2/lbe/cartesian": (79, None),
+    "locks3/sbe/cartesian": (676, None),
     "locks3/lbe/boolean": (36, None),
-    "locks3/lbe/cartesian": (150, None),
+    "locks3/lbe/cartesian": (142, None),
     "bug2/lbe/boolean": (33,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
         'lk2@1=0 lk2@2=0 lk2@3=0 p1@1=0 p2@1=0'),
@@ -334,10 +334,10 @@ THEORY = {
         'lk1@7=0 lk2@1=0 lk2@2=0 lk2@3=0 lk2@4=0 lk2@5=0 lk2@6=0 '
         'lk3@1=0 lk3@2=0 lk3@3=0 p1@1=0 p2@1=0 p3@1=0'),
     "bug3/sbe/cartesian": (22, 'cond@1=-1 lk1@1=0 lk2@1=0 lk3@1=0 p1@1=0 p2@1=0 p3@1=0'),
-    "locks4/sbe/cartesian": (6277, None),
-    "locks4/lbe/cartesian": (233, None),
-    "locks5/lbe/cartesian": (330, None),
-    "locks6/lbe/cartesian": (443, None),
+    "locks4/sbe/cartesian": (1907, None),
+    "locks4/lbe/cartesian": (223, None),
+    "locks5/lbe/cartesian": (318, None),
+    "locks6/lbe/cartesian": (429, None),
     "bug4/lbe/boolean": (88,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
         'lk1@7=0 lk1@8=0 lk2@1=0 lk2@2=0 lk2@3=0 lk2@4=0 lk2@5=0 '
