@@ -79,7 +79,32 @@ class Bdd:
         return out
 
     def implies(self, a: int, b: int) -> bool:
-        return self.apply_and(a, self.apply_not(b)) == self.FALSE
+        """Whether a AND NOT b is empty, decided without building a node:
+        the pairs of cofactors are walked on an explicit stack, each pair
+        once, until one pair has a nonempty difference.  In a reduced BDD
+        only FALSE is empty and only TRUE is valid, so a pair of which one
+        side is a terminal is decided at once."""
+        nodes = self._nodes
+        seen: set[tuple[int, int]] = set()
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            if a == self.FALSE or b == self.TRUE or a == b:
+                continue
+            if a == self.TRUE or b == self.FALSE:
+                return False
+            if (a, b) in seen:
+                continue
+            seen.add((a, b))
+            va, a_lo, a_hi = nodes[a]
+            vb, b_lo, b_hi = nodes[b]
+            if va < vb:
+                stack += ((a_lo, b), (a_hi, b))
+            elif vb < va:
+                stack += ((a, b_lo), (a, b_hi))
+            else:
+                stack += ((a_lo, b_lo), (a_hi, b_hi))
+        return True
 
     def cube(self, literals: list[tuple[int, bool]]) -> int:
         """Conjunction of literals, given as (var, polarity) pairs."""

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from lbemc.bdd import Bdd
 
@@ -51,3 +52,34 @@ def test_exhaustive_equivalence_small():
     for bits in itertools.product([False, True], repeat=2):
         env = {0: bits[0], 1: bits[1]}
         assert b.evaluate(demorgan, env) == (bits[0] or bits[1])
+
+
+def _random_bdd(b, rng, nvars, depth):
+    """A random BDD over variables 0..nvars-1 built by and/or/not."""
+    if depth == 0 or rng.random() < 0.2:
+        return b.literal(rng.randrange(nvars), rng.random() < 0.5)
+    op = rng.randrange(3)
+    if op == 2:
+        return b.apply_not(_random_bdd(b, rng, nvars, depth - 1))
+    x, y = _random_bdd(b, rng, nvars, depth - 1), _random_bdd(b, rng, nvars, depth - 1)
+    return b.apply_and(x, y) if op == 0 else b.apply_or(x, y)
+
+
+def test_implies_matches_the_built_difference_and_builds_no_node():
+    rng = random.Random(7)
+    b = Bdd()
+    pairs = []
+    for _ in range(300):
+        nvars = rng.randint(1, 6)
+        x = _random_bdd(b, rng, nvars, rng.randint(0, 5))
+        # every third y is weakened from x, so that many pairs do imply
+        y = (b.apply_or(x, _random_bdd(b, rng, nvars, 2)) if len(pairs) % 3 == 0
+             else _random_bdd(b, rng, nvars, rng.randint(0, 5)))
+        pairs.append((x, y))
+    size = b.size()
+    answers = [b.implies(x, y) for x, y in pairs]
+    assert b.size() == size
+    reference = [b.apply_and(x, b.apply_not(y)) == b.FALSE for x, y in pairs]
+    assert answers == reference
+    assert 50 < sum(answers) < len(answers) - 50
+    assert {b.TRUE, b.FALSE} & {u for pair in pairs for u in pair}
