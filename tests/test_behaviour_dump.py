@@ -31,3 +31,48 @@ def test_records_of_safe_and_unsafe_tasks():
     assert boolean and all(r["all_sat_models"] for r in boolean)
     # nothing is timed: a second run gives the same records
     assert [tool.dump_task(lbemc, "locks-cex", t) for t in tasks] == records
+
+
+def _write(path, records):
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    return path
+
+
+def test_compare_names_each_moved_field(tmp_path, capsys):
+    tool = _tool()
+    a = {"task": "w/a/sbe/cartesian", "verdict": "safe", "theory_checks": 61,
+         "stats": {"art_size": 15, "solver_queries": 55}}
+    b = {"task": "w/b/lbe/boolean", "verdict": "safe", "theory_checks": 4,
+         "stats": {"art_size": 4, "solver_queries": 4}}
+    old = _write(tmp_path / "old.jsonl", [a, b])
+    assert tool.main(["--compare", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "0 of 2 tasks differ\n"
+
+    moved = dict(a, theory_checks=45, stats={"art_size": 15, "solver_queries": 56})
+    extra = {"task": "w/c/sbe/cartesian", "verdict": "unknown"}
+    new = _write(tmp_path / "new.jsonl", [moved, b, extra])
+    assert tool.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "w/a/sbe/cartesian",
+        "  stats.solver_queries: 55 -> 56",
+        "  theory_checks: 61 -> 45",
+        "w/c/sbe/cartesian",
+        "  only in new",
+        "2 of 3 tasks differ",
+        "  (task): 1",
+        "  stats.solver_queries: 1",
+        "  theory_checks: 1",
+    ]
+
+
+def test_compare_shows_an_absent_field(tmp_path, capsys):
+    tool = _tool()
+    safe = {"task": "w/a/lbe/boolean", "verdict": "safe"}
+    crash = {"task": "w/a/lbe/boolean", "exception": "RecursionError: deep"}
+    old = _write(tmp_path / "old.jsonl", [safe])
+    new = _write(tmp_path / "new.jsonl", [crash])
+    assert tool.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        '  exception: (absent) -> "RecursionError: deep"',
+        '  verdict: "safe" -> (absent)',
+    ]
