@@ -17,6 +17,7 @@ class Bdd:
         self._nodes: list[tuple[int, int, int]] = [(-1, 0, 0), (-1, 1, 1)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._memo: dict[tuple, int] = {}
+        self._implies_memo: dict[tuple[int, int], bool] = {}
 
     def _mk(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -79,31 +80,45 @@ class Bdd:
         return out
 
     def implies(self, a: int, b: int) -> bool:
-        """Whether a AND NOT b is empty, decided without building a node:
-        the pairs of cofactors are walked on an explicit stack, each pair
-        once, until one pair has a nonempty difference.  In a reduced BDD
-        only FALSE is empty and only TRUE is valid, so a pair of which one
-        side is a terminal is decided at once."""
+        """Whether a AND NOT b is empty, decided without building a node.
+
+        The pairs of cofactors are walked depth first on an explicit stack.
+        A pair holds when both of its cofactor pairs do, and fails when one
+        of them fails, and then so do the expanded pairs still on the stack,
+        which are its ancestors.  Answers are memoized per pair across
+        calls.  In a reduced BDD only FALSE is empty and only TRUE is valid,
+        so a pair with a terminal side is decided at once.
+        """
+        memo = self._implies_memo
+        known = memo.get((a, b))
+        if known is not None:
+            return known
         nodes = self._nodes
-        seen: set[tuple[int, int]] = set()
-        stack = [(a, b)]
+        stack = [(a, b, False)]
         while stack:
-            a, b = stack.pop()
+            a, b, expanded = stack.pop()
             if a == self.FALSE or b == self.TRUE or a == b:
                 continue
-            if a == self.TRUE or b == self.FALSE:
-                return False
-            if (a, b) in seen:
+            known = False if a == self.TRUE or b == self.FALSE else memo.get((a, b))
+            if known:
                 continue
-            seen.add((a, b))
+            if known is False:
+                for x, y, ancestor in stack:
+                    if ancestor:
+                        memo[x, y] = False
+                return False
+            if expanded:
+                memo[a, b] = True
+                continue
+            stack.append((a, b, True))
             va, a_lo, a_hi = nodes[a]
             vb, b_lo, b_hi = nodes[b]
             if va < vb:
-                stack += ((a_lo, b), (a_hi, b))
+                stack += ((a_hi, b, False), (a_lo, b, False))
             elif vb < va:
-                stack += ((a, b_lo), (a, b_hi))
+                stack += ((a, b_hi, False), (a, b_lo, False))
             else:
-                stack += ((a_lo, b_lo), (a_hi, b_hi))
+                stack += ((a_hi, b_hi, False), (a_lo, b_lo, False))
         return True
 
     def cube(self, literals: list[tuple[int, bool]]) -> int:

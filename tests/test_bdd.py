@@ -79,6 +79,9 @@ def test_implies_matches_the_built_difference_and_builds_no_node():
     size = b.size()
     answers = [b.implies(x, y) for x, y in pairs]
     assert b.size() == size
+    # answers are memoized per pair: a second pass in reverse order reads
+    # the memo of the first
+    assert [b.implies(x, y) for x, y in reversed(pairs)] == answers[::-1]
     reference = [b.apply_and(x, b.apply_not(y)) == b.FALSE for x, y in pairs]
     assert answers == reference
     assert 50 < sum(answers) < len(answers) - 50
