@@ -19,11 +19,15 @@ disjunctive inputs polynomial in practice.  A model returned by
 `check_sat` is solved from scratch over the final true atoms.
 `entailed` decides which of several predicates a formula entails.  When
 the formula splits into a few conjunctive cubes and each complement is a
-disjunction of atoms, as in every Cartesian post, it asks the theory alone:
-each cube is pushed once, and each atom of a complement is pushed on top,
-checked and popped.  Otherwise it uses one search session: the formula's
-CNF is built once and each predicate's complement is assumed in turn,
-keeping what earlier answers learned.
+disjunction of atoms, as in every Cartesian post, it asks the theory alone.
+The solver keeps one theory across calls: before a cube is checked, the
+theory is popped to the longest prefix it shares with the cube's atoms and
+only the rest is pushed, so posts that share the incoming state re-push
+little more than the operation's atoms.  Each atom of a complement is then
+pushed on top, checked and popped, except against a cube that has the
+predicate itself as an atom and so entails it.  Otherwise it uses one
+search session: the formula's CNF is built once and each predicate's
+complement is assumed in turn, keeping what earlier answers learned.
 
 An SMT-LIB2 process backend is provided as an alternative; it receives the
 same literal-normalized formulas as the internal engine, so the two agree
@@ -1129,7 +1133,9 @@ class InternalSolver(_SolverBase):
         in the theory alone when phi splits into at most CUBE_BOUND
         conjunctive cubes and every complement of q is a disjunction of
         atoms, else in one CDCL session over phi's CNF; both ask the same
-        complete theory the same questions, so the verdicts agree.
+        complete theory, so the verdicts agree.  The cube path runs on one
+        theory that the solver keeps across calls, so answers and query
+        counts do not depend on the calls before.
         """
         self.queries += 1
         known = self._verdicts.get(phi, {})
@@ -1171,12 +1177,15 @@ class InternalSolver(_SolverBase):
         disjunct of q's complement contradicts the cube.
 
         The cubes are decided one after another on the solver's one theory,
-        synced to each cube by `_sync`; a disjunct is pushed on top, checked
-        and popped.  A complement that the first model satisfies is not
-        entailed, as in the session.
+        synced to each cube by `_sync`, which pushes only the atoms after
+        the prefix the theory already holds.  A complement that the first
+        satisfiable cube's model satisfies is not entailed, as in the
+        session.  Against each satisfiable cube, a q that the cube has as an
+        atom is skipped; for every other q still open, each disjunct is
+        pushed on top, checked and popped, until one is not refuted.
         """
-        found = False
         open_qs = list(zip(qs, disjuncts))
+        found = False
         for cube in cubes:
             self.theory_checks += 1
             try:
@@ -1187,20 +1196,18 @@ class InternalSolver(_SolverBase):
             if not found and open_qs:
                 # the complement, not q: see _decide_in_session
                 env = self._theory.model()
-                for q, atoms in open_qs:
-                    if any(_atom_holds(a, env) for a in atoms):
-                        known[q] = False
-                open_qs = [(q, atoms) for q, atoms in open_qs if q not in known]
+                open_qs = [(q, atoms) for q, atoms in open_qs
+                           if not any(_atom_holds(a, env) for a in atoms)]
             found = True
-            if open_qs:
-                stated = set(cube)  # a predicate the cube states is entailed
-                for q, atoms in open_qs:
-                    if q not in stated and not all(self._refutes(a) for a in atoms):
-                        known[q] = False
-                open_qs = [(q, atoms) for q, atoms in open_qs if q not in known]
-        for q, _ in open_qs:
-            known[q] = True
-        return found
+            stated = set(cube)  # a predicate the cube states is entailed
+            open_qs = [(q, atoms) for q, atoms in open_qs
+                       if q in stated or all(self._refutes(a) for a in atoms)]
+        if not found:
+            return False
+        entailed = {q for q, _ in open_qs}
+        for q in qs:
+            known[q] = q in entailed
+        return True
 
     def _sync(self, cube: list[Atom]) -> None:
         """Make the theory hold exactly the atoms of cube: pop to the longest
