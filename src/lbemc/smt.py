@@ -1193,21 +1193,21 @@ class InternalSolver(_SolverBase):
                 self._theory.check()
             except _TheoryConflict:
                 continue
-            if not found and open_qs:
-                # the complement, not q: see _decide_in_session
-                env = self._theory.model()
+            if open_qs:
+                if not found:
+                    # the complement, not q: see _decide_in_session
+                    env = self._theory.model()
+                    open_qs = [(q, atoms) for q, atoms in open_qs
+                               if not any(_atom_holds(a, env) for a in atoms)]
+                stated = set(cube)  # a predicate the cube states is entailed
                 open_qs = [(q, atoms) for q, atoms in open_qs
-                           if not any(_atom_holds(a, env) for a in atoms)]
+                           if q in stated or all(self._refutes(a) for a in atoms)]
             found = True
-            stated = set(cube)  # a predicate the cube states is entailed
-            open_qs = [(q, atoms) for q, atoms in open_qs
-                       if q in stated or all(self._refutes(a) for a in atoms)]
-        if not found:
-            return False
-        entailed = {q for q, _ in open_qs}
-        for q in qs:
-            known[q] = q in entailed
-        return True
+        if found:
+            entailed = {q for q, _ in open_qs}
+            for q in qs:
+                known[q] = q in entailed
+        return found
 
     def _sync(self, cube: list[Atom]) -> None:
         """Make the theory hold exactly the atoms of cube: pop to the longest
@@ -1216,11 +1216,12 @@ class InternalSolver(_SolverBase):
         pushed = self._pushed
         k = 0
         for have, want in zip(pushed, cube):
-            if have != want:
+            if have is not want and have != want:
                 break
             k += 1
-        self._theory.pop_to(k)
-        del pushed[k:]
+        if k < len(pushed):
+            self._theory.pop_to(k)
+            del pushed[k:]
         for atom in cube[k:]:
             self._theory.push(_lin_of_atom(atom, 0))
             pushed.append(atom)
