@@ -1194,12 +1194,13 @@ class InternalSolver(_SolverBase):
             except _TheoryConflict:
                 continue
             if open_qs:
+                stated = set(cube)  # the cube entails each predicate it states
                 if not found:
-                    # the complement, not q: see _decide_in_session
+                    # the complement, not q: see _decide_in_session; the
+                    # model satisfies a stated q, so not its complement
                     env = self._theory.model()
-                    open_qs = [(q, atoms) for q, atoms in open_qs
-                               if not any(_atom_holds(a, env) for a in atoms)]
-                stated = set(cube)  # a predicate the cube states is entailed
+                    open_qs = [(q, atoms) for q, atoms in open_qs if q in stated
+                               or not any(_atom_holds(a, env) for a in atoms)]
                 open_qs = [(q, atoms) for q, atoms in open_qs
                            if q in stated or all(self._refutes(a) for a in atoms)]
             found = True
