@@ -40,6 +40,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, floor, gcd
 
 from .formula import (
@@ -197,7 +198,14 @@ class _LinTheory:
 
     Rows are primitive integer vectors, combined fraction-free (Bareiss,
     Math. Comp. 1968) and scaled only by positive factors, which keeps
-    every verdict exact over Q; rationals appear only in `model`.
+    every verdict exact over Q; rationals appear only in `model` and in
+    the fixed values.
+
+    An equality whose reduced row has one variable fixes that variable:
+    `fixed` maps it to its value and the origins of the row, which entail
+    the value, and `fixed_order` lists the fixed variables in push order.
+    Popping the equality undoes the record.  The search reads them to
+    decide the atoms over fixed variables without a theory check.
     """
 
     _INEQ = object()  # undo record of a pushed inequality
@@ -208,6 +216,9 @@ class _LinTheory:
         self._order: list[VariableRef] = []
         self._ineqs: list[_Lin] = []
         self._undo: list = []  # eliminated variable, _INEQ, or None (redundant)
+        # fixed variable -> (value, origins of the row that fixed it)
+        self.fixed: dict[VariableRef, tuple[int | Fraction, frozenset[int]]] = {}
+        self.fixed_order: list[VariableRef] = []
 
     def __len__(self) -> int:
         return len(self._undo)
@@ -230,6 +241,11 @@ class _LinTheory:
         self._subst[v] = (len(self._order), c)
         self._order.append(v)
         self._undo.append(v)
+        if len(c.coeffs) == 1:
+            a = c.coeffs[v]
+            value = Fraction(-c.const, a) if c.const % a else -c.const // a
+            self.fixed[v] = (value, c.origins)
+            self.fixed_order.append(v)
 
     def pop_to(self, n: int) -> None:
         while len(self._undo) > n:
@@ -239,6 +255,8 @@ class _LinTheory:
             elif rec is not None:
                 del self._subst[rec]
                 self._order.pop()
+                if self.fixed.pop(rec, None) is not None:
+                    self.fixed_order.pop()
 
     def _reduce(self, c: _Lin) -> tuple[_Lin, int, int]:
         """Substitute eliminated variables in elimination order.  Also
@@ -634,6 +652,16 @@ class _Dpll:
     popped, so a decision compares the scores of those clauses only and
     recounts nothing; ties go to the lowest clause index.
 
+    After each theory check that finds no conflict, the atoms the asserted
+    equalities decide are propagated (Nieuwenhuis, Oliveras & Tinelli,
+    JACM 2006): through an index of the atoms by arithmetic variable, every
+    unassigned atom whose variables the theory has all fixed is evaluated
+    from the fixed values and assigned, with the lemma `[implied literal] +
+    [-origin ...]` added to the CNF as its reason, so unit propagation
+    re-derives it after a backjump and a branch that contradicts the
+    equalities is never decided.  When the check before a model implies
+    anything, the search returns to the decision step instead.
+
     `solve_under` decides the clauses under one assumption literal, the
     way MiniSat does (Een & Sorensson, SAT 2003), and can be called again
     after clauses are added to the CNF: learned clauses, theory lemmas and
@@ -651,6 +679,8 @@ class _Dpll:
         self.trail: list[int] = []
         self.level = 0
         self.theory_checks = 0
+        self.decisions = 0
+        self.conflicts = 0
         self._n_true: list[int] = []
         self._n_false: list[int] = []
         self._scanned = 0  # clauses checked for being unit at level zero
@@ -670,6 +700,13 @@ class _Dpll:
         self._score: dict[int, int] = {}
         self._n_scored = 0
         self._active: set[int] = set()  # selection clauses whose gate is true
+        # arithmetic variable -> the atom variables mentioning it, for the
+        # first _n_indexed atoms of the CNF
+        self._atoms_of: dict[VariableRef, list[int]] = {}
+        self._n_indexed = 0
+        # the first _n_implied fixed variables of the theory have had their
+        # atoms implied
+        self._n_implied = 0
 
     # -- assignment bookkeeping ---------------------------------------------
 
@@ -861,6 +898,7 @@ class _Dpll:
     def _handle_conflict(self, clause: list[int]):
         """Learn from the conflict and backjump; _EXHAUSTED at level zero."""
         while True:
+            self.conflicts += 1
             top = max(self.level_of[abs(l)] for l in clause) if clause else 0
             if top == 0:
                 return self._EXHAUSTED
@@ -926,6 +964,7 @@ class _Dpll:
         self.theory_checks += 1
         theory = self._theory
         theory.pop_to(self._synced)
+        self._n_implied = min(self._n_implied, len(theory.fixed_order))
         try:
             for var in true_atoms[len(theory):]:
                 theory.push(self._lin(var))
@@ -934,7 +973,47 @@ class _Dpll:
             return self.add_clause([-v for v in sorted(exc.core)])
         finally:
             self._synced = len(theory)
-        return None
+        return self._imply_fixed()
+
+    def _imply_fixed(self) -> list[int] | None:
+        """Assign each unassigned atom whose variables the theory has all
+        fixed, looking only at atoms over a variable fixed since the last
+        call, with its lemma as the reason; returns a violated clause."""
+        theory = self._theory
+        new = theory.fixed_order[self._n_implied:]
+        if not new:
+            return None
+        self._n_implied = len(theory.fixed_order)
+        atom_of = self.cnf.atom_of
+        if self._n_indexed < len(atom_of):
+            for var in islice(atom_of, self._n_indexed, None):
+                for v, _ in atom_of[var].term.coeffs:
+                    self._atoms_of.setdefault(v, []).append(var)
+            self._n_indexed = len(atom_of)
+        fixed = theory.fixed
+        implied = []
+        for x in new:
+            for var in self._atoms_of.get(x, ()):
+                if var in self.assign:
+                    continue
+                term = atom_of[var].term
+                total = term.const
+                origins = set()
+                for v, c in term.coeffs:
+                    f = fixed.get(v)
+                    if f is None:
+                        break
+                    total += c * f[0]
+                    origins |= f[1]
+                else:
+                    value = total == 0 if atom_of[var].rel == EQ else total <= 0
+                    lit = var if value else -var
+                    reason = self.add_clause([lit] + [-o for o in sorted(origins)])
+                    conflict_idx = self._set(var, value, reason)
+                    if conflict_idx is not None:
+                        return self.cnf.clauses[conflict_idx]
+                    implied.append(var)
+        return self._propagate(implied)
 
     # -- decisions --------------------------------------------------------------
 
@@ -992,6 +1071,7 @@ class _Dpll:
             decision = self._next_decision()
             if decision is not None:
                 var, value = decision
+                self.decisions += 1
                 self.level += 1
                 conflict_idx = self._set(var, value, None)
                 if conflict_idx is not None:
@@ -999,9 +1079,10 @@ class _Dpll:
                     continue
                 conflict = self._propagate([var]) or self._theory_conflict(force=True)
                 continue
+            n_assigned = len(self.trail)
             conflict = self._theory_conflict(force=True)
-            if conflict is not None:
-                continue
+            if conflict is not None or len(self.trail) > n_assigned:
+                continue  # a conflict, or implied atoms to propagate and check
             blocking_lits = on_model()
             if blocking_lits is None:
                 return
@@ -1068,10 +1149,16 @@ CUBE_BOUND = 8
 
 
 class InternalSolver(_SolverBase):
-    """Self-contained DPLL(T) solver for the formula language of this package."""
+    """Self-contained DPLL(T) solver for the formula language of this package.
+
+    Besides the theory checks it counts the decisions and conflicts of its
+    search sessions, which `--stats` does not report.
+    """
 
     def __init__(self) -> None:
         super().__init__()
+        self.decisions = 0
+        self.conflicts = 0
         self._memo: dict[Formula, SatResult] = {}
         # phi -> {q: phi entails q} for the q decided so far, or None if
         # phi is unsat
@@ -1122,7 +1209,7 @@ class InternalSolver(_SolverBase):
             ]
 
         dpll.run(on_model)
-        self.theory_checks += dpll.theory_checks
+        self._count(dpll)
         return results
 
     def entailed(self, phi: Formula, qs) -> list[bool] | None:
@@ -1263,7 +1350,7 @@ class InternalSolver(_SolverBase):
                                 or dpll.solve_under(cnf.literal(nq)))
             return True
         finally:
-            self.theory_checks += dpll.theory_checks
+            self._count(dpll)
 
     def _solve(self, phi: Formula) -> SatResult:
         prep = normalize(phi)
@@ -1285,7 +1372,7 @@ class InternalSolver(_SolverBase):
         cnf.add_clause([cnf.literal(prep)])
         dpll = _Dpll(cnf)
         found = dpll.solve_under(None)
-        self.theory_checks += dpll.theory_checks
+        self._count(dpll)
         if not found:
             return UNSAT
         # the witness is solved from scratch over the final true atoms in
@@ -1294,6 +1381,11 @@ class InternalSolver(_SolverBase):
             _lin_of_atom(a, v) for v, a in cnf.atom_of.items() if dpll.assign.get(v)
         ])
         return self._fill(phi, env, dpll.bools())
+
+    def _count(self, dpll: _Dpll) -> None:
+        self.theory_checks += dpll.theory_checks
+        self.decisions += dpll.decisions
+        self.conflicts += dpll.conflicts
 
     @staticmethod
     def _fill(phi: Formula, env: dict[VariableRef, Fraction], bools) -> SatResult:
