@@ -26,6 +26,7 @@ def test_run_records_every_size(tmp_path):
     for r in records:
         assert r["verdict"] == "safe" and r["art_size"] == 4
         assert r["theory_checks"] > 0 and r["verify_s"] > 0 and r["summarize_s"] > 0
+        assert r["decisions"] > 0 and 0 < r["conflicts"] <= r["decisions"]
         assert len(r["query_atoms"]) == 4 and max(r["query_atoms"]) > 0
     # the slope is fitted over n >= 20 only
     assert stored["a"]["loglog_slope"] is None

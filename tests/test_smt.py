@@ -857,49 +857,71 @@ class TestSharedTheory:
         assert counted["_refutes"] <= 1374 // 2
 
 
+def _truth_table_cases():
+    """Seeded (phi, important, [phi and one assignment of important]),
+    assignments in truth-table order."""
+    rng = random.Random(21)
+    names = ["v1", "v2", "v3", "v4"]
+    for _ in range(30):
+        important = names[:rng.randint(1, 4)]
+        phi = f_and(
+            random_formula(rng, ["a", "b"], depth=1),
+            f_or(*(PropVar(n) if rng.random() < 0.6 else f_not(PropVar(n))
+                   for n in important)),
+        )
+        rows = []
+        for bits in itertools.product([True, False], repeat=len(important)):
+            lits = [PropVar(n) if b else f_not(PropVar(n)) for n, b in zip(important, bits)]
+            rows.append((dict(zip(important, bits)), f_and(phi, *lits)))
+        yield phi, important, rows
+
+
+# (phi, important) of the fixed TestAllSat examples
+DISJUNCTION = (f_or(PropVar("v1"), PropVar("v2")), ["v1", "v2"])
+CONTRADICTION = (f_and(PropVar("v1"), f_not(PropVar("v1"))), ["v1"])
+FIXED_X = (f_and(f_iff(compare(">", tvar("x"), const(0)), PropVar("v1")),
+                 f_iff(compare("<", tvar("x"), const(5)), PropVar("v2")),
+                 compare("==", tvar("x"), const(2))),
+           ["v1", "v2"])
+
+
 class TestAllSat:
     def test_disjunction(self, solver):
-        res = solver.all_sat(f_or(PropVar("v1"), PropVar("v2")), ["v1", "v2"])
-        assert res == [
+        assert solver.all_sat(*DISJUNCTION) == [
             {"v1": True, "v2": True},
             {"v1": True, "v2": False},
             {"v1": False, "v2": True},
         ]
 
     def test_contradiction(self, solver):
-        assert solver.all_sat(f_and(PropVar("v1"), f_not(PropVar("v1"))), ["v1"]) == []
+        assert solver.all_sat(*CONTRADICTION) == []
 
     def test_theory_propagation(self, solver):
-        f = f_and(
-            f_iff(compare(">", tvar("x"), const(0)), PropVar("v1")),
-            f_iff(compare("<", tvar("x"), const(5)), PropVar("v2")),
-            compare("==", tvar("x"), const(2)),
-        )
-        assert solver.all_sat(f, ["v1", "v2"]) == [{"v1": True, "v2": True}]
+        assert solver.all_sat(*FIXED_X) == [{"v1": True, "v2": True}]
 
     def test_completeness_vs_truth_table(self, solver):
-        rng = random.Random(21)
-        names = ["v1", "v2", "v3", "v4"]
-        for trial in range(30):
-            k = rng.randint(1, 4)
-            important = names[:k]
-            phi = f_and(
-                random_formula(rng, ["a", "b"], depth=1),
-                f_or(*(PropVar(n) if rng.random() < 0.6 else f_not(PropVar(n))
-                       for n in important)),
-            )
+        for trial, (phi, important, rows) in enumerate(_truth_table_cases()):
             got = solver.all_sat(phi, important)
-            expected = []
-            for bits in itertools.product([True, False], repeat=k):
-                sigma = dict(zip(important, bits))
-                lits = [PropVar(n) if b else f_not(PropVar(n)) for n, b in sigma.items()]
-                if solver.check_sat(f_and(phi, *lits)).is_sat:
-                    expected.append(sigma)
+            expected = [sigma for sigma, f in rows if solver.check_sat(f).is_sat]
             assert sorted(got, key=str) == sorted(expected, key=str), (trial, phi)
 
     def test_no_important_vars(self, solver):
         assert solver.all_sat(compare(">", tvar("x"), const(0)), []) == [{}]
         assert solver.all_sat(FALSE, []) == []
+
+
+def _marked_cases():
+    """Seeded (phi, marks): a random formula with each of four predicates,
+    one of them an equality, tied to a propositional mark."""
+    rng = random.Random(5)
+    names = ["a", "b", "c"]
+    for _ in range(60):
+        qs = [random_formula(rng, names, depth=1) for _ in range(3)]
+        qs.append(compare("==", tvar(rng.choice(names)), const(rng.randint(-1, 1))))
+        marks = [f"m{i}" for i in range(len(qs))]
+        yield (f_and(random_formula(rng, names, depth=3),
+                     *(f_iff(q, PropVar(m)) for q, m in zip(qs, marks))),
+               marks)
 
 
 class TestSelectionScores:
@@ -926,14 +948,7 @@ class TestSelectionScores:
         return seen
 
     def test_all_sat_sessions(self, solver, decisions):
-        rng = random.Random(5)
-        names = ["a", "b", "c"]
-        for _ in range(60):
-            qs = [random_formula(rng, names, depth=1) for _ in range(3)]
-            qs.append(compare("==", tvar(rng.choice(names)), const(rng.randint(-1, 1))))
-            marks = [f"m{i}" for i in range(len(qs))]
-            phi = f_and(random_formula(rng, names, depth=3),
-                        *(f_iff(q, PropVar(m)) for q, m in zip(qs, marks)))
+        for phi, marks in _marked_cases():
             solver.all_sat(phi, marks)
         assert len(decisions) > 200
         assert max(score for _, _, score in decisions) >= 2
@@ -991,6 +1006,92 @@ class TestSelectionScores:
         for session, n_select, _ in decisions:
             grown += n_select > first.setdefault(session, n_select)
         assert grown > 20
+
+
+def _propagation_runs():
+    """(source, encoding, mode) of the verify runs whose lemmas are checked:
+    LBE+Boolean ladders of 1..6 locks, the bug twins of 2..4 locks under
+    LBE+Boolean and SBE+Cartesian, and corpus programs 0..49 under all four
+    configurations."""
+    for n in range(1, 7):
+        yield gen_test_locks(n), "lbe", "boolean"
+    for n in range(2, 5):
+        for encoding, mode in (("lbe", "boolean"), ("sbe", "cartesian")):
+            yield gen_test_locks(n, bug=True), encoding, mode
+    for k in range(50):
+        for encoding in ("sbe", "lbe"):
+            for mode in ("cartesian", "boolean"):
+                yield random_program(k), encoding, mode
+
+
+def _seeded_answers():
+    """The answers of a fresh solver to the seeded sessions of TestAllSat
+    and TestSelectionScores (all_sat lists, check_sat statuses and
+    entailed verdicts), and its theory check count."""
+    solver = InternalSolver()
+    answers = [solver.all_sat(*case) for case in (DISJUNCTION, CONTRADICTION, FIXED_X)]
+    answers.append(solver.all_sat(compare(">", tvar("x"), const(0)), []))
+    for phi, important, rows in _truth_table_cases():
+        answers.append(solver.all_sat(phi, important))
+        answers.append([solver.check_sat(f).status for _, f in rows])
+    for phi, marks in _marked_cases():
+        answers.append(solver.all_sat(phi, marks))
+    bound, smt.CUBE_BOUND = smt.CUBE_BOUND, 0  # every phi gets a session
+    try:
+        for phi, qs in _entailment_cases(43, 120):
+            answers.append(solver.entailed(phi, qs))
+    finally:
+        smt.CUBE_BOUND = bound
+    return answers, solver.theory_checks
+
+
+class TestTheoryPropagation:
+    """Atoms over variables that the asserted equalities fix are assigned
+    without a decision, each with a lemma as its reason."""
+
+    def test_every_lemma_is_sound(self, monkeypatch):
+        lemmas = set()  # (antecedent atoms, implied atom, its value)
+        original = _Dpll._imply_fixed
+
+        def recording(dpll):
+            n = len(dpll.cnf.clauses)
+            try:
+                return original(dpll)
+            finally:
+                atom_of = dpll.cnf.atom_of
+                for lit, *rest in dpll.cnf.clauses[n:]:
+                    lemmas.add((tuple(atom_of[-o] for o in rest), atom_of[abs(lit)], lit > 0))
+
+        monkeypatch.setattr(_Dpll, "_imply_fixed", recording)
+        for source, encoding, mode in _propagation_runs():
+            program = parse_program(source)
+            if encoding == "lbe":
+                program, _ = summarize(program)
+            verify(program, mode=mode, solver=InternalSolver())
+        assert len(lemmas) > 50
+        assert {value for _, _, value in lemmas} == {True, False}
+        for antecedents, atom, value in lemmas:
+            complement = [atom] if not value else list(smt._disjuncts(normalize(f_not(atom))))
+            for c in complement:
+                assert not theory_check(list(antecedents) + [c]).is_sat, (antecedents, atom, value)
+
+    def test_answers_match_the_search_without_propagation(self, monkeypatch):
+        answers, checks = _seeded_answers()
+        monkeypatch.setattr(_Dpll, "_imply_fixed", lambda dpll: None)
+        answers_without, checks_without = _seeded_answers()
+        assert answers == answers_without
+        assert checks < checks_without
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_lock_ladder_counts_grow_linearly(self, n):
+        # without propagation: 190/580/1,960 theory checks and
+        # 186/576/1,956 decisions at n = 10/20/40
+        program, _ = summarize(parse_program(gen_test_locks(n)))
+        solver = InternalSolver()
+        assert verify(program, mode="boolean", solver=solver).verdict == "safe"
+        assert solver.theory_checks <= 8 * n
+        assert solver.decisions <= 8 * n
+        assert 0 < solver.conflicts <= solver.decisions
 
 
 @pytest.fixture(scope="module")

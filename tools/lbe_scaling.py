@@ -16,6 +16,8 @@ the program as it is), and `verify` runs in the abstraction mode `--mode`
   - `summarize_s` (LBE only) and `verify_s`: the median `summarize` and
     `verify` times over `--repeat` runs;
   - `theory_checks`, `art_size` and `verdict` of the run;
+  - `decisions` and `conflicts`: the search counters of the solver, or
+    None for a checkout whose `InternalSolver` does not count them;
   - `query_atoms`: the distinct atoms of each `all_sat` query after
     `smt.normalize` (the atoms the solver decides), in call order; empty
     in Cartesian mode, which makes no `all_sat` query.
@@ -79,7 +81,9 @@ def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
                   if isinstance(g, lbemc.formula.Atom)}) for phi in queries]
     record = {"n": n, "verify_s": round(statistics.median(times), 4),
               "verdict": result.verdict, "art_size": result.stats.art_size,
-              "theory_checks": solver.theory_checks, "query_atoms": atoms}
+              "theory_checks": solver.theory_checks,
+              "decisions": getattr(solver, "decisions", None),
+              "conflicts": getattr(solver, "conflicts", None), "query_atoms": atoms}
     if summarize_times:
         record["summarize_s"] = round(statistics.median(summarize_times), 5)
     return record
