@@ -597,10 +597,31 @@ def to_sexpr(f: Formula, symbol=str, integer=str) -> str:
     `symbol` renders variables and propositional variables and `integer`
     the numbers; the defaults give the text `parse_sexpr` reads, and the
     SMT-LIB backend passes its own (`|x@1|`, `(- 3)`).  One string is built
-    per distinct node, on the post-order walk, so any depth prints, and a
-    node's string is dropped once its last parent has used it.  The text
+    per distinct node (see `_render`), so any depth prints.  The text
     still repeats a shared subformula once per path to it.
     """
+    def node(g: Formula, parts: list[str]) -> str:
+        if isinstance(g, Not):
+            return f"(not {parts[0]})"
+        if isinstance(g, (And, Or)):
+            return ("(and " if isinstance(g, And) else "(or ") + " ".join(parts) + ")"
+        if isinstance(g, TrueF):
+            return "true"
+        if isinstance(g, FalseF):
+            return "false"
+        if isinstance(g, PropVar):
+            return symbol(g.name)
+        if isinstance(g, Atom):
+            return f"({g.rel} {_term_sexpr(g.term, symbol, integer)} 0)"
+        raise TypeError(f"not a formula: {g!r}")
+
+    return _render(f, node)
+
+
+def _render(f: Formula, node) -> str:
+    """The text of f, built as `node(g, texts of g's arguments)` for each
+    distinct node g on the post-order walk; a node's text is dropped once
+    its last parent has used it."""
     uses = Counter(id(a) for g in _dag_nodes(f) for a in _args(g))
     text: dict[int, str] = {}
 
@@ -609,22 +630,7 @@ def to_sexpr(f: Formula, symbol=str, integer=str) -> str:
         return text[id(a)] if uses[id(a)] else text.pop(id(a))
 
     for g in _postorder(f, _args):
-        if isinstance(g, Not):
-            out = f"(not {take(g.arg)})"
-        elif isinstance(g, (And, Or)):
-            head = "(and " if isinstance(g, And) else "(or "
-            out = head + " ".join(map(take, g.args)) + ")"
-        elif isinstance(g, TrueF):
-            out = "true"
-        elif isinstance(g, FalseF):
-            out = "false"
-        elif isinstance(g, PropVar):
-            out = symbol(g.name)
-        elif isinstance(g, Atom):
-            out = f"({g.rel} {_term_sexpr(g.term, symbol, integer)} 0)"
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        text[id(g)] = out
+        text[id(g)] = node(g, [take(a) for a in _args(g)])
     return text[id(f)]
 
 
@@ -736,23 +742,25 @@ def term_infix(t: Term) -> str:
 
 
 def formula_infix(f: Formula) -> str:
-    """Human-oriented rendering used in DOT labels and traces."""
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, PropVar):
-        return f.name
-    if isinstance(f, Atom):
-        vars_part = Term(0, f.term.coeffs)
-        if f.rel == LE and all(c < 0 for _, c in f.term.coeffs):
-            return f"{term_infix(-vars_part)} >= {f.term.const}"
-        op = "==" if f.rel == EQ else "<="
-        return f"{term_infix(vars_part)} {op} {-f.term.const}"
-    if isinstance(f, Not):
-        return f"!({formula_infix(f.arg)})"
-    if isinstance(f, And):
-        return "(" + " && ".join(formula_infix(a) for a in f.args) + ")"
-    if isinstance(f, Or):
-        return "(" + " || ".join(formula_infix(a) for a in f.args) + ")"
-    raise TypeError(f"not a formula: {f!r}")
+    """Human-oriented rendering used in DOT labels and traces; built
+    iteratively like `to_sexpr`, so any depth prints."""
+    def node(g: Formula, parts: list[str]) -> str:
+        if isinstance(g, TrueF):
+            return "true"
+        if isinstance(g, FalseF):
+            return "false"
+        if isinstance(g, PropVar):
+            return g.name
+        if isinstance(g, Atom):
+            vars_part = Term(0, g.term.coeffs)
+            if g.rel == LE and all(c < 0 for _, c in g.term.coeffs):
+                return f"{term_infix(-vars_part)} >= {g.term.const}"
+            op = "==" if g.rel == EQ else "<="
+            return f"{term_infix(vars_part)} {op} {-g.term.const}"
+        if isinstance(g, Not):
+            return f"!({parts[0]})"
+        if isinstance(g, (And, Or)):
+            return "(" + (" && " if isinstance(g, And) else " || ").join(parts) + ")"
+        raise TypeError(f"not a formula: {g!r}")
+
+    return _render(f, node)

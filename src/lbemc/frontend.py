@@ -358,8 +358,14 @@ class _Parser:
 
 
 def parse(source: str) -> SourceProgram:
-    """Parse source text; raises ParseError with line/column on bad input."""
-    return _Parser(tokenize(source)).program()
+    """Parse source text; raises ParseError with line/column on bad input,
+    and on input nested more deeply than the recursive descent can go
+    ("nesting too deep", at the token where it stopped)."""
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.program()
+    except RecursionError:
+        raise parser.error("nesting too deep") from None
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,23 @@ class TestExitCodes:
         assert err.startswith("internal error: RecursionError: ")
         assert "solver error" not in err and "Traceback" not in err
 
+    def test_nesting_too_deep_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.imp"
+        path.write_text("int x;\n" + "if (x < 1) {\n" * 2000 + "}\n" * 2000)
+        assert main([str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.rstrip().endswith("nesting too deep")
+
+    def test_nested_program_is_verified(self, tmp_path, capsys):
+        # no depth cap: what the recursive descent parses still verifies
+        depth = 400
+        path = tmp_path / "nested.imp"
+        path.write_text("int x;\nx = nondet();\n"
+                        + "".join(f"if (x > {i}) {{\n" for i in range(depth))
+                        + "if (x < 0) { error(); }\n" + "}\n" * depth)
+        assert main([str(path)]) == 0
+        assert "SAFE" in capsys.readouterr().out
+
     def test_long_straight_line_is_verified(self, tmp_path, capsys):
         path = tmp_path / "long.imp"
         path.write_text("int x;\nx = 0;\n" + "x = x + 1;\n" * 2000

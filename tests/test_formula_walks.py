@@ -2,8 +2,8 @@
 
 `normalize`, `at_indices`, `rename`, `drop_dead_pads` and `_Cnf.literal`
 must build the same formulas and the same CNF as the recursive versions
-kept here, and `to_sexpr` must print what the two recursive printers
-printed, on seeded random formulas and on every solver query of the
+kept here, and `to_sexpr` and `formula_infix` must print what the
+recursive printers printed, on seeded random formulas and on every solver query of the
 lock ladders of 1..10 locks, their bug twins and corpus programs 0..199
 (see `_runs` for the configurations).
 """
@@ -21,10 +21,12 @@ from lbemc.formula import (
     EQ,
     FALSE,
     FalseF,
+    LE,
     Not,
     Or,
     PropVar,
     TRUE,
+    Term,
     TrueF,
     VariableRef,
     _args,
@@ -34,8 +36,10 @@ from lbemc.formula import (
     f_and,
     f_not,
     f_or,
+    formula_infix,
     negate_atom,
     rename,
+    term_infix,
     to_sexpr,
     variables,
 )
@@ -234,6 +238,27 @@ def _ref_smt_formula(f):
     if isinstance(f, And):
         return "(and " + " ".join(_ref_smt_formula(a) for a in f.args) + ")"
     return "(or " + " ".join(_ref_smt_formula(a) for a in f.args) + ")"
+
+
+def _ref_formula_infix(f):
+    """The recursive `formula.formula_infix`."""
+    if isinstance(f, TrueF):
+        return "true"
+    if isinstance(f, FalseF):
+        return "false"
+    if isinstance(f, PropVar):
+        return f.name
+    if isinstance(f, Atom):
+        vars_part = Term(0, f.term.coeffs)
+        if f.rel == LE and all(c < 0 for _, c in f.term.coeffs):
+            return f"{term_infix(-vars_part)} >= {f.term.const}"
+        op = "==" if f.rel == EQ else "<="
+        return f"{term_infix(vars_part)} {op} {-f.term.const}"
+    if isinstance(f, Not):
+        return f"!({_ref_formula_infix(f.arg)})"
+    if isinstance(f, And):
+        return "(" + " && ".join(_ref_formula_infix(a) for a in f.args) + ")"
+    return "(" + " || ".join(_ref_formula_infix(a) for a in f.args) + ")"
 
 
 def _smtlib(f):
@@ -495,6 +520,7 @@ class TestAgainstRecursiveWalks:
         for f in formulas:
             assert to_sexpr(f) == str(f) == _ref_to_sexpr(f)
             assert _smtlib(f) == _ref_smt_formula(f)
+            assert formula_infix(f) == _ref_formula_infix(f)
         texts = [_smtlib(f) for f in formulas]
         assert any("(- " in t for t in texts) and any("|p|" in t for t in texts)
 
@@ -572,20 +598,23 @@ class TestDepth:
         # path to it, and the shared levels of `_deep_formula` would write
         # out to far more text than memory holds
         f = compare("<=", tvar("x"), const(0))
-        want, want_smt = str(f), _ref_smt_formula(f)
+        want, want_smt, want_infix = str(f), _ref_smt_formula(f), _ref_formula_infix(f)
         for i in range(DEPTH):
             atom = compare("<=", tvar("y"), const(i))
             if i % 2:
                 f = f_and(f_not(f), atom)
                 want = f"(and (not {want}) {atom})"
                 want_smt = f"(and (not {want_smt}) {_ref_smt_formula(atom)})"
+                want_infix = f"(!({want_infix}) && {_ref_formula_infix(atom)})"
             else:
                 f = f_or(f, atom)
                 want = f"(or {want} {atom})"
                 want_smt = f"(or {want_smt} {_ref_smt_formula(atom)})"
+                want_infix = f"({want_infix} || {_ref_formula_infix(atom)})"
         assert _compound_nodes(f) == DEPTH
         assert str(f) == want and repr(f) == f"<{want}>"
         assert _smtlib(f) == want_smt
+        assert formula_infix(f) == want_infix
 
     def test_cnf(self):
         f, _ = _deep_formula()

@@ -47,6 +47,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("int x; if x > 0 { }")
 
+    def test_nesting_too_deep_is_a_parse_error(self):
+        depth = 5_000
+        for source in ("int x;\n" + "if (x < 1) {\n" * depth + "}\n" * depth,
+                       "int x;\nassume(" + "(" * depth + "x < 1" + ")" * depth + ");"):
+            with pytest.raises(ParseError) as err:
+                parse(source)
+            assert str(err.value).endswith(": nesting too deep")
+
     def test_assert_desugars_to_guarded_error(self):
         sp = parse("int x; assert(x == 1);")
         stmt = sp.body[0]
