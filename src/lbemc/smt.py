@@ -202,10 +202,10 @@ class _LinTheory:
     the fixed values.
 
     An equality whose reduced row has one variable fixes that variable:
-    `fixed` maps it to its value and the origins of the row, which entail
-    the value, and `fixed_order` lists the fixed variables in push order.
-    Popping the equality undoes the record.  The search reads them to
-    decide the atoms over fixed variables without a theory check.
+    `fixed` maps it, in push order, to its value and the origins of the
+    row, which entail the value.  Popping the equality undoes the record.
+    The search reads the records to decide the atoms over fixed variables
+    without a theory check.
     """
 
     _INEQ = object()  # undo record of a pushed inequality
@@ -218,7 +218,6 @@ class _LinTheory:
         self._undo: list = []  # eliminated variable, _INEQ, or None (redundant)
         # fixed variable -> (value, origins of the row that fixed it)
         self.fixed: dict[VariableRef, tuple[int | Fraction, frozenset[int]]] = {}
-        self.fixed_order: list[VariableRef] = []
 
     def __len__(self) -> int:
         return len(self._undo)
@@ -245,7 +244,6 @@ class _LinTheory:
             a = c.coeffs[v]
             value = Fraction(-c.const, a) if c.const % a else -c.const // a
             self.fixed[v] = (value, c.origins)
-            self.fixed_order.append(v)
 
     def pop_to(self, n: int) -> None:
         while len(self._undo) > n:
@@ -255,8 +253,7 @@ class _LinTheory:
             elif rec is not None:
                 del self._subst[rec]
                 self._order.pop()
-                if self.fixed.pop(rec, None) is not None:
-                    self.fixed_order.pop()
+                self.fixed.pop(rec, None)
 
     def _reduce(self, c: _Lin) -> tuple[_Lin, int, int]:
         """Substitute eliminated variables in elimination order.  Also
@@ -505,7 +502,8 @@ class _Cnf:
     the union of its arguments' sets, where a disjunction argument's set
     is the one recorded when it was encoded.  `select_of` indexes the
     selection clauses by arithmetic variable and `select_guard` by gate,
-    for the scores and the active set `_Dpll` maintains.
+    for the scores and the active set `_Dpll` maintains; `atoms_of` indexes
+    the atoms by arithmetic variable, for theory propagation.
     """
 
     def __init__(self) -> None:
@@ -513,6 +511,7 @@ class _Cnf:
         self.clauses: list[list[int]] = []
         self.occ: dict[int, list[int]] = {}  # signed literal -> clause indices
         self.atom_of: dict[int, Atom] = {}
+        self.atoms_of: dict[VariableRef, list[int]] = {}  # variable -> atom vars
         self.var_of_input: dict[Formula, int] = {}
         self.decisions: list[int] = []  # important vars, decided first
         self.select_clauses: list[int] = []
@@ -559,6 +558,8 @@ class _Cnf:
             self.var_of_input[f] = v
             if isinstance(f, Atom):
                 self.atom_of[v] = f
+                for x, _ in f.term.coeffs:
+                    self.atoms_of.setdefault(x, []).append(v)
         return v
 
     def literal(self, f: Formula) -> int:
@@ -700,10 +701,6 @@ class _Dpll:
         self._score: dict[int, int] = {}
         self._n_scored = 0
         self._active: set[int] = set()  # selection clauses whose gate is true
-        # arithmetic variable -> the atom variables mentioning it, for the
-        # first _n_indexed atoms of the CNF
-        self._atoms_of: dict[VariableRef, list[int]] = {}
-        self._n_indexed = 0
         # the first _n_implied fixed variables of the theory have had their
         # atoms implied
         self._n_implied = 0
@@ -964,7 +961,7 @@ class _Dpll:
         self.theory_checks += 1
         theory = self._theory
         theory.pop_to(self._synced)
-        self._n_implied = min(self._n_implied, len(theory.fixed_order))
+        self._n_implied = min(self._n_implied, len(theory.fixed))
         try:
             for var in true_atoms[len(theory):]:
                 theory.push(self._lin(var))
@@ -979,21 +976,15 @@ class _Dpll:
         """Assign each unassigned atom whose variables the theory has all
         fixed, looking only at atoms over a variable fixed since the last
         call, with its lemma as the reason; returns a violated clause."""
-        theory = self._theory
-        new = theory.fixed_order[self._n_implied:]
-        if not new:
+        fixed = self._theory.fixed
+        if self._n_implied == len(fixed):
             return None
-        self._n_implied = len(theory.fixed_order)
-        atom_of = self.cnf.atom_of
-        if self._n_indexed < len(atom_of):
-            for var in islice(atom_of, self._n_indexed, None):
-                for v, _ in atom_of[var].term.coeffs:
-                    self._atoms_of.setdefault(v, []).append(var)
-            self._n_indexed = len(atom_of)
-        fixed = theory.fixed
+        new = list(islice(fixed, self._n_implied, None))
+        self._n_implied = len(fixed)
+        atom_of, atoms_of = self.cnf.atom_of, self.cnf.atoms_of
         implied = []
         for x in new:
-            for var in self._atoms_of.get(x, ()):
+            for var in atoms_of.get(x, ()):
                 if var in self.assign:
                     continue
                 term = atom_of[var].term
