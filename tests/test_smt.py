@@ -1027,7 +1027,8 @@ def _propagation_runs():
 def _seeded_answers():
     """The answers of a fresh solver to the seeded sessions of TestAllSat
     and TestSelectionScores (all_sat lists, check_sat statuses and
-    entailed verdicts), and its theory check count."""
+    entailed verdicts), and its theory check count; the entailed sessions
+    need CUBE_BOUND 0, as in TestSelectionScores."""
     solver = InternalSolver()
     answers = [solver.all_sat(*case) for case in (DISJUNCTION, CONTRADICTION, FIXED_X)]
     answers.append(solver.all_sat(compare(">", tvar("x"), const(0)), []))
@@ -1036,12 +1037,8 @@ def _seeded_answers():
         answers.append([solver.check_sat(f).status for _, f in rows])
     for phi, marks in _marked_cases():
         answers.append(solver.all_sat(phi, marks))
-    bound, smt.CUBE_BOUND = smt.CUBE_BOUND, 0  # every phi gets a session
-    try:
-        for phi, qs in _entailment_cases(43, 120):
-            answers.append(solver.entailed(phi, qs))
-    finally:
-        smt.CUBE_BOUND = bound
+    for phi, qs in _entailment_cases(43, 120):
+        answers.append(solver.entailed(phi, qs))
     return answers, solver.theory_checks
 
 
@@ -1076,6 +1073,7 @@ class TestTheoryPropagation:
                 assert not theory_check(list(antecedents) + [c]).is_sat, (antecedents, atom, value)
 
     def test_answers_match_the_search_without_propagation(self, monkeypatch):
+        monkeypatch.setattr(smt, "CUBE_BOUND", 0)  # every phi gets a session
         answers, checks = _seeded_answers()
         monkeypatch.setattr(_Dpll, "_imply_fixed", lambda dpll: None)
         answers_without, checks_without = _seeded_answers()
