@@ -5,6 +5,8 @@ The internal engine searches the propositional skeleton of a formula
 search asserts in a backtrackable theory over the rationals: equalities are
 solved into a substitution map as they are asserted, inequalities are
 decided by Fourier-Motzkin, and backjumps pop the theory with the trail.
+An equality that fixes a variable propagates: the atoms over fixed
+variables only are assigned from the fixed values, each with a lemma.
 The theory's rows are primitive integer vectors combined fraction-free
 and scaled only by positive factors, which is exact over Q; rationals are
 built only for a witness.  `project` runs the same substitution and
