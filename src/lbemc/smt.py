@@ -487,9 +487,6 @@ def normalize(f: Formula) -> Formula:
 # Tseitin CNF + CDCL with an incremental theory
 # ---------------------------------------------------------------------------
 
-_NO_VARS: frozenset[VariableRef] = frozenset()
-
-
 class _Cnf:
     """Tseitin encoding keyed by structural formula identity.
 
@@ -500,12 +497,9 @@ class _Cnf:
     still-unsatisfied selection clause, so the search enumerates branch
     selections instead of wandering through arbitrary atom assignments.
 
-    A selection clause keeps the arithmetic variables of its disjunction,
-    the union of its arguments' sets, where a disjunction argument's set
-    is the one recorded when it was encoded.  `select_of` indexes the
-    selection clauses by arithmetic variable and `select_guard` by gate,
-    for the scores and the active set `_Dpll` maintains; `atoms_of` indexes
-    the atoms by arithmetic variable, for theory propagation.
+    `select_guard` maps each disjunction's gate to its selection clause,
+    for the active set `_Dpll` maintains; `atoms_of` indexes the atoms by
+    arithmetic variable, for theory propagation.
     """
 
     def __init__(self) -> None:
@@ -516,14 +510,8 @@ class _Cnf:
         self.atoms_of: dict[VariableRef, list[int]] = {}  # variable -> atom vars
         self.var_of_input: dict[Formula, int] = {}
         self.decisions: list[int] = []  # important vars, decided first
-        self.select_clauses: list[int] = []
-        self.select_vars: dict[int, frozenset[VariableRef]] = {}
-        # arithmetic variable -> selection clauses whose set holds it
-        self.select_of: dict[VariableRef, list[int]] = {}
         self.select_guard: dict[int, int] = {}  # gate -> its selection clause
         self._gate: dict[Formula, int] = {}
-        # disjunction gate -> the arithmetic variables below it
-        self._vars: dict[int, frozenset[VariableRef]] = {}
         self._const_true: int | None = None
 
     def new_var(self) -> int:
@@ -595,29 +583,12 @@ class _Cnf:
                 else:
                     for a in args:
                         self.add_clause([g, -a])
-                    vs = self._vars[g] = _NO_VARS.union(*map(self._vars_of, h.args))
                     idx = self.add_clause([-g] + args)
                     if idx is not None:
-                        self.select_clauses.append(idx)
-                        self.select_vars[idx] = vs
                         self.select_guard[g] = idx
-                        for v in vs:
-                            self.select_of.setdefault(v, []).append(idx)
                 lit = self._gate[h] = g
             lits[id(h)] = lit
         return lits[id(f)]
-
-    def _vars_of(self, f: Formula) -> frozenset[VariableRef]:
-        """The arithmetic variables of an encoded formula."""
-        if isinstance(f, Atom):
-            return frozenset(v for v, _ in f.term.coeffs)
-        if isinstance(f, Not):
-            return self._vars_of(f.arg)
-        if isinstance(f, Or):
-            return self._vars[self._gate[f]]
-        if isinstance(f, And):
-            return _NO_VARS.union(*map(self._vars_of, f.args))
-        return _NO_VARS
 
     def true_lit(self) -> int:
         if self._const_true is None:
@@ -630,10 +601,10 @@ class _Dpll:
     """CDCL search over the clause database.
 
     Decisions assign the AllSAT-important variables first, then pick an
-    argument of a pending selection clause (preferring the selection that
-    shares the most variables with the already-asserted atoms, so branches
-    contradicting the current assertions are refuted before unrelated
-    selections multiply the search).  Once nothing is pending, every
+    argument of the pending selection clause with the lowest index, so
+    selections are decided in the order their disjunctions were encoded;
+    the theory propagation below keeps the search off the branches that
+    the asserted equalities contradict.  Once nothing is pending, every
     remaining clause is satisfied by leaving its unassigned variables
     false.  Theory consistency of the asserted atoms is checked eagerly
     (batched); a theory conflict contributes its contradiction core as a
@@ -644,16 +615,9 @@ class _Dpll:
 
     The true atoms are kept in trail order and mirrored by a _LinTheory,
     so a theory check pushes only the atoms asserted since the last one,
-    after popping those the search has retracted.  A per-variable count of
-    the true atoms' arithmetic variables gives the set of asserted
-    variables, and each selection clause's score, the size of its
-    intersection with that set, is maintained as the set changes: an
-    assignment or a pop that moves a variable's count between 0 and 1
-    adjusts the scores of the clauses `_Cnf.select_of` lists for it, the
-    lazy bookkeeping of Chaff (Moskewicz et al., DAC 2001).  The selection
-    clauses whose gate is true are kept in a set as gates are assigned and
-    popped, so a decision compares the scores of those clauses only and
-    recounts nothing; ties go to the lowest clause index.
+    after popping those the search has retracted.  The selection clauses
+    whose gate is true are kept in a set as gates are assigned and popped,
+    so a decision looks at those clauses only.
 
     After each theory check that finds no conflict, the atoms the asserted
     equalities decide are propagated (Nieuwenhuis, Oliveras & Tinelli,
@@ -696,12 +660,6 @@ class _Dpll:
         # the first constraints of the theory
         self._true_atoms: list[int] = []
         self._synced = 0
-        # arithmetic variable -> number of true atoms mentioning it
-        self._asserted: dict[VariableRef, int] = {}
-        # selection clause -> |asserted variables & its select_vars|, for
-        # the first _n_scored selection clauses
-        self._score: dict[int, int] = {}
-        self._n_scored = 0
         self._active: set[int] = set()  # selection clauses whose gate is true
         # the first _n_implied fixed variables of the theory have had their
         # atoms implied
@@ -718,13 +676,6 @@ class _Dpll:
         if value:
             if var in self.cnf.atom_of:
                 self._true_atoms.append(var)
-                asserted = self._asserted
-                for v in self._lin(var).coeffs:
-                    n = asserted.get(v, 0)
-                    asserted[v] = n + 1
-                    if not n:
-                        for idx in self.cnf.select_of.get(v, ()):
-                            self._score[idx] += 1
             else:
                 idx = self.cnf.select_guard.get(var)
                 if idx is not None:
@@ -750,14 +701,6 @@ class _Dpll:
             if var in self.cnf.atom_of:
                 self._true_atoms.pop()
                 self._synced = min(self._synced, len(self._true_atoms))
-                asserted = self._asserted
-                for v in self._lins[var].coeffs:
-                    if asserted[v] == 1:
-                        del asserted[v]
-                        for idx in self.cnf.select_of.get(v, ()):
-                            self._score[idx] -= 1
-                    else:
-                        asserted[v] -= 1
             else:
                 self._active.discard(self.cnf.select_guard.get(var))
         for idx in self.cnf.occ[var if value else -var]:
@@ -776,20 +719,14 @@ class _Dpll:
         """Add a clause mid-search, initializing its counters."""
         idx = self.cnf.add_clause(lits)
         if idx is None:
-            raise AssertionError("tautological learned clause")
+            raise AssertionError("tautological clause added mid-search")
         self._count_new_clauses()
         return self.cnf.clauses[idx]
 
     def _count_new_clauses(self) -> None:
-        """Initialize the counters and scores of clauses the CNF gained
-        since the last call, from the current assignment.  Must run before
-        the assignment changes after the CNF grows."""
-        select = self.cnf.select_clauses
-        if self._n_scored < len(select):
-            asserted = self._asserted.keys()
-            for idx in select[self._n_scored:]:
-                self._score[idx] = len(asserted & self.cnf.select_vars[idx])
-            self._n_scored = len(select)
+        """Initialize the counters of clauses the CNF gained since the last
+        call, from the current assignment.  Must run before the assignment
+        changes after the CNF grows."""
         assign = self.assign
         for clause in self.cnf.clauses[len(self._n_true):]:
             n_true = n_false = 0
@@ -811,6 +748,14 @@ class _Dpll:
             if abs(lit) not in self.assign:
                 return lit
         return None
+
+    def _assign_and_propagate(self, lit: int, reason: list[int] | None) -> list[int] | None:
+        """Assign lit, with the clause that forces it as its reason (None
+        for a decision), then propagate; returns a violated clause."""
+        conflict_idx = self._set(abs(lit), lit > 0, reason)
+        if conflict_idx is not None:
+            return self.cnf.clauses[conflict_idx]
+        return self._propagate([abs(lit)])
 
     def _propagate(self, pending: list[int]) -> list[int] | None:
         """Unit propagation; returns the violated clause on conflict."""
@@ -850,10 +795,7 @@ class _Dpll:
                 lit = self._unit_literal(idx)
                 if lit is None:
                     continue
-                conflict = self._set(abs(lit), lit > 0, clause)
-                if conflict is not None:
-                    return self.cnf.clauses[conflict]
-                conflict = self._propagate([abs(lit)])
+                conflict = self._assign_and_propagate(lit, clause)
                 if conflict is not None:
                     return conflict
         return None
@@ -905,39 +847,23 @@ class _Dpll:
             learned, back = self._analyze(clause)
             self.add_clause(learned)
             self._pop_to_level(back)
-            uip_lit = learned[0]
-            conflict_idx = self._set(abs(uip_lit), uip_lit > 0, learned)
-            if conflict_idx is None:
-                conflict = self._propagate([abs(uip_lit)]) or self._theory_conflict()
-                if conflict is None:
-                    return None
-                clause = conflict
-            else:
-                clause = self.cnf.clauses[conflict_idx]
+            clause = self._assign_and_propagate(learned[0], learned) or self._theory_conflict()
+            if clause is None:
+                return None
 
     def _skip_blocked(self, lits: list[int]):
         """Install a blocking clause for the model just emitted and unwind
         to the deepest level where another assignment is still possible."""
-        idx = self.cnf.add_clause(lits)
-        if idx is None:
-            raise AssertionError("tautological blocking clause")
-        clause = self.cnf.clauses[idx]
-        self._n_true.append(0)
-        self._n_false.append(len(clause))
+        clause = self.add_clause(lits)
         levels = sorted({self.level_of[abs(l)] for l in clause}, reverse=True)
         if levels[0] == 0:
             return self._EXHAUSTED
         back = levels[1] if len(levels) > 1 else 0
         self._pop_to_level(back)
-        conflict = None
-        if self._n_true[idx] == 0 and self._n_false[idx] == len(clause) - 1:
-            lit = self._unit_literal(idx)
-            conflict_idx = self._set(abs(lit), lit > 0, clause)
-            if conflict_idx is not None:
-                conflict = self.cnf.clauses[conflict_idx]
-            else:
-                conflict = self._propagate([abs(lit)]) or self._theory_conflict()
-        return conflict
+        free = [lit for lit in clause if abs(lit) not in self.assign]
+        if len(free) > 1:
+            return None
+        return self._assign_and_propagate(free[0], clause) or self._theory_conflict()
 
     # -- theory integration ----------------------------------------------------
 
@@ -1010,34 +936,29 @@ class _Dpll:
 
     # -- decisions --------------------------------------------------------------
 
-    def _next_decision(self) -> tuple[int, bool] | None:
-        """The assumption, else the next important variable, else an
-        argument of the pending selection with the highest score."""
+    def _next_decision(self) -> int | None:
+        """The literal to decide: the assumption, else the next important
+        variable, true, else an argument of the pending selection clause
+        with the lowest index."""
         lit = self._assumption
         if lit is not None and abs(lit) not in self.assign:
-            return abs(lit), lit > 0
+            return lit
         decisions = self.cnf.decisions
         while self._decide_head < len(decisions):
             v = decisions[self._decide_head]
             if v not in self.assign:
-                return v, True
+                return v
             self._decide_head += 1
-        score = self._score
-        best = None
-        best_score = -1
-        for idx in self._active:
-            if self._n_true[idx] > 0:
-                continue
-            if self._n_false[idx] >= len(self.cnf.clauses[idx]) - 1:
-                continue  # unit or conflicting: propagation handles it
-            s = score[idx]
-            if s > best_score or (s == best_score and idx < best):
-                best, best_score = idx, s
+        clauses, n_true, n_false = self.cnf.clauses, self._n_true, self._n_false
+        # a unit or conflicting clause is not pending: propagation handles it
+        best = min((idx for idx in self._active
+                    if not n_true[idx] and n_false[idx] < len(clauses[idx]) - 1),
+                   default=None)
         if best is None:
             return None
         for lit in self.cnf.clauses[best][1:]:
             if abs(lit) not in self.assign:
-                return abs(lit), lit > 0
+                return lit
         return None
 
     def run(self, on_model) -> None:
@@ -1063,14 +984,10 @@ class _Dpll:
                 return
             decision = self._next_decision()
             if decision is not None:
-                var, value = decision
                 self.decisions += 1
                 self.level += 1
-                conflict_idx = self._set(var, value, None)
-                if conflict_idx is not None:
-                    conflict = self.cnf.clauses[conflict_idx]
-                    continue
-                conflict = self._propagate([var]) or self._theory_conflict(force=True)
+                conflict = (self._assign_and_propagate(decision, None)
+                            or self._theory_conflict(force=True))
                 continue
             n_assigned = len(self.trail)
             conflict = self._theory_conflict(force=True)

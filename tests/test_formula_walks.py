@@ -289,14 +289,9 @@ class _RefCnf(_Cnf):
         else:
             for a in args:
                 self.add_clause([g, -a])
-            vs = self._vars[g] = frozenset().union(*map(self._vars_of, f.args))
             idx = self.add_clause([-g] + args)
             if idx is not None:
-                self.select_clauses.append(idx)
-                self.select_vars[idx] = vs
                 self.select_guard[g] = idx
-                for v in vs:
-                    self.select_of.setdefault(v, []).append(idx)
         self._gate[f] = g
         return g
 
@@ -510,9 +505,6 @@ class TestAgainstRecursiveWalks:
                 assert got.literal(prep) == want.literal(prep)
             assert got.clauses == want.clauses
             assert list(got.atom_of.items()) == list(want.atom_of.items())
-            assert got.select_clauses == want.select_clauses
-            assert list(got.select_vars.items()) == list(want.select_vars.items())
-            assert list(got.select_of.items()) == list(want.select_of.items())
             assert list(got.select_guard.items()) == list(want.select_guard.items())
 
     def test_sexpr(self):

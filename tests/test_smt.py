@@ -9,13 +9,11 @@ from math import gcd
 import pytest
 
 from lbemc.formula import (
-    And,
     Atom,
     EQ,
     PropVar,
     TRUE,
     FALSE,
-    Or,
     VariableRef,
     compare,
     evaluate,
@@ -24,7 +22,6 @@ from lbemc.formula import (
     f_not,
     f_or,
     var_sort_key,
-    variables,
 )
 from lbemc import smt
 from lbemc.cfa import summarize
@@ -924,25 +921,47 @@ def _marked_cases():
                marks)
 
 
+def _pending_selections(dpll):
+    """The selection clauses a decision may take, by a full scan of the
+    assignment, in index order: gate true, no literal true and at least
+    two literals unassigned."""
+    assign = dpll.assign
+    for idx in sorted(dpll.cnf.select_guard.values()):
+        clause = dpll.cnf.clauses[idx]
+        if (assign.get(-clause[0]) is True
+                and not any(assign.get(abs(lit)) == (lit > 0) for lit in clause)
+                and sum(abs(lit) not in assign for lit in clause) > 1):
+            yield clause
+
+
 class TestSelectionScores:
-    """The scores and the active set _Dpll maintains equal a recount at
-    every decision."""
+    """At every decision the active set _Dpll maintains equals a recount,
+    and a selection decision takes the first unassigned argument of the
+    lowest-index pending selection clause."""
 
     @pytest.fixture
     def decisions(self, monkeypatch):
-        """Per decision: (session, selection clauses, largest score)."""
+        """Per decision: (session, selection clauses, pending selection
+        clauses, or None for the assumption or an important variable)."""
         seen = []
         original = _Dpll._next_decision
 
         def checking(dpll):
-            cnf, asserted = dpll.cnf, dpll._asserted.keys()
-            for idx in cnf.select_clauses:
-                assert dpll._score[idx] == len(asserted & cnf.select_vars[idx])
-            assert dpll._active == {idx for idx in cnf.select_clauses
-                                    if dpll.assign.get(-cnf.clauses[idx][0]) is True}
-            seen.append((id(dpll), len(cnf.select_clauses),
-                         max((dpll._score[i] for i in dpll._active), default=0)))
-            return original(dpll)
+            cnf, assign = dpll.cnf, dpll.assign
+            assert dpll._active == {idx for g, idx in cnf.select_guard.items()
+                                    if assign.get(g) is True}
+            lit = original(dpll)
+            assumption = dpll._assumption
+            if (assumption is not None and abs(assumption) not in assign
+                    or any(v not in assign for v in cnf.decisions)):
+                pending = None
+            else:
+                pending = list(_pending_selections(dpll))
+                want = (next(x for x in pending[0] if abs(x) not in assign)
+                        if pending else None)
+                assert lit == want
+            seen.append((id(dpll), len(cnf.select_guard), pending))
+            return lit
 
         monkeypatch.setattr(_Dpll, "_next_decision", checking)
         return seen
@@ -951,7 +970,8 @@ class TestSelectionScores:
         for phi, marks in _marked_cases():
             solver.all_sat(phi, marks)
         assert len(decisions) > 200
-        assert max(score for _, _, score in decisions) >= 2
+        # decisions that chose among several pending selection clauses
+        assert sum(len(pending) > 1 for _, _, pending in decisions if pending) > 100
 
     def test_add_clause_matches_list_reference(self):
         def reference(lits):
@@ -979,20 +999,6 @@ class TestSelectionScores:
             else:
                 assert cnf.clauses[idx] == want
         assert 50 < tautologies < 450
-
-    def test_selection_variables_are_those_of_the_disjunction(self):
-        rng = random.Random(9)
-        nested = 0  # disjunctions with a disjunction below a conjunction
-        for _ in range(200):
-            cnf = _Cnf()
-            cnf.literal(normalize(random_formula(rng, ["a", "b", "c"], depth=4)))
-            for f, g in cnf._gate.items():
-                idx = cnf.select_guard.get(g)
-                if idx is not None:
-                    assert cnf.select_vars[idx] == variables(f)
-                    nested += any(isinstance(a, And) and any(isinstance(b, Or) for b in a.args)
-                                  for a in f.args)
-        assert nested > 10
 
     def test_entailed_sessions(self, solver, decisions, monkeypatch):
         monkeypatch.setattr(smt, "CUBE_BOUND", 0)  # every phi is over the bound
