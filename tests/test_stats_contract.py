@@ -316,29 +316,29 @@ CONTRACT = {
 
 
 THEORY = {
-    "locks1/sbe/cartesian": (45, None),
+    "locks1/sbe/cartesian": (43, None),
     "locks1/lbe/boolean": (8, None),
     "locks1/lbe/cartesian": (33, None),
     "locks2/sbe/cartesian": (188, None),
     "locks2/lbe/boolean": (13, None),
-    "locks2/lbe/cartesian": (72, None),
+    "locks2/lbe/cartesian": (75, None),
     "locks3/sbe/cartesian": (662, None),
     "locks3/lbe/boolean": (19, None),
-    "locks3/lbe/cartesian": (132, None),
-    "bug2/lbe/boolean": (24,
+    "locks3/lbe/cartesian": (135, None),
+    "bug2/lbe/boolean": (27,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
         'lk2@1=0 lk2@2=0 lk2@3=0 p1@1=0 p2@1=0'),
     "bug2/sbe/cartesian": (17, 'cond@1=-1 lk1@1=0 lk2@1=0 p1@1=0 p2@1=0'),
-    "bug3/lbe/boolean": (38,
+    "bug3/lbe/boolean": (43,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
         'lk1@7=0 lk2@1=0 lk2@2=0 lk2@3=0 lk2@4=0 lk2@5=0 lk2@6=0 '
         'lk3@1=0 lk3@2=0 lk3@3=0 p1@1=0 p2@1=0 p3@1=0'),
     "bug3/sbe/cartesian": (21, 'cond@1=-1 lk1@1=0 lk2@1=0 lk3@1=0 p1@1=0 p2@1=0 p3@1=0'),
     "locks4/sbe/cartesian": (1885, None),
     "locks4/lbe/cartesian": (210, None),
-    "locks5/lbe/cartesian": (302, None),
-    "locks6/lbe/cartesian": (410, None),
-    "bug4/lbe/boolean": (60,
+    "locks5/lbe/cartesian": (297, None),
+    "locks6/lbe/cartesian": (398, None),
+    "bug4/lbe/boolean": (65,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk1@5=0 lk1@6=0 '
         'lk1@7=0 lk1@8=0 lk2@1=0 lk2@2=0 lk2@3=0 lk2@4=0 lk2@5=0 '
         'lk2@6=0 lk2@7=0 lk3@1=0 lk3@2=0 lk3@3=0 lk3@4=0 lk3@5=0 '
