@@ -48,6 +48,10 @@ class RunConfig:
             raise ValueError(f"unknown encoding {self.encoding!r}")
         if self.abstraction not in (CARTESIAN, BOOLEAN):
             raise ValueError(f"unknown abstraction {self.abstraction!r}")
+        if self.max_refinements < 0:
+            raise ValueError("--max-refinements must be >= 0")
+        if self.crosscheck is not None and self.crosscheck < 0:
+            raise ValueError("--crosscheck must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +102,18 @@ def _read_input(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _write_outputs(outputs: list[tuple[str, str]]) -> bool:
+    """Write each (path, text); on an I/O error print it and return False."""
+    try:
+        for path, text in outputs:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _counterexample_lines(result: VerificationResult) -> list[str]:
@@ -159,20 +175,18 @@ def run(config: RunConfig) -> int:
     if result.verdict == "unknown" and result.reason:
         print(f"reason: {result.reason}")
 
+    outputs = []
     if config.stats_path:
         payload = {"verdict": result.verdict, **result.stats.as_dict()}
-        with open(config.stats_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        outputs.append((config.stats_path, json.dumps(payload, indent=2)))
     if config.dot_cfa_path:
-        with open(config.dot_cfa_path, "w", encoding="utf-8") as handle:
-            handle.write(to_dot(program) + "\n")
+        outputs.append((config.dot_cfa_path, to_dot(program)))
     if config.dot_art_path and result.art is not None:
-        with open(config.dot_art_path, "w", encoding="utf-8") as handle:
-            handle.write(art_to_dot(result.art) + "\n")
+        outputs.append((config.dot_art_path, art_to_dot(result.art)))
     if config.trace_path:
-        with open(config.trace_path, "w", encoding="utf-8") as handle:
-            handle.write(trace_to_json_lines(trace) + "\n")
+        outputs.append((config.trace_path, trace_to_json_lines(trace)))
+    if not _write_outputs([(path, text + "\n") for path, text in outputs]):
+        return 3
 
     if config.crosscheck is not None:
         bound = DomainBound(
@@ -256,11 +270,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
+        if not args.output:
             sys.stdout.write(text)
+        elif not _write_outputs([(args.output, text)]):
+            return 3
         return 0
 
     if not args.input:

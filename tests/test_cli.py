@@ -68,6 +68,25 @@ class TestExitCodes:
     def test_missing_file_is_three(self):
         assert main(["/nonexistent/path.imp"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--max-refinements", "--crosscheck"])
+    def test_negative_value_is_a_usage_error(self, locks_file, capsys, flag):
+        assert main([locks_file, flag, "-1"]) == 3
+        assert capsys.readouterr().err.startswith(f"usage error: {flag} must be >= 0")
+        cli.RunConfig(locks_file, max_refinements=0, crosscheck=0)
+
+    @pytest.mark.parametrize("flag", ["--stats", "--dot-cfa", "--dot-art", "--trace"])
+    def test_unwritable_output_is_three(self, locks_file, tmp_path, capsys, flag):
+        target = tmp_path / "no-such-dir" / "out"
+        assert main([locks_file, flag, str(target)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
+    def test_unwritable_generator_output_is_three(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "locks.imp"
+        assert main(["--gen-test-locks", "2", "-o", str(target)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
     def test_parse_error_is_three(self, tmp_path):
         path = tmp_path / "bad.imp"
         path.write_text("x = 0;")
