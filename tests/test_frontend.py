@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lbemc.cfa import program_variables
 from lbemc.formula import TRUE, compare, f_and, f_not, f_or
 from lbemc.frontend import (
+    KEYWORDS,
+    SYMBOLS,
     ParseError,
     SAssign,
     SError,
@@ -263,3 +266,34 @@ def test_parse_error_positions_match_reference_lexer():
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert (err.value.line, err.value.col) == ref[-1][2:], text
+
+
+# Reproducible, bounded fuzzing: the same examples on every run, and no
+# example database written.
+_FUZZ = settings(derandomize=True, database=None, max_examples=500, deadline=None)
+_TOKENS = sorted(KEYWORDS) + list(SYMBOLS) + ["x", "y", "_z1", "0", "7", "123",
+                                             " ", "\n", "//", "$"]
+
+
+def _parses_or_raises_parse_error(source: str) -> None:
+    try:
+        parse_program(source)
+    except ParseError:
+        pass
+
+
+class TestFuzz:
+    """Every input either parses or raises ParseError."""
+
+    @_FUZZ
+    @given(st.text(max_size=200))
+    def test_arbitrary_text(self, source):
+        _parses_or_raises_parse_error(source)
+
+    @_FUZZ
+    @given(st.booleans(), st.lists(st.sampled_from(_TOKENS), max_size=80))
+    def test_token_soup(self, declare, tokens):
+        # tokens are joined without spaces, so neighbours may fuse ("=" "="
+        # lexes as "=="); the declarations let assignments get past the
+        # variable check
+        _parses_or_raises_parse_error(("int x; int y; " if declare else "") + "".join(tokens))
