@@ -862,7 +862,7 @@ class _Dpll:
         self._pop_to_level(back)
         free = [lit for lit in clause if abs(lit) not in self.assign]
         if len(free) > 1:
-            return None
+            return None  # not unit: the search decides among them
         return self._assign_and_propagate(free[0], clause) or self._theory_conflict()
 
     # -- theory integration ----------------------------------------------------
@@ -938,8 +938,8 @@ class _Dpll:
 
     def _next_decision(self) -> int | None:
         """The literal to decide: the assumption, else the next important
-        variable, true, else an argument of the pending selection clause
-        with the lowest index."""
+        variable as true, else the first unassigned argument of the
+        pending selection clause with the lowest index."""
         lit = self._assumption
         if lit is not None and abs(lit) not in self.assign:
             return lit
@@ -956,7 +956,7 @@ class _Dpll:
                    default=None)
         if best is None:
             return None
-        for lit in self.cnf.clauses[best][1:]:
+        for lit in clauses[best][1:]:
             if abs(lit) not in self.assign:
                 return lit
         return None
