@@ -936,7 +936,8 @@ def _pending_selections(dpll):
 
 class TestSelectionScores:
     """At every decision the active set _Dpll maintains equals a recount,
-    and a selection decision takes the first unassigned argument of the
+    and the decision is the pending assumption, else the first unassigned
+    important variable, else the first unassigned argument of the
     lowest-index pending selection clause."""
 
     @pytest.fixture
@@ -952,14 +953,17 @@ class TestSelectionScores:
                                     if assign.get(g) is True}
             lit = original(dpll)
             assumption = dpll._assumption
-            if (assumption is not None and abs(assumption) not in assign
-                    or any(v not in assign for v in cnf.decisions)):
-                pending = None
+            important = [v for v in cnf.decisions if v not in assign]
+            pending = None
+            if assumption is not None and abs(assumption) not in assign:
+                want = assumption
+            elif important:
+                want = important[0]
             else:
                 pending = list(_pending_selections(dpll))
                 want = (next(x for x in pending[0] if abs(x) not in assign)
                         if pending else None)
-                assert lit == want
+            assert lit == want
             seen.append((id(dpll), len(cnf.select_guard), pending))
             return lit
 
