@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bdd import Bdd
 from .formula import Formula, PropVar, TRUE, at_indices, f_and, f_iff, f_not, f_or
-from .semantics import Choice, Operation, Seq, drop_dead_pads, encode_edge
+from .semantics import Choice, Operation, Seq, SsaEncoder, drop_dead_pads, encode_edge
 
 CARTESIAN = "cartesian"
 BOOLEAN = "boolean"
@@ -123,10 +123,21 @@ class AbstractFormula:
 
 
 class Abstractor:
-    """Shared predicate registry, BDD manager, and abstraction operators."""
+    """Shared predicate registry, BDD manager, SSA encoder, and abstraction
+    operators.
 
-    def __init__(self, solver) -> None:
+    Every post, Boolean and Cartesian alike, encodes its operation on the
+    one `SsaEncoder`, whose shared-subtree set is computed over `ops`, the
+    edge operations of the program (`verify` passes them).  Subtrees that
+    several edges share, such as the body the loop edge and the error edge
+    of a large-block program have in common, are then encoded once per
+    index map for the whole run.  Operations outside `ops` are counted in
+    as they are first encoded.
+    """
+
+    def __init__(self, solver, ops: Iterable[Operation] = ()) -> None:
         self.solver = solver
+        self.encoder = SsaEncoder(ops)
         self.bdd = Bdd()
         self._ids: dict[Formula, int] = {}
         self._preds: list[Formula] = []
@@ -257,20 +268,21 @@ class Abstractor:
         """The incoming region at index 0 conjoined with op's SSA constraint,
         and the precision predicates read at op's output indices.
 
-        The constraint leaves out the choice pads nothing reads
-        (`drop_dead_pads`), which keeps the models over the predicates.
-        The incoming region reads only index 0, which no pad defines, so
-        the pruned constraint depends on op and pi alone and is cached; the
-        region at index 0 depends on the state's BDD node alone, and is
-        cached too.
+        The constraint comes from the run's one encoder, so op is encoded
+        once for every precision, and subtrees op shares with edges
+        encoded before are not encoded again.  It leaves out the choice
+        pads nothing reads (`drop_dead_pads`, over the encoder's pads),
+        which keeps the models over the predicates.  The incoming region
+        reads only index 0, which no pad defines, so the pruned constraint
+        depends on op and pi alone and is cached; the region at index 0
+        depends on the state's BDD node alone, and is cached too.
         """
         edge = self._edge_memo.get((op, pi))
         if edge is None:
-            pads: list[Formula] = []
-            edge_formula, out_map = encode_edge(op, {}, pads)
+            edge_formula, out_map = encode_edge(op, {}, encoder=self.encoder)
             shifted = [at_indices(p, out_map) for p in pi]
-            edge = self._edge_memo[op, pi] = (drop_dead_pads(edge_formula, pads, shifted),
-                                              shifted)
+            edge = self._edge_memo[op, pi] = (
+                drop_dead_pads(edge_formula, self.encoder.pads, shifted), shifted)
         edge_formula, shifted = edge
         region = self._at0_memo.get(state.node)
         if region is None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .semantics import Choice, Operation, op_label, op_variables, seq_chain
@@ -73,12 +74,18 @@ class Program:
         if any(e.target == self.entry for e in self.cfa.edges):
             raise ValueError("entry location must have no incoming edges")
 
+    @cached_property
+    def variable_names(self) -> tuple[str, ...]:
+        """The sorted names of the variables the edge operations mention,
+        computed once per program."""
+        names: set[str] = set()
+        for e in self.cfa.edges:
+            names |= op_variables(e.op)
+        return tuple(sorted(names))
+
 
 def program_variables(p: Program) -> list[str]:
-    names: set[str] = set()
-    for e in p.cfa.edges:
-        names |= op_variables(e.op)
-    return sorted(names)
+    return list(p.variable_names)
 
 
 # ---------------------------------------------------------------------------

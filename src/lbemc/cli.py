@@ -1,7 +1,10 @@
 """Command-line driver: parse, encode, verify, report.
 
 Exit codes: 0 safe, 1 unsafe, 2 unknown, 3 usage, I/O, solver or internal
-error, 4 crosscheck disagreement.
+error, 4 crosscheck disagreement.  The crosscheck oracle drops every value
+outside its bound, so when it finds no error but the checker's `unsafe`
+comes with an integral witness replayed to the error location (a concrete
+run), the run only notes that the error lies beyond the bound.
 """
 
 from __future__ import annotations
@@ -201,6 +204,11 @@ def run(config: RunConfig) -> int:
             if result.verdict == "unknown":
                 print(f"crosscheck: oracle says {expected}, checker unknown",
                       file=sys.stderr)
+            elif (ground == NOT_REACHABLE and result.integral_witness
+                  and result.replayed):
+                print(f"crosscheck: oracle finds no error within "
+                      f"[-{config.crosscheck}, {config.crosscheck}], but the replayed "
+                      f"integral witness is a concrete run outside it", file=sys.stderr)
             elif result.verdict != expected:
                 print(
                     f"crosscheck FAILED: oracle says {expected}, "

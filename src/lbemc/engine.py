@@ -257,7 +257,7 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
         raise ValueError(f"unknown abstraction mode {mode!r}")
     start = time.perf_counter()
     solver = solver if solver is not None else make_solver()
-    abstractor = Abstractor(solver)
+    abstractor = Abstractor(solver, [e.op for e in p.cfa.edges])
     precisions = initial_precision or ProgramPrecision()
     names = program_variables(p)
     stats = Stats(rule_applications=rule_applications)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .formula import (
+    EQ,
     Atom,
     Formula,
     Not,
@@ -301,36 +302,83 @@ def sp(op: Operation, phi: Formula) -> Formula:
 SsaMap = Mapping[str, int]
 
 
-def encode_edge(op: Operation, ssa: SsaMap,
-                pads: list[Formula] | None = None) -> tuple[Formula, dict[str, int]]:
+def encode_edge(op: Operation, ssa: SsaMap, pads: list[Formula] | None = None,
+                encoder: SsaEncoder | None = None) -> tuple[Formula, dict[str, int]]:
     """SSA constraint for op starting at index map ssa.
 
     Returns (formula over indexed variables, output index map).  The
     conjunction of the incoming constraints with the returned formula is
     satisfiable exactly when some concrete execution of op exists.  Choice
     branches are padded with equalities `x@j = x@i` onto fresh indices so
-    both end at a common output map.  The formula keeps every pad; when
-    `pads` is a list, the pad atoms are also appended to it, for
-    `drop_dead_pads` to remove the ones nothing reads where only the
-    models over other variables matter.
+    both end at a common output map.  The formula keeps every pad; the
+    encoder records each pad atom once, when it makes it, in
+    `encoder.pads`, for `drop_dead_pads` to remove the ones nothing reads
+    where only the models over other variables matter.  When `pads` is a
+    list, the encoder's pad atoms are also appended to it.
 
-    Summarized operations share subtrees heavily; encoding is memoized per
-    (subtree, index map) so the output formula is shared the same way.
-    Only subtrees with more than one parent are keyed: the index map a
-    subtree starts at is a one-to-one function of its parent's, so a
-    subtree with one parent never meets an index map twice.  A sequence's
-    right spine is encoded in a loop, with one conjunction for the spine.
+    Without an `encoder` the encoding is one-shot: a fresh `SsaEncoder`
+    encodes op alone, and `pads` receives exactly the pads of the returned
+    formula.  With one, op is encoded on that encoder's memo, so subtrees
+    it shares with operations encoded before come back as the same
+    formula objects.
     """
-    memo: dict[tuple[int, tuple], tuple[Formula, dict[str, int]]] = {}
-    return _encode(op, dict(ssa), _shared_nodes(op), memo,
-                   [] if pads is None else pads)
+    if encoder is None:
+        encoder = SsaEncoder()
+    result = encoder.encode(op, ssa)
+    if pads is not None:
+        pads += encoder.pads.values()
+    return result
+
+
+class SsaEncoder:
+    """One SSA encoding shared by every operation it encodes.
+
+    Summarized operations share subtrees heavily, within one edge and
+    across the edges of a program (the loop edge and the error edge of a
+    large-block program share most of their body); encoding is memoized
+    per (subtree, index map), so the output formulas are shared the same
+    way.  Only subtrees with more than one parent are keyed, counted over
+    the operations given at construction and those encoded since, and so
+    is an operation encoded again as a root (a Cartesian post encodes its
+    leaf once per precision): the index map a subtree starts at is a
+    one-to-one function of its parent's, so a subtree with one parent never
+    meets an index map twice.  A sequence's right spine is encoded in a
+    loop, with one conjunction for the spine.
+
+    `pads` maps the id of each pad atom made to the atom, in the order
+    they were made; a subtree found in the memo adds none.  The memo keys
+    operations by id, so the encoder keeps every operation it has seen.
+    """
+
+    def __init__(self, ops: Iterable[Operation] = ()) -> None:
+        self._roots = list(ops)  # keeps every keyed id alive
+        self._seen: set[int] = set()
+        self._shared: set[int] = set()
+        _mark_shared(self._roots, self._seen, self._shared)
+        self.memo: dict[tuple[int, tuple], tuple[Formula, dict[str, int]]] = {}
+        self.pads: dict[int, Formula] = {}
+
+    def encode(self, op: Operation, ssa: SsaMap) -> tuple[Formula, dict[str, int]]:
+        """op's SSA constraint from ssa and its output index map."""
+        if id(op) in self._seen:
+            self._shared.add(id(op))
+        else:
+            self._roots.append(op)
+            _mark_shared([op], self._seen, self._shared)
+        return _encode(op, dict(ssa), self._shared, self.memo, self.pads)
 
 
 def _shared_nodes(op: Operation) -> set[int]:
     """The ids of op's subtrees that have more than one parent."""
-    seen: set[int] = set()
     shared: set[int] = set()
-    stack = [op]
+    _mark_shared([op], set(), shared)
+    return shared
+
+
+def _mark_shared(roots: list[Operation], seen: set[int], shared: set[int]) -> None:
+    """Walk the subtrees of roots not in seen, adding them to seen; a
+    subtree reached again goes into shared."""
+    stack = list(roots)
     while stack:
         o = stack.pop()
         if id(o) in seen:
@@ -341,7 +389,6 @@ def _shared_nodes(op: Operation) -> set[int]:
             stack += (o.first, o.second)
         elif isinstance(o, Choice):
             stack += (o.left, o.right)
-    return shared
 
 
 def _spine(op: Seq, shared: set[int]) -> list[Operation]:
@@ -357,7 +404,7 @@ def _spine(op: Seq, shared: set[int]) -> list[Operation]:
 
 
 def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
-            pads: list[Formula]) -> tuple[Formula, dict[str, int]]:
+            pads: dict[int, Formula]) -> tuple[Formula, dict[str, int]]:
     key = None
     if id(op) in shared:
         key = (id(op), tuple(sorted(ssa.items())))
@@ -392,17 +439,23 @@ def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
         for name, j in merged.items():
             i1, i2 = m1.get(name, 0), m2.get(name, 0)
             if i1 != i2:
-                fresh = Term.variable(VariableRef(name, j))
-                pads1.append(canon_eq(fresh - Term.variable(VariableRef(name, i1))))
-                pads2.append(canon_eq(fresh - Term.variable(VariableRef(name, i2))))
-        pads += pads1
-        pads += pads2
+                fresh = VariableRef(name, j)
+                pads1.append(_pad(VariableRef(name, i1), fresh))
+                pads2.append(_pad(VariableRef(name, i2), fresh))
+        for pad in pads1 + pads2:
+            pads[id(pad)] = pad
         result = f_or(f_and(f1, *pads1), f_and(f2, *pads2)), merged
     else:
         raise TypeError(f"not an operation: {op!r}")
     if key is not None:
         memo[key] = result
     return result
+
+
+def _pad(old: VariableRef, fresh: VariableRef) -> Atom:
+    """The pad x@j = x@i from fresh = x@j and old = x@i, i < j, built
+    directly in the form `canon_eq` gives it: x@i - x@j = 0."""
+    return Atom(EQ, Term(0, ((old, 1), (fresh, -1))))
 
 
 def _merge(m1: dict[str, int], m2: dict[str, int]) -> dict[str, int]:
@@ -415,27 +468,28 @@ def _merge(m1: dict[str, int], m2: dict[str, int]) -> dict[str, int]:
     return merged
 
 
-def drop_dead_pads(f: Formula, pads: list[Formula],
+def drop_dead_pads(f: Formula, pads: Iterable[Formula] | dict[int, Formula],
                    targets: Iterable[Formula] = ()) -> Formula:
     """f without the pads of the variables nothing reads.
 
-    `pads` holds the pad atoms `encode_edge` reported for f, which puts
-    them under no negation.  A pad x@j = x@i is dead when x@j occurs in no
+    `pads` holds the pad atoms of f's encoding, which puts them under no
+    negation: the list `encode_edge` reported, or the `pads` of the
+    encoder that made f, a map from id to pad atom that may hold the pads
+    of other formulas too.  A pad x@j = x@i is dead when x@j occurs in no
     other atom of f (pads that define x@j aside), in no pad of a live
     variable and in none of `targets`, the formulas read over f's output
-    indices.  Dead pads become
-    TRUE, which is exact for the models over the other variables: the SSA
-    encoding defines x@j once on each path through the choices, so on the
-    path a model of the pruned formula takes, one pad at most mentions
-    x@j, and giving x@j the value of that pad's x@i satisfies it.  `f`
-    itself is returned when no pad is dead.
+    indices.  Dead pads become TRUE, which is exact for the models over
+    the other variables: the SSA encoding defines x@j once on each path
+    through the choices, so on the path a model of the pruned formula
+    takes, one pad at most mentions x@j, and giving x@j the value of that
+    pad's x@i satisfies it.  `f` itself is returned when no pad is dead.
 
     Shared subformulas stay shared, and a node that nothing below it
     changed is kept itself (`formula.rebuild`).
     """
     if not pads:
         return f
-    is_pad = {id(a) for a in pads}
+    is_pad = pads if isinstance(pads, dict) else {id(a) for a in pads}
     defined: dict[int, VariableRef] = {}  # id of a pad -> its variable
     reads: dict[VariableRef, list[VariableRef]] = {}  # pad variable -> x@i
     live: set[VariableRef] = set()

@@ -230,9 +230,20 @@ def test_program_invariants_enforced():
         CFA((0,), (Edge(0, A, 5),))  # unknown target
 
 
-def test_program_variables():
+def test_program_variables(monkeypatch):
+    import lbemc.cfa
+
+    walked = []
+    op_variables = lbemc.cfa.op_variables
+    monkeypatch.setattr(lbemc.cfa, "op_variables",
+                        lambda op: walked.append(op) or op_variables(op))
     p = parse_program(FIG2_SOURCE)
+    names = program_variables(p)
+    assert names == ["i", "x", "z"]
+    walks = len(walked)
+    names.append("y")  # each call returns a list of its own
     assert program_variables(p) == ["i", "x", "z"]
+    assert len(walked) == walks  # computed once per program
 
 
 # ---------------------------------------------------------------------------

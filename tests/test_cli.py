@@ -6,6 +6,7 @@ import lbemc.cli as cli
 from lbemc.cli import gen_test_locks, main
 from lbemc.engine import Stats, VerificationResult
 from lbemc.frontend import parse_program
+from lbemc.oracle import random_program
 from lbemc.semantics import Assign, Assume, Havoc
 
 from conftest import MOCK_SOLVER_CMD
@@ -162,6 +163,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "verify", fake_verify)
         assert main([locks_file, "--crosscheck", "1"]) == 4
 
+    def test_crosscheck_accepts_a_replayed_witness_beyond_the_bound(self, tmp_path,
+                                                                     capsys):
+        # b reaches -3, outside [-2, 2], so the oracle finds no error there;
+        # the integral witness a = 0, b = 0 is replayed, a concrete run
+        path = tmp_path / "beyond.imp"
+        path.write_text("int a; int b; int c; assume(b == 0); b = 2 * b + b - 3; "
+                        "if (a != 2) { error(); }\n")
+        assert main([str(path), "--crosscheck", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "replayed to error" in captured.out
+        assert "crosscheck FAILED" not in captured.err
+        assert "crosscheck: oracle finds no error within [-2, 2]" in captured.err
+
 
 class TestOutputs:
     def test_stats_json_schema(self, locks_file, tmp_path):
@@ -243,3 +257,19 @@ class TestInputModes:
         monkeypatch.setenv(cli.SOLVER_ENV, MOCK_SOLVER_CMD)
         assert main([locks_file, "--encoding", "sbe",
                      "--abstraction", "cartesian"]) == 0
+
+
+class TestFuzz:
+    CONFIGS = [["--encoding", encoding, "--abstraction", abstraction]
+               for encoding in ("sbe", "lbe") for abstraction in ("cartesian", "boolean")]
+
+    def test_grammar_shaped_programs_end_in_a_verdict(self, tmp_path, capsys):
+        path = tmp_path / "random.imp"
+        for seed in range(1000, 1060):
+            path.write_text(random_program(seed, n_vars=3, max_stmts=8))
+            for config in self.CONFIGS:
+                code = main([str(path), *config, "--crosscheck", "2",
+                             "--max-refinements", "20"])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (seed, config, err)
+                assert "internal error" not in err and "Traceback" not in err, (seed, config)

@@ -20,6 +20,7 @@ from lbemc.semantics import (
     Choice,
     Havoc,
     Seq,
+    SsaEncoder,
     drop_dead_pads,
     encode_edge,
     op_label,
@@ -259,25 +260,84 @@ def _ref_encode(op, ssa, memo, pads):
     return result
 
 
-def test_encoding_matches_reference_encoder():
-    from lbemc.cfa import summarize
+def _encoding_cases():
+    """Groups of (operation, index map): the edges of each summarized lock
+    ladder 1..12, bug twin and corpus program 0..59, then 200 seeded
+    random operations."""
     from lbemc.cli import gen_test_locks
-    from lbemc.frontend import parse_program
     from lbemc.oracle import random_program
 
     rng = random.Random(29)
     names = ["a", "b", "c"]
-    cases = []
     sources = [gen_test_locks(n, bug=bug) for n in range(1, 13) for bug in (False, True)]
     sources += [random_program(k) for k in range(60)]
-    for source in sources:
-        program, _ = summarize(parse_program(source))
-        cases += [(e.op, {}) for e in program.cfa.edges]
+    groups = [[(e.op, {}) for e in _summarized(source).cfa.edges] for source in sources]
+    randoms = []
     for _ in range(200):
         ssa = {n: rng.randint(0, 3) for n in rng.sample(names, rng.randint(0, 3))}
-        cases.append((random_operation(rng, names, depth=5), ssa))
-    for op, ssa in cases:
-        want_pads, got_pads = [], []
-        want = _ref_encode(op, dict(ssa), {}, want_pads)
-        assert encode_edge(op, ssa, got_pads) == want, op
-        assert got_pads == want_pads, op
+        randoms.append((random_operation(rng, names, depth=5), ssa))
+    return groups + [randoms]
+
+
+def _summarized(source):
+    from lbemc.cfa import summarize
+    from lbemc.frontend import parse_program
+
+    return summarize(parse_program(source))[0]
+
+
+def test_encoding_matches_reference_encoder():
+    for cases in _encoding_cases():
+        for op, ssa in cases:
+            want_pads, got_pads = [], []
+            want = _ref_encode(op, dict(ssa), {}, want_pads)
+            assert encode_edge(op, ssa, got_pads) == want, op
+            assert got_pads == want_pads, op
+
+
+# ---------------------------------------------------------------------------
+# one encoder for every edge of a program
+# ---------------------------------------------------------------------------
+
+class TestSharedEncoder:
+    def test_every_edge_as_one_shot(self):
+        # one encoder per group, edges in order and reversed: each gives the
+        # formula, output map and pruned formula of a one-shot encode_edge
+        for cases in _encoding_cases():
+            for order in (cases, cases[::-1]):
+                encoder = SsaEncoder(op for op, _ in cases)
+                for op, ssa in order:
+                    want_pads = []
+                    want = encode_edge(op, ssa, want_pads)
+                    got = encode_edge(op, ssa, encoder=encoder)
+                    assert got == want, op
+                    f, out = got
+                    reads = [at_indices(compare("<=", tvar(n), const(0)), out)
+                             for n in sorted(op_variables(op))[:2]]
+                    for targets in ([], reads):
+                        assert (drop_dead_pads(f, encoder.pads, targets)
+                                == drop_dead_pads(want[0], want_pads, targets)), op
+
+    def test_loop_edge_reuses_the_error_edge_encoding(self):
+        from lbemc.cli import gen_test_locks
+
+        program = _summarized(gen_test_locks(10))
+        ops = [e.op for e in program.cfa.edges]
+        (error_op,) = [e.op for e in program.cfa.edges if e.target == program.error]
+        (loop_op,) = [e.op for e in program.cfa.edges if e.source == e.target]
+        fresh = SsaEncoder(ops)
+        encode_edge(loop_op, {}, encoder=fresh)
+        encoder = SsaEncoder(ops)
+        encode_edge(error_op, {}, encoder=encoder)
+        entries, pads = len(encoder.memo), len(encoder.pads)
+        encode_edge(loop_op, {}, encoder=encoder)
+        assert len(encoder.memo) - entries <= 0.1 * len(fresh.memo)
+        assert len(encoder.pads) - pads <= 0.1 * len(fresh.pads)
+
+    def test_a_root_is_encoded_once(self):
+        # op has one parent, but a Cartesian post encodes it as a root once
+        # per precision
+        op = Assign("x", tvar("x") + 1)
+        encoder = SsaEncoder([Seq(op, Havoc("y"))])
+        first = encode_edge(op, {}, encoder=encoder)
+        assert encode_edge(op, {}, encoder=encoder)[0] is first[0]

@@ -15,6 +15,9 @@ the program as it is), and `verify` runs in the abstraction mode `--mode`
 
   - `summarize_s` (LBE only) and `verify_s`: the median `summarize` and
     `verify` times over `--repeat` runs;
+  - `encode_s`: the median time the abstract posts spend in `encode_edge`
+    during the timed `verify` (wrapped at `lbemc.abstraction.encode_edge`,
+    the name the posts call, so a checkout of any version can be timed);
   - `theory_checks`, `art_size` and `verdict` of the run;
   - `decisions` and `conflicts`: the search counters of the solver, or
     None for a checkout whose `InternalSolver` does not count them;
@@ -57,6 +60,7 @@ def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
     source = lbemc.cli.gen_test_locks(n)
     times = []
     summarize_times = []
+    encode_times = []
     for _ in range(repeat):
         program = lbemc.frontend.parse_program(source)
         if encoding == "lbe":
@@ -72,14 +76,30 @@ def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
             return all_sat(phi, important)
 
         solver.all_sat = recording_all_sat
-        start = time.perf_counter()
-        result = lbemc.engine.verify(program, mode=mode, solver=solver)
-        times.append(time.perf_counter() - start)
+        encode_edge = lbemc.abstraction.encode_edge
+        encode_time = [0.0]
+
+        def timed_encode_edge(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return encode_edge(*args, **kwargs)
+            finally:
+                encode_time[0] += time.perf_counter() - start
+
+        lbemc.abstraction.encode_edge = timed_encode_edge
+        try:
+            start = time.perf_counter()
+            result = lbemc.engine.verify(program, mode=mode, solver=solver)
+            times.append(time.perf_counter() - start)
+        finally:
+            lbemc.abstraction.encode_edge = encode_edge
+        encode_times.append(encode_time[0])
         solver.close()
     # counted after the timed run, on the last run's queries
     atoms = [len({g for g in lbemc.formula._dag_nodes(lbemc.smt.normalize(phi))
                   if isinstance(g, lbemc.formula.Atom)}) for phi in queries]
     record = {"n": n, "verify_s": round(statistics.median(times), 4),
+              "encode_s": round(statistics.median(encode_times), 5),
               "verdict": result.verdict, "art_size": result.stats.art_size,
               "theory_checks": solver.theory_checks,
               "decisions": getattr(solver, "decisions", None),
