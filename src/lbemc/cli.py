@@ -44,7 +44,6 @@ class RunConfig:
     dot_art_path: str | None = None
     trace_path: str | None = None
     crosscheck: int | None = None
-    crosscheck_budget: int = 200_000
 
     def __post_init__(self) -> None:
         if self.encoding not in ("sbe", "lbe"):
@@ -192,10 +191,7 @@ def run(config: RunConfig) -> int:
         return 3
 
     if config.crosscheck is not None:
-        bound = DomainBound(
-            default=(-config.crosscheck, config.crosscheck),
-            budget=config.crosscheck_budget,
-        )
+        bound = DomainBound(default=(-config.crosscheck, config.crosscheck))
         ground = explicit_reachable(parsed, bound)
         if ground == BUDGET_EXCEEDED:
             print("crosscheck: budget exceeded, skipped", file=sys.stderr)

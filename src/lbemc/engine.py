@@ -5,9 +5,10 @@ coverage (an older node at the same location whose abstract state is
 entailed by the new node's) and otherwise expanded along every CFA edge.
 Successors whose abstraction is False are pruned and never become nodes.
 Construction stops at the first error node; the corresponding path is then
-checked for feasibility on its SSA encoding.  Infeasible paths refine the
-per-location precisions with atoms harvested from the path constraints,
-and the tree is rebuilt from scratch.
+checked for feasibility on its SSA encoding, made on the encoder the
+abstract posts use and without the choice pads nothing reads.  Infeasible
+paths refine the per-location precisions with atoms harvested from the
+path constraints, and the tree is rebuilt from scratch.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .formula import (
     Atom, Formula, VariableRef, _dag_nodes, f_and, formula_infix, strip_indices_atom,
 )
 from .oracle import replay_path
-from .semantics import encode_edge, op_label
+from .semantics import SsaEncoder, drop_dead_pads, encode_edge, op_label
 from .smt import make_solver
 
 
@@ -118,60 +119,80 @@ def build_art(p: Program, precisions: ProgramPrecision, mode: str,
 # counterexample analysis
 # ---------------------------------------------------------------------------
 
-def _encode_path(path: list[tuple[Edge, int]], variable_names: list[str]):
-    """Per-edge SSA constraints of the path and the index map at each
-    position (maps[i] holds after the first i edges)."""
+def _encode_path(path: list[tuple[Edge, int]], variable_names: list[str],
+                 encoder: SsaEncoder):
+    """Per-edge SSA constraints of the path, encoded on `encoder`, and the
+    index map at each position (maps[i] holds after the first i edges)."""
     ssa = {n: 0 for n in variable_names}
     maps = [dict(ssa)]
     per_edge = []
     for edge, _ in path:
-        f, ssa = encode_edge(edge.op, ssa)
+        f, ssa = encode_edge(edge.op, ssa, encoder=encoder)
         per_edge.append(f)
         maps.append(dict(ssa))
     return per_edge, maps
 
 
-def path_formula(path: list[tuple[Edge, int]], variable_names: list[str]):
-    """SSA encoding of the path: (formula, per-position index maps)."""
-    per_edge, maps = _encode_path(path, variable_names)
-    return f_and(*per_edge), maps
+def path_formula(path: list[tuple[Edge, int]], variable_names: list[str],
+                 encoder: SsaEncoder | None = None, *, _encoded=None):
+    """The formula `check_path` decides and the per-position index maps.
+
+    The formula is the conjunction of the path's SSA constraints without
+    the choice pads nothing reads (`drop_dead_pads`, over `encoder`'s
+    pads), as the abstract posts drop them: it has a model exactly when
+    the path with every pad has one, and the two agree on the variables
+    it keeps.  Without an `encoder` the path is encoded on a fresh one.
+    `_encoded` is as for `check_path`.
+    """
+    if encoder is None:
+        encoder = SsaEncoder()
+    per_edge, maps = _encoded or _encode_path(path, variable_names, encoder)
+    return drop_dead_pads(f_and(*per_edge), encoder.pads), maps
 
 
 def check_path(path: list[tuple[Edge, int]], variable_names: list[str], solver,
-               *, _encoded=None):
-    """("feasible", model) when the SSA path formula is satisfiable, else
-    ("infeasible", None).
+               encoder: SsaEncoder | None = None, *, _encoded=None):
+    """("feasible", model) when the path formula (`path_formula`) is
+    satisfiable, else ("infeasible", None).
 
-    `_encoded` is private to `verify`, which passes the same path's
-    `_encode_path(path, variable_names)` result to this and to
+    The model has no value for the variables the dropped pads alone
+    defined.  `verify` passes the `Abstractor`'s encoder, so the path is
+    encoded on the memo and pads of the run's posts.  `_encoded` is
+    private to `verify`, which passes the same path's
+    `_encode_path(path, variable_names, encoder)` result to this and to
     `extract_predicates`, so the path is encoded once while both calls stay
     visible under their public names.
     """
-    per_edge, _ = _encoded or _encode_path(path, variable_names)
-    res = solver.check_sat(f_and(*per_edge))
+    formula, _ = path_formula(path, variable_names, encoder, _encoded=_encoded)
+    res = solver.check_sat(formula)
     if res.is_sat:
         return "feasible", res.model
     return "infeasible", None
 
 
 def extract_predicates(path: list[tuple[Edge, int]], variable_names: list[str],
-                       solver=None, *, _encoded=None) -> dict[int, list[Formula]]:
+                       solver=None, encoder: SsaEncoder | None = None, *,
+                       _encoded=None) -> dict[int, list[Formula]]:
     """Atoms harvested from the path constraints, per location.
 
     At every path position the constraints contributed so far are scanned;
     an atom whose variables are all at their current SSA index at that
     position is stripped of indices and attached to the position's
     location.  Intended for infeasible paths; passing a solver enforces
-    that precondition (ValueError on a feasible path).  `_encoded` is as
-    for `check_path`.
+    that precondition (ValueError on a feasible path).  `encoder` and
+    `_encoded` are as for `check_path`.  The harvest reads the per-edge
+    constraints with every pad, but a pad x@j = x@i reads an older index
+    of its variable, so it is never live and gives no predicate.
 
     SSA indices never decrease along the path, so an atom that is not live
     at one position is not live at any later one: the scan keeps the live
     atoms of the edges seen so far, in edge order, and drops the dead ones.
     """
-    encoded = _encoded or _encode_path(path, variable_names)
-    if (solver is not None
-            and check_path(path, variable_names, solver, _encoded=encoded)[0] == "feasible"):
+    if encoder is None:
+        encoder = SsaEncoder()
+    encoded = _encoded or _encode_path(path, variable_names, encoder)
+    if (solver is not None and check_path(
+            path, variable_names, solver, encoder, _encoded=encoded)[0] == "feasible"):
         raise ValueError("refinement requires an infeasible path")
     per_edge, maps = encoded
     harvested: dict[int, list[Formula]] = {}
@@ -245,8 +266,7 @@ def _precision_stats(precisions: ProgramPrecision, stats: Stats) -> None:
 
 
 def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
-           solver=None, initial_precision: ProgramPrecision | None = None,
-           rule_applications: int = 0) -> VerificationResult:
+           solver=None, rule_applications: int = 0) -> VerificationResult:
     """CEGAR loop: build, check the counterexample, refine lazily, rebuild.
 
     Refinement touches only locations on the analyzed path.  Ends with
@@ -258,7 +278,7 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
     start = time.perf_counter()
     solver = solver if solver is not None else make_solver()
     abstractor = Abstractor(solver, [e.op for e in p.cfa.edges])
-    precisions = initial_precision or ProgramPrecision()
+    precisions = ProgramPrecision()
     names = program_variables(p)
     stats = Stats(rule_applications=rule_applications)
 
@@ -276,8 +296,8 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
             return finish(VerificationResult("safe", stats, art=art))
         _, art, path = outcome
         stats.art_size = len(art)
-        encoded = _encode_path(path, names)
-        status, model = check_path(path, names, solver, _encoded=encoded)
+        encoded = _encode_path(path, names, abstractor.encoder)
+        status, model = check_path(path, names, solver, abstractor.encoder, _encoded=encoded)
         if status == "feasible":
             integral = all(v.denominator == 1 for v in model.values())
             replayed = False
@@ -289,7 +309,8 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
                     integral_witness=integral, replayed=replayed, art=art,
                 )
             )
-        harvest = extract_predicates(path, names, _encoded=encoded)
+        harvest = extract_predicates(path, names, encoder=abstractor.encoder,
+                                     _encoded=encoded)
         fresh = {
             loc: [q for q in preds if q not in precisions.at(loc)]
             for loc, preds in harvest.items()

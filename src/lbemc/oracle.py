@@ -12,8 +12,10 @@ the symbolic engine: projection splits a formula into cubes with the
 solver's `smt._cubes` and eliminates with the theory's own `smt.project`
 (substitution, then Fourier-Motzkin over the integer rows), and replay
 joins choices with the path encoding's `semantics._merge`, so it reads a
-model at the indices the path formula gave it.  The reachability search
-and path enumeration share nothing else.
+model at the indices the path formula gave it.  That formula leaves out
+the choice pads nothing reads (`semantics.drop_dead_pads`), so replay
+reads a variable the model lacks as one nothing reads.  The reachability
+search and path enumeration share nothing else.
 """
 
 from __future__ import annotations
@@ -211,7 +213,9 @@ def replay_path(p: Program, edges: list[Edge], model) -> bool:
 
     Returns True when the run reaches the end of the path (whose last edge
     targets the error location).  It does whenever the model satisfies the
-    path's SSA formula, read with 0 for the variables the model lacks; a
+    path's SSA formula with or without its dead pads (`engine.path_formula`
+    drops them); a havoc or initial value the model lacks is read as 0,
+    and a joined index it lacks leaves the choice free (see `_run`).  A
     True answer means the run is a concrete execution.
     """
     if edges and edges[-1].target != p.error:
@@ -231,9 +235,12 @@ def _run(op: Operation, values, ssa: dict[str, int], model, shared: set[int], me
 
     The index maps are `encode_edge`'s.  Once an assume fails the values
     are None, and the run goes on counting indices for the choices above.
-    A choice runs both branches and goes on with the one whose values are
-    the model's at the choice's output indices, so the run follows the
-    model.  Subtrees with more than one parent are run once per index map
+    A choice runs both branches and goes on with the first whose values
+    are the model's at the choice's output indices, so the run follows the
+    model.  An output index the model has no value for constrains no
+    branch: the path formula dropped its pad, so no atom reads it, nothing
+    reads the variable before it is written again, and either branch is a
+    concrete run.  Subtrees with more than one parent are run once per index map
     and values, as `encode_edge` encodes them once per index map.
     """
     key = None
@@ -265,8 +272,9 @@ def _run(op: Operation, values, ssa: dict[str, int], model, shared: set[int], me
         left, m1 = _run(op.left, values, ssa, model, shared, memo)
         right, m2 = _run(op.right, values, ssa, model, shared, memo)
         merged = _merge(m1, m2)
+        # a variable the model lacks leaves the branch free (v[n] == v[n])
         taken = next((v for v in (left, right) if v is not None and all(
-            v[n] == model.get(VariableRef(n, i), 0) for n, i in merged.items())), None)
+            model.get(VariableRef(n, i), v[n]) == v[n] for n, i in merged.items())), None)
         result = taken, merged
     else:
         raise TypeError(f"not an operation: {op!r}")

@@ -12,8 +12,10 @@ from lbemc.engine import (
     is_covered,
     verify,
 )
-from lbemc.formula import VariableRef, compare
+from lbemc.formula import EQ, Atom, Term, VariableRef, compare, f_and
 from lbemc.frontend import parse_program
+from lbemc.semantics import encode_edge
+from lbemc.smt import InternalSolver
 from lbemc.oracle import (
     NOT_REACHABLE,
     REACHABLE,
@@ -330,9 +332,9 @@ def test_each_checked_path_is_encoded_once(monkeypatch):
     encoded, checked = [], []
     original_encode, original_check = engine.encode_edge, engine.check_path
 
-    def counting_encode(op, ssa):
+    def counting_encode(op, ssa, encoder=None):
         encoded.append(op)
-        return original_encode(op, ssa)
+        return original_encode(op, ssa, encoder=encoder)
 
     def recording_check(path, *args, **kwargs):
         checked.append(len(path))
@@ -344,3 +346,69 @@ def test_each_checked_path_is_encoded_once(monkeypatch):
     assert result.stats.refinement_steps == 4
     # one SSA encoding per path serves the check and the harvest
     assert len(checked) == 4 and len(encoded) == sum(checked)
+
+
+def test_counterexample_search_is_linear_in_the_lock_count(monkeypatch):
+    # the path formula drops the pads nothing reads, as the posts do; with
+    # every pad the search of the bug twin's path grew as n squared (555
+    # theory checks at n = 20)
+    import lbemc.engine as engine
+
+    original_check = engine.check_path
+    path_checks = []
+
+    def recording_check(path, variable_names, solver, *args, **kwargs):
+        before = solver.theory_checks
+        out = original_check(path, variable_names, solver, *args, **kwargs)
+        path_checks.append(solver.theory_checks - before)
+        return out
+
+    monkeypatch.setattr(engine, "check_path", recording_check)
+    for n in (10, 20, 40):
+        p, _ = summarize(parse_program(gen_test_locks(n, bug=True)))
+        solver = InternalSolver()
+        path_checks.clear()
+        result = verify(p, mode=BOOLEAN, solver=solver)
+        assert result.verdict == "unsafe" and result.replayed
+        assert len(path_checks) == 1 and path_checks[0] <= 6 * n, (n, path_checks)
+        assert solver.theory_checks <= 12 * n, (n, solver.theory_checks)
+
+
+def _unsafe_results():
+    for n in range(2, 9):
+        source = gen_test_locks(n, bug=True)
+        yield source, True, BOOLEAN
+        yield source, False, CARTESIAN
+    for k in range(200):
+        for lbe in (False, True):
+            for mode in (CARTESIAN, BOOLEAN):
+                yield random_program(k), lbe, mode
+
+
+def test_pruned_witnesses_extend_to_the_full_path_formula():
+    # the witness is a model of the path formula without its dead pads;
+    # the path with every pad, encoded one edge at a time, has a model
+    # that agrees with it wherever it has a value
+    checked = 0
+    for source, lbe, mode in _unsafe_results():
+        p = parse_program(source)
+        if lbe:
+            p, _ = summarize(p)
+        solver = InternalSolver()
+        result = verify(p, mode=mode, solver=solver)
+        if result.verdict != "unsafe":
+            continue
+        ssa = {n: 0 for n in program_variables(p)}
+        full = []
+        for edge, _ in result.path:
+            f, ssa = encode_edge(edge.op, ssa)
+            full.append(f)
+        # q*v - p = 0 built as it is: canon_eq would turn a rational value
+        # p/q into FALSE, and the solver decides over the rationals
+        pinned = [Atom(EQ, Term.of(-value.numerator, {v: value.denominator}))
+                  for v, value in result.model.items()]
+        assert solver.check_sat(f_and(*full, *pinned)).is_sat, (source, lbe, mode)
+        if result.integral_witness:
+            assert result.replayed, (source, lbe, mode)
+        checked += 1
+    assert checked > 100
