@@ -139,9 +139,10 @@ def path_formula(path: list[tuple[Edge, int]], variable_names: list[str],
 
     The formula is the conjunction of the path's SSA constraints without
     the choice pads nothing reads (`drop_dead_pads`, over `encoder`'s
-    pads), as the abstract posts drop them: it has a model exactly when
-    the path with every pad has one, and the two agree on the variables
-    it keeps.  Without an `encoder` the path is encoded on a fresh one.
+    pads), as the abstract posts drop them.  Each of its models extends
+    to a model of the path with every pad that agrees with it on every
+    variable it keeps, so the two are satisfiable together.  Without an
+    `encoder` the path is encoded on a fresh one.
     `_encoded` is as for `check_path`.
     """
     if encoder is None:
@@ -297,7 +298,8 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
         _, art, path = outcome
         stats.art_size = len(art)
         encoded = _encode_path(path, names, abstractor.encoder)
-        status, model = check_path(path, names, solver, abstractor.encoder, _encoded=encoded)
+        status, model = check_path(path, names, solver, abstractor.encoder,
+                                   _encoded=encoded)
         if status == "feasible":
             integral = all(v.denominator == 1 for v in model.values())
             replayed = False

@@ -240,8 +240,8 @@ def _run(op: Operation, values, ssa: dict[str, int], model, shared: set[int], me
     model.  An output index the model has no value for constrains no
     branch: the path formula dropped its pad, so no atom reads it, nothing
     reads the variable before it is written again, and either branch is a
-    concrete run.  Subtrees with more than one parent are run once per index map
-    and values, as `encode_edge` encodes them once per index map.
+    concrete run.  Subtrees with more than one parent are run once per
+    index map and values, as `encode_edge` encodes them once per index map.
     """
     key = None
     if id(op) in shared:
