@@ -142,8 +142,8 @@ def path_formula(path: list[tuple[Edge, int]], variable_names: list[str],
     pads), as the abstract posts drop them.  Each of its models extends
     to a model of the path with every pad that agrees with it on every
     variable it keeps, so the two are satisfiable together.  Without an
-    `encoder` the path is encoded on a fresh one.
-    `_encoded` is as for `check_path`.
+    `encoder` the path is encoded on a fresh one.  `_encoded` is as for
+    `check_path`.
     """
     if encoder is None:
         encoder = SsaEncoder()
