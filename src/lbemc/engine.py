@@ -5,10 +5,10 @@ coverage (an older node at the same location whose abstract state is
 entailed by the new node's) and otherwise expanded along every CFA edge.
 Successors whose abstraction is False are pruned and never become nodes.
 Construction stops at the first error node; the corresponding path is then
-checked for feasibility on its SSA encoding, made on the encoder the
-abstract posts use and without the choice pads nothing reads.  Infeasible
-paths refine the per-location precisions with atoms harvested from the
-path constraints, and the tree is rebuilt from scratch.
+checked for feasibility on its SSA encoding, without the choice pads
+nothing reads, as the abstract posts drop them.  Infeasible paths refine
+the per-location precisions with atoms harvested from the path
+constraints, and the tree is rebuilt from scratch.
 """
 
 from __future__ import annotations
@@ -119,10 +119,15 @@ def build_art(p: Program, precisions: ProgramPrecision, mode: str,
 # counterexample analysis
 # ---------------------------------------------------------------------------
 
-def _encode_path(path: list[tuple[Edge, int]], variable_names: list[str],
-                 encoder: SsaEncoder):
-    """Per-edge SSA constraints of the path, encoded on `encoder`, and the
-    index map at each position (maps[i] holds after the first i edges)."""
+def _encode_path(path: list[tuple[Edge, int]], variable_names: list[str]):
+    """Per-edge SSA constraints of the path, the index map at each position
+    (maps[i] holds after the first i edges) and the pads of the encoding.
+
+    The path is encoded on an encoder of its own: it starts at index 0 for
+    every variable where the posts start at `{}`, so it would find nothing
+    of theirs in the `Abstractor`'s memo.
+    """
+    encoder = SsaEncoder()
     ssa = {n: 0 for n in variable_names}
     maps = [dict(ssa)]
     per_edge = []
@@ -130,41 +135,35 @@ def _encode_path(path: list[tuple[Edge, int]], variable_names: list[str],
         f, ssa = encode_edge(edge.op, ssa, encoder=encoder)
         per_edge.append(f)
         maps.append(dict(ssa))
-    return per_edge, maps
+    return per_edge, maps, encoder.pads
 
 
 def path_formula(path: list[tuple[Edge, int]], variable_names: list[str],
-                 encoder: SsaEncoder | None = None, *, _encoded=None):
+                 *, _encoded=None):
     """The formula `check_path` decides and the per-position index maps.
 
     The formula is the conjunction of the path's SSA constraints without
-    the choice pads nothing reads (`drop_dead_pads`, over `encoder`'s
-    pads), as the abstract posts drop them.  Each of its models extends
-    to a model of the path with every pad that agrees with it on every
-    variable it keeps, so the two are satisfiable together.  Without an
-    `encoder` the path is encoded on a fresh one.  `_encoded` is as for
-    `check_path`.
+    the choice pads nothing reads (`drop_dead_pads`), as the abstract posts
+    drop them.  Each of its models extends to a model of the path with
+    every pad that agrees with it on every variable it keeps, so the two
+    are satisfiable together.  `_encoded` is as for `check_path`.
     """
-    if encoder is None:
-        encoder = SsaEncoder()
-    per_edge, maps = _encoded or _encode_path(path, variable_names, encoder)
-    return drop_dead_pads(f_and(*per_edge), encoder.pads), maps
+    per_edge, maps, pads = _encoded or _encode_path(path, variable_names)
+    return drop_dead_pads(f_and(*per_edge), pads), maps
 
 
 def check_path(path: list[tuple[Edge, int]], variable_names: list[str], solver,
-               encoder: SsaEncoder | None = None, *, _encoded=None):
+               *, _encoded=None):
     """("feasible", model) when the path formula (`path_formula`) is
     satisfiable, else ("infeasible", None).
 
     The model has no value for the variables the dropped pads alone
-    defined.  `verify` passes the `Abstractor`'s encoder, so the path is
-    encoded on the memo and pads of the run's posts.  `_encoded` is
-    private to `verify`, which passes the same path's
-    `_encode_path(path, variable_names, encoder)` result to this and to
+    defined.  `_encoded` is private to `verify`, which passes the same
+    path's `_encode_path(path, variable_names)` result to this and to
     `extract_predicates`, so the path is encoded once while both calls stay
     visible under their public names.
     """
-    formula, _ = path_formula(path, variable_names, encoder, _encoded=_encoded)
+    formula, _ = path_formula(path, variable_names, _encoded=_encoded)
     res = solver.check_sat(formula)
     if res.is_sat:
         return "feasible", res.model
@@ -172,30 +171,27 @@ def check_path(path: list[tuple[Edge, int]], variable_names: list[str], solver,
 
 
 def extract_predicates(path: list[tuple[Edge, int]], variable_names: list[str],
-                       solver=None, encoder: SsaEncoder | None = None, *,
-                       _encoded=None) -> dict[int, list[Formula]]:
+                       solver=None, *, _encoded=None) -> dict[int, list[Formula]]:
     """Atoms harvested from the path constraints, per location.
 
     At every path position the constraints contributed so far are scanned;
     an atom whose variables are all at their current SSA index at that
     position is stripped of indices and attached to the position's
     location.  Intended for infeasible paths; passing a solver enforces
-    that precondition (ValueError on a feasible path).  `encoder` and
-    `_encoded` are as for `check_path`.  The harvest reads the per-edge
-    constraints with every pad, but a pad x@j = x@i reads an older index
-    of its variable, so it is never live and gives no predicate.
+    that precondition (ValueError on a feasible path).  `_encoded` is as
+    for `check_path`.  The harvest reads the per-edge constraints with
+    every pad, but a pad x@j = x@i reads an older index of its variable,
+    so it is never live and gives no predicate.
 
     SSA indices never decrease along the path, so an atom that is not live
     at one position is not live at any later one: the scan keeps the live
     atoms of the edges seen so far, in edge order, and drops the dead ones.
     """
-    if encoder is None:
-        encoder = SsaEncoder()
-    encoded = _encoded or _encode_path(path, variable_names, encoder)
-    if (solver is not None and check_path(
-            path, variable_names, solver, encoder, _encoded=encoded)[0] == "feasible"):
+    encoded = _encoded or _encode_path(path, variable_names)
+    if (solver is not None
+            and check_path(path, variable_names, solver, _encoded=encoded)[0] == "feasible"):
         raise ValueError("refinement requires an infeasible path")
-    per_edge, maps = encoded
+    per_edge, maps, _ = encoded
     harvested: dict[int, list[Formula]] = {}
     live: list[tuple[Atom, Atom]] = []  # (indexed atom, stripped atom)
     for (edge, _), f, current in zip(path, per_edge, maps[1:]):
@@ -297,9 +293,8 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
             return finish(VerificationResult("safe", stats, art=art))
         _, art, path = outcome
         stats.art_size = len(art)
-        encoded = _encode_path(path, names, abstractor.encoder)
-        status, model = check_path(path, names, solver, abstractor.encoder,
-                                   _encoded=encoded)
+        encoded = _encode_path(path, names)
+        status, model = check_path(path, names, solver, _encoded=encoded)
         if status == "feasible":
             integral = all(v.denominator == 1 for v in model.values())
             replayed = False
@@ -311,8 +306,7 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
                     integral_witness=integral, replayed=replayed, art=art,
                 )
             )
-        harvest = extract_predicates(path, names, encoder=abstractor.encoder,
-                                     _encoded=encoded)
+        harvest = extract_predicates(path, names, _encoded=encoded)
         fresh = {
             loc: [q for q in preds if q not in precisions.at(loc)]
             for loc, preds in harvest.items()

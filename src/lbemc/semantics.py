@@ -16,7 +16,6 @@ and an index map is threaded through the operation.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Mapping
 
 from .formula import (
@@ -356,7 +355,7 @@ class SsaEncoder:
         self._seen: set[int] = set()
         self._shared: set[int] = set()
         _mark_shared(self._roots, self._seen, self._shared)
-        self.memo: dict[tuple, tuple[Formula, dict[str, int]]] = {}
+        self.memo: dict[tuple[int, tuple], tuple[Formula, dict[str, int]]] = {}
         self.pads: dict[int, Formula] = {}
 
     def encode(self, op: Operation, ssa: SsaMap) -> tuple[Formula, dict[str, int]]:
@@ -408,10 +407,7 @@ def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
             pads: dict[int, Formula]) -> tuple[Formula, dict[str, int]]:
     key = None
     if id(op) in shared:
-        # one flat tuple, not a pair per variable: the memo keeps its keys
-        # for the whole run, and every tuple kept brings the cyclic garbage
-        # collector's next pass closer
-        key = (id(op), *chain.from_iterable(sorted(ssa.items())))
+        key = (id(op), tuple(sorted(ssa.items())))
         cached = memo.get(key)
         if cached is not None:
             return cached
