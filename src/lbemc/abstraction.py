@@ -144,7 +144,9 @@ class Abstractor:
         self._concretize_memo: dict[int, Formula] = {}
         # BDD node -> its concretization with every variable at index 0
         self._at0_memo: dict[int, Formula] = {}
-        self._post_memo: dict[tuple, AbstractFormula] = {}
+        # (state node, op, pi, mode) -> successor node; nodes, not
+        # AbstractFormulas, so the memo holds no reference back to self
+        self._post_memo: dict[tuple, int] = {}
         # (op, pi) -> op's pruned SSA constraint, pi at op's output indices
         self._edge_memo: dict[tuple, tuple[Formula, list[Formula]]] = {}
 
@@ -171,11 +173,11 @@ class Abstractor:
 
     def cartesian_abstract(self, phi: Formula, pi: Precision) -> AbstractFormula:
         """Conjunction of exactly the precision predicates entailed by phi."""
-        return self._cartesian_on(phi, pi.preds, pi)
+        return AbstractFormula(self, self._cartesian_on(phi, pi.preds, pi))
 
     def boolean_abstract(self, phi: Formula, pi: Precision) -> AbstractFormula:
         """Strongest Boolean combination of precision predicates entailed by phi."""
-        return self._boolean_on(phi, pi.preds, pi)
+        return AbstractFormula(self, self._boolean_on(phi, pi.preds, pi))
 
     def concretize(self, state: AbstractFormula) -> Formula:
         """Substitute predicate formulas for their ids (Shannon expansion)."""
@@ -222,30 +224,30 @@ class Abstractor:
         """
         # nested Cartesian posts recurse through _post, so a wrapper around
         # abstract_post sees exactly one call per tree edge
-        return self._post(state, op, pi, mode)
+        return AbstractFormula(self, self._post(state.node, op, pi, mode))
 
-    def _post(self, state: AbstractFormula, op: Operation, pi: Precision,
-              mode: str) -> AbstractFormula:
+    def _post(self, node: int, op: Operation, pi: Precision, mode: str) -> int:
+        """abstract_post on BDD nodes."""
         # a Cartesian post of a sequence composes along its right spine in
         # a loop; each suffix on the spine is memoized with the end result
         suffixes = []
         while True:
-            if state.is_false:
-                out = self.false_state()
+            if node == Bdd.FALSE:
+                out = Bdd.FALSE
                 break
-            key = (state.node, op, pi, mode)
+            key = (node, op, pi, mode)
             out = self._post_memo.get(key)
             if out is not None:
                 break
             if mode == CARTESIAN and isinstance(op, Seq):
                 suffixes.append(key)
-                state = self._post(state, op.first, pi, CARTESIAN)
+                node = self._post(node, op.first, pi, CARTESIAN)
                 op = op.second
                 continue
             if mode == CARTESIAN:
-                out = self._cartesian_post(state, op, pi)
+                out = self._cartesian_post(node, op, pi)
             elif mode == BOOLEAN:
-                out = self._boolean_on(*self._post_query(state, op, pi), pi)
+                out = self._boolean_on(*self._post_query(node, op, pi), pi)
             else:
                 raise ValueError(f"unknown abstraction mode {mode!r}")
             self._post_memo[key] = out
@@ -254,26 +256,25 @@ class Abstractor:
             self._post_memo[key] = out
         return out
 
-    def _cartesian_post(self, state: AbstractFormula, op: Operation,
-                        pi: Precision) -> AbstractFormula:
+    def _cartesian_post(self, node: int, op: Operation, pi: Precision) -> int:
         if isinstance(op, Choice):
             return self._conjunction_join(
-                self._post(state, op.left, pi, CARTESIAN),
-                self._post(state, op.right, pi, CARTESIAN),
+                self._post(node, op.left, pi, CARTESIAN),
+                self._post(node, op.right, pi, CARTESIAN),
                 pi,
             )
-        return self._cartesian_on(*self._post_query(state, op, pi), pi)
+        return self._cartesian_on(*self._post_query(node, op, pi), pi)
 
-    def _post_query(self, state: AbstractFormula, op: Operation, pi: Precision):
+    def _post_query(self, node: int, op: Operation, pi: Precision):
         """The incoming region at index 0 conjoined with op's SSA constraint,
         and the precision predicates read at op's output indices.
 
         The constraint comes from the run's one encoder, so op is encoded
         once for every precision, and subtrees op shares with edges
-        encoded before are not encoded again.  It leaves out the choice
-        pads nothing reads (`drop_dead_pads`, over the encoder's pads),
+        encoded before are not encoded again.  It leaves out the copies
+        x@j = x@i nothing reads, choice pads among them (`drop_dead_pads`),
         which keeps the models over the predicates.  The incoming region
-        reads only index 0, which no pad defines, so the pruned constraint
+        reads only index 0, which no copy defines, so the pruned constraint
         depends on op and pi alone and is cached; the region at index 0
         depends on the state's BDD node alone, and is cached too.
         """
@@ -282,39 +283,38 @@ class Abstractor:
             edge_formula, out_map = encode_edge(op, {}, encoder=self.encoder)
             shifted = [at_indices(p, out_map) for p in pi]
             edge = self._edge_memo[op, pi] = (
-                drop_dead_pads(edge_formula, self.encoder.pads, shifted), shifted)
+                drop_dead_pads(edge_formula, shifted), shifted)
         edge_formula, shifted = edge
-        region = self._at0_memo.get(state.node)
+        region = self._at0_memo.get(node)
         if region is None:
-            region = self._at0_memo[state.node] = at_indices(self.concretize(state), {})
+            region = self._at0_memo[node] = at_indices(self._concretize_node(node), {})
         return f_and(region, edge_formula), shifted
 
-    def _conjunction_join(self, a: AbstractFormula, b: AbstractFormula,
-                          pi: Precision) -> AbstractFormula:
+    def _conjunction_join(self, a: int, b: int, pi: Precision) -> int:
         """Weakest conjunction of precision predicates covering both states."""
-        if a.is_false:
+        if a == Bdd.FALSE:
             return b
-        if b.is_false:
+        if b == Bdd.FALSE:
             return a
         node = Bdd.TRUE
         for p in pi:
             v = self.bdd.var(self.pred_id(p))
-            if self.bdd.implies(a.node, v) and self.bdd.implies(b.node, v):
+            if self.bdd.implies(a, v) and self.bdd.implies(b, v):
                 node = self.bdd.apply_and(node, v)
-        return AbstractFormula(self, node)
+        return node
 
-    def _cartesian_on(self, phi: Formula, shifted, pi: Precision) -> AbstractFormula:
+    def _cartesian_on(self, phi: Formula, shifted, pi: Precision) -> int:
         """Conjunction of the predicates of pi whose shifted form phi entails."""
         verdicts = self.solver.entailed(phi, shifted)
         if verdicts is None:
-            return self.false_state()
+            return Bdd.FALSE
         node = Bdd.TRUE
         for p, holds in zip(pi, verdicts):
             if holds:
                 node = self.bdd.apply_and(node, self.bdd.var(self.pred_id(p)))
-        return AbstractFormula(self, node)
+        return node
 
-    def _boolean_on(self, phi: Formula, shifted, pi: Precision) -> AbstractFormula:
+    def _boolean_on(self, phi: Formula, shifted, pi: Precision) -> int:
         """Disjunction of one full minterm over pi per satisfying assignment.
 
         Each predicate of pi gets a propositional variable linked to its
@@ -329,4 +329,4 @@ class Abstractor:
         for assignment in assignments:
             cube = self.bdd.cube([(i, assignment[n]) for i, n in zip(ids, names)])
             node = self.bdd.apply_or(node, cube)
-        return AbstractFormula(self, node)
+        return node

@@ -5,8 +5,8 @@ coverage (an older node at the same location whose abstract state is
 entailed by the new node's) and otherwise expanded along every CFA edge.
 Successors whose abstraction is False are pruned and never become nodes.
 Construction stops at the first error node; the corresponding path is then
-checked for feasibility on its SSA encoding, without the choice pads
-nothing reads, as the abstract posts drop them.  Infeasible paths refine
+checked for feasibility on its SSA encoding, without the copies x@j = x@i
+nothing reads (choice pads among them), as the abstract posts drop them.  Infeasible paths refine
 the per-location precisions with atoms harvested from the path
 constraints, and the tree is rebuilt from scratch.
 """
@@ -120,8 +120,8 @@ def build_art(p: Program, precisions: ProgramPrecision, mode: str,
 # ---------------------------------------------------------------------------
 
 def _encode_path(path: list[tuple[Edge, int]], variable_names: list[str]):
-    """Per-edge SSA constraints of the path, the index map at each position
-    (maps[i] holds after the first i edges) and the pads of the encoding.
+    """Per-edge SSA constraints of the path and the index map at each
+    position (maps[i] holds after the first i edges).
 
     The path is encoded on an encoder of its own: it starts at index 0 for
     every variable where the posts start at `{}`, so it would find nothing
@@ -135,7 +135,7 @@ def _encode_path(path: list[tuple[Edge, int]], variable_names: list[str]):
         f, ssa = encode_edge(edge.op, ssa, encoder=encoder)
         per_edge.append(f)
         maps.append(dict(ssa))
-    return per_edge, maps, encoder.pads
+    return per_edge, maps
 
 
 def path_formula(path: list[tuple[Edge, int]], variable_names: list[str],
@@ -143,13 +143,13 @@ def path_formula(path: list[tuple[Edge, int]], variable_names: list[str],
     """The formula `check_path` decides and the per-position index maps.
 
     The formula is the conjunction of the path's SSA constraints without
-    the choice pads nothing reads (`drop_dead_pads`), as the abstract posts
-    drop them.  Each of its models extends to a model of the path with
-    every pad that agrees with it on every variable it keeps, so the two
-    are satisfiable together.  `_encoded` is as for `check_path`.
+    the copies nothing reads (`drop_dead_pads`), as the abstract posts drop
+    them.  Each of its models extends to a model of the path with every
+    copy that agrees with it on every variable it keeps, so the two are
+    satisfiable together.  `_encoded` is as for `check_path`.
     """
-    per_edge, maps, pads = _encoded or _encode_path(path, variable_names)
-    return drop_dead_pads(f_and(*per_edge), pads), maps
+    per_edge, maps = _encoded or _encode_path(path, variable_names)
+    return drop_dead_pads(f_and(*per_edge)), maps
 
 
 def check_path(path: list[tuple[Edge, int]], variable_names: list[str], solver,
@@ -157,7 +157,7 @@ def check_path(path: list[tuple[Edge, int]], variable_names: list[str], solver,
     """("feasible", model) when the path formula (`path_formula`) is
     satisfiable, else ("infeasible", None).
 
-    The model has no value for the variables the dropped pads alone
+    The model has no value for the variables the dropped copies alone
     defined.  `_encoded` is private to `verify`, which passes the same
     path's `_encode_path(path, variable_names)` result to this and to
     `extract_predicates`, so the path is encoded once while both calls stay
@@ -191,7 +191,7 @@ def extract_predicates(path: list[tuple[Edge, int]], variable_names: list[str],
     if (solver is not None
             and check_path(path, variable_names, solver, _encoded=encoded)[0] == "feasible"):
         raise ValueError("refinement requires an infeasible path")
-    per_edge, maps, _ = encoded
+    per_edge, maps = encoded
     harvested: dict[int, list[Formula]] = {}
     live: list[tuple[Atom, Atom]] = []  # (indexed atom, stripped atom)
     for (edge, _), f, current in zip(path, per_edge, maps[1:]):

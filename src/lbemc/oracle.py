@@ -13,9 +13,10 @@ solver's `smt._cubes` and eliminates with the theory's own `smt.project`
 (substitution, then Fourier-Motzkin over the integer rows), and replay
 joins choices with the path encoding's `semantics._merge`, so it reads a
 model at the indices the path formula gave it.  That formula leaves out
-the choice pads nothing reads (`semantics.drop_dead_pads`), so replay
-reads a variable the model lacks as one nothing reads.  The reachability
-search and path enumeration share nothing else.
+the copies x@j = x@i nothing reads, choice pads and assignments x = x
+alike (`semantics.drop_dead_pads`), so replay reads a variable the model
+lacks as one nothing reads.  The reachability search and path enumeration
+share nothing else.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def replay_path(p: Program, edges: list[Edge], model) -> bool:
 
     Returns True when the run reaches the end of the path (whose last edge
     targets the error location).  It does whenever the model satisfies the
-    path's SSA formula with or without its dead pads (`engine.path_formula`
+    path's SSA formula with or without its dead copies (`engine.path_formula`
     drops them); a havoc or initial value the model lacks is read as 0,
     and a joined index it lacks leaves the choice free (see `_run`).  A
     True answer means the run is a concrete execution.
@@ -238,7 +239,7 @@ def _run(op: Operation, values, ssa: dict[str, int], model, shared: set[int], me
     A choice runs both branches and goes on with the first whose values
     are the model's at the choice's output indices, so the run follows the
     model.  An output index the model has no value for constrains no
-    branch: the path formula dropped its pad, so no atom reads it, nothing
+    branch: the path formula dropped its pads, so no atom reads it, nothing
     reads the variable before it is written again, and either branch is a
     concrete run.  Subtrees with more than one parent are run once per
     index map and values, as `encode_edge` encodes them once per index map.

@@ -11,7 +11,9 @@ An operation is the label of a control-flow edge:
 ``sp`` computes postconditions directly, introducing a fresh indexed
 variable for each overwritten value.  ``encode_edge`` produces the SSA form
 used for path feasibility: every constraint ranges over indexed variables
-and an index map is threaded through the operation.
+and an index map is threaded through the operation.  ``drop_dead_pads``
+removes from such an encoding the copies ``x@j = x@i`` that nothing reads;
+it knows a copy by its form, so the encoder keeps no record of its pads.
 """
 
 from __future__ import annotations
@@ -302,32 +304,26 @@ def sp(op: Operation, phi: Formula) -> Formula:
 SsaMap = Mapping[str, int]
 
 
-def encode_edge(op: Operation, ssa: SsaMap, pads: list[Formula] | None = None,
+def encode_edge(op: Operation, ssa: SsaMap,
                 encoder: SsaEncoder | None = None) -> tuple[Formula, dict[str, int]]:
     """SSA constraint for op starting at index map ssa.
 
     Returns (formula over indexed variables, output index map).  The
     conjunction of the incoming constraints with the returned formula is
     satisfiable exactly when some concrete execution of op exists.  Choice
-    branches are padded with equalities `x@j = x@i` onto fresh indices so
-    both end at a common output map.  The formula keeps every pad; the
-    encoder records each pad atom once, when it makes it, in
-    `encoder.pads`, for `drop_dead_pads` to remove the ones nothing reads
-    where only the models over other variables matter.  When `pads` is a
-    list, the encoder's pad atoms are also appended to it.
+    branches are padded with copies `x@j = x@i` onto fresh indices so both
+    end at a common output map.  The formula keeps every pad;
+    `drop_dead_pads` removes the ones nothing reads where only the models
+    over other variables matter.
 
     Without an `encoder` the encoding is one-shot: a fresh `SsaEncoder`
-    encodes op alone, and `pads` receives exactly the pads of the returned
-    formula.  With one, op is encoded on that encoder's memo, so subtrees
-    it shares with operations encoded before come back as the same
-    formula objects.
+    encodes op alone.  With one, op is encoded on that encoder's memo, so
+    subtrees it shares with operations encoded before come back as the
+    same formula objects.
     """
     if encoder is None:
         encoder = SsaEncoder()
-    result = encoder.encode(op, ssa)
-    if pads is not None:
-        pads += encoder.pads.values()
-    return result
+    return encoder.encode(op, ssa)
 
 
 class SsaEncoder:
@@ -343,11 +339,8 @@ class SsaEncoder:
     leaf once per precision): the index map a subtree starts at is a
     one-to-one function of its parent's, so a subtree with one parent never
     meets an index map twice.  A sequence's right spine is encoded in a
-    loop, with one conjunction for the spine.
-
-    `pads` maps the id of each pad atom made to the atom, in the order
-    they were made; a subtree found in the memo adds none.  The memo keys
-    operations by id, so the encoder keeps every operation it has seen.
+    loop, with one conjunction for the spine.  The memo keys operations by
+    id, so the encoder keeps every operation it has seen.
     """
 
     def __init__(self, ops: Iterable[Operation] = ()) -> None:
@@ -356,7 +349,6 @@ class SsaEncoder:
         self._shared: set[int] = set()
         _mark_shared(self._roots, self._seen, self._shared)
         self.memo: dict[tuple[int, tuple], tuple[Formula, dict[str, int]]] = {}
-        self.pads: dict[int, Formula] = {}
 
     def encode(self, op: Operation, ssa: SsaMap) -> tuple[Formula, dict[str, int]]:
         """op's SSA constraint from ssa and its output index map."""
@@ -365,7 +357,7 @@ class SsaEncoder:
         else:
             self._roots.append(op)
             _mark_shared([op], self._seen, self._shared)
-        return _encode(op, dict(ssa), self._shared, self.memo, self.pads)
+        return _encode(op, dict(ssa), self._shared, self.memo)
 
 
 def _shared_nodes(op: Operation) -> set[int]:
@@ -403,8 +395,8 @@ def _spine(op: Seq, shared: set[int]) -> list[Operation]:
             return elements
 
 
-def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
-            pads: dict[int, Formula]) -> tuple[Formula, dict[str, int]]:
+def _encode(op: Operation, ssa: dict[str, int], shared: set[int],
+            memo) -> tuple[Formula, dict[str, int]]:
     key = None
     if id(op) in shared:
         key = (id(op), tuple(sorted(ssa.items())))
@@ -427,12 +419,12 @@ def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
     elif isinstance(op, Seq):
         parts = []
         for element in _spine(op, shared):
-            f, ssa = _encode(element, ssa, shared, memo, pads)
+            f, ssa = _encode(element, ssa, shared, memo)
             parts.append(f)
         result = f_and(*parts), ssa
     elif isinstance(op, Choice):
-        f1, m1 = _encode(op.left, ssa, shared, memo, pads)
-        f2, m2 = _encode(op.right, ssa, shared, memo, pads)
+        f1, m1 = _encode(op.left, ssa, shared, memo)
+        f2, m2 = _encode(op.right, ssa, shared, memo)
         merged = _merge(m1, m2)
         pads1: list[Formula] = []
         pads2: list[Formula] = []
@@ -442,8 +434,6 @@ def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
                 fresh = VariableRef(name, j)
                 pads1.append(_pad(VariableRef(name, i1), fresh))
                 pads2.append(_pad(VariableRef(name, i2), fresh))
-        for pad in pads1 + pads2:
-            pads[id(pad)] = pad
         result = f_or(f_and(f1, *pads1), f_and(f2, *pads2)), merged
     else:
         raise TypeError(f"not an operation: {op!r}")
@@ -454,7 +444,8 @@ def _encode(op: Operation, ssa: dict[str, int], shared: set[int], memo,
 
 def _pad(old: VariableRef, fresh: VariableRef) -> Atom:
     """The pad x@j = x@i from fresh = x@j and old = x@i, i < j, built
-    directly in the form `canon_eq` gives it: x@i - x@j = 0."""
+    directly in the form `canon_eq` gives it: x@i - x@j = 0, the copy
+    `drop_dead_pads` knows."""
     return Atom(EQ, Term(0, ((old, 1), (fresh, -1))))
 
 
@@ -468,41 +459,41 @@ def _merge(m1: dict[str, int], m2: dict[str, int]) -> dict[str, int]:
     return merged
 
 
-def drop_dead_pads(f: Formula, pads: Iterable[Formula] | dict[int, Formula],
-                   targets: Iterable[Formula] = ()) -> Formula:
-    """f without the pads of the variables nothing reads.
+def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
+    """f, an SSA encoding, without the copies of the variables nothing reads.
 
-    `pads` holds the pad atoms of f's encoding, which puts them under no
-    negation: the list `encode_edge` reported, or the `pads` of the
-    encoder that made f, a map from id to pad atom that may hold the pads
-    of other formulas too.  A pad x@j = x@i is dead when x@j occurs in no
-    other atom of f (pads that define x@j aside), in no pad of a live
-    variable and in none of `targets`, the formulas read over f's output
-    indices.  Dead pads become TRUE, which is exact for the models over
-    the other variables: the SSA encoding defines x@j once on each path
-    through the choices, so on the path a model of the pruned formula
-    takes, one pad at most mentions x@j, and giving x@j the value of that
-    pad's x@i satisfies it.  `f` itself is returned when no pad is dead.
+    A copy is an atom x@i - x@j = 0 with i < j: the form `_pad` gives the
+    pads of a choice, and `canon_eq` the assignment x = x.  A copy is dead
+    when x@j occurs in no other atom of f (copies that define x@j aside),
+    in no copy of a live variable and in none of `targets`, the formulas
+    read over f's output indices.  Dead copies become TRUE, which is exact
+    for the models over the other variables: the SSA encoding defines x@j
+    once on each path through the choices, so on the path a model of the
+    pruned formula takes, one copy at most mentions x@j, and giving x@j the
+    value of that copy's x@i satisfies it.  `f` itself is returned when no
+    copy is dead, before `targets` is read when f has no copy.
 
     Shared subformulas stay shared, and a node that nothing below it
     changed is kept itself (`formula.rebuild`).
     """
-    if not pads:
-        return f
-    is_pad = pads if isinstance(pads, dict) else {id(a) for a in pads}
-    defined: dict[int, VariableRef] = {}  # id of a pad -> its variable
-    reads: dict[VariableRef, list[VariableRef]] = {}  # pad variable -> x@i
+    defined: dict[int, VariableRef] = {}  # id of a copy -> its x@j
+    reads: dict[VariableRef, list[VariableRef]] = {}  # x@j -> the x@i copied
     live: set[VariableRef] = set()
     for g in _dag_nodes(f):
         if isinstance(g, Atom):
-            if id(g) in is_pad:
-                (u, _), (v, _) = g.term.coeffs  # in variable order: u = x@i
+            coeffs = g.term.coeffs
+            if (len(coeffs) == 2 and g.rel == EQ and g.term.const == 0
+                    and coeffs[0][1] == 1 and coeffs[1][1] == -1
+                    and coeffs[0][0].name == coeffs[1][0].name):
+                (u, _), (v, _) = coeffs  # in variable order: u = x@i
                 defined[id(g)] = v
                 reads.setdefault(v, []).append(u)
             else:
-                live.update(w for w, _ in g.term.coeffs)
+                live.update(w for w, _ in coeffs)
         elif isinstance(g, Not) and isinstance(g.arg, Atom):
             live.update(w for w, _ in g.arg.term.coeffs)  # read by the negation
+    if not reads:
+        return f
     for t in targets:
         live.update(variables(t))
     stack = [v for v in live if v in reads]

@@ -60,6 +60,8 @@ from .formula import (
     Term,
     TrueF,
     VariableRef,
+    _TOKEN,
+    _read,
     evaluate,
     f_and,
     f_not,
@@ -285,10 +287,11 @@ class _LinTheory:
         _fourier_motzkin(reduced, None, levels)
         return levels
 
-    def model(self) -> dict[VariableRef, Fraction]:
-        """A witness: FM levels solved backwards, then the substitutions."""
+    def model(self, levels) -> dict[VariableRef, Fraction]:
+        """A witness from `levels`, what `check` returned on the constraints
+        held now: the FM levels solved backwards, then the substitutions."""
         env: dict[VariableRef, Fraction] = {}
-        for v, with_v in reversed(self.check()):
+        for v, with_v in reversed(levels):
             lo = hi = None
             for c in with_v:
                 a = c.coeffs[v]
@@ -323,7 +326,7 @@ def _solve_lin(constraints: list[_Lin]):
     theory = _LinTheory()
     for c in constraints:
         theory.push(c)
-    return theory.model()
+    return theory.model(theory.check())
 
 
 def _fourier_motzkin(ineqs: list[_Lin], elim: set[VariableRef] | None,
@@ -1022,7 +1025,7 @@ class _Dpll:
 
     def model(self) -> dict[VariableRef, Fraction]:
         """After a sat answer: a theory witness of the true atoms."""
-        return self._theory.model()
+        return self._theory.model(self._theory.check())
 
     def bools(self) -> dict[str, bool]:
         """After a sat answer: the propositional inputs' values (unassigned
@@ -1187,7 +1190,7 @@ class InternalSolver(_SolverBase):
             self.theory_checks += 1
             try:
                 self._sync(cube)
-                self._theory.check()
+                levels = self._theory.check()
             except _TheoryConflict:
                 continue
             if open_qs:
@@ -1195,7 +1198,7 @@ class InternalSolver(_SolverBase):
                 if not found:
                     # the complement, not q: see _decide_in_session; the
                     # model satisfies a stated q, so not its complement
-                    env = self._theory.model()
+                    env = self._theory.model(levels)
                     open_qs = [(q, atoms) for q, atoms in open_qs if q in stated
                                or not any(_atom_holds(a, env) for a in atoms)]
                 open_qs = [(q, atoms) for q, atoms in open_qs
@@ -1600,65 +1603,19 @@ def _unquote(sym: str) -> str:
     return sym[1:-1] if sym.startswith("|") and sym.endswith("|") else sym
 
 
-def _tokenize_sexpr(text: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "()":
-            out.append(ch)
-            i += 1
-        elif ch == "|":
-            j = text.index("|", i + 1)
-            out.append(text[i : j + 1])
-            i = j + 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
+def _parse_value_reply(reply: str) -> dict:
+    """Parse ((sym val) (sym val) ...) into {name: val}, each val a token
+    or a list of vals as `formula._read` reads them."""
+    tree, _ = _read(_TOKEN.findall(reply), 0)
+    return {_unquote(name): value for name, value in tree}
 
 
-def _parse_value_reply(reply: str) -> dict[str, str]:
-    """Parse ((sym val) (sym val) ...) into {name: flat value string}."""
-    tokens = _tokenize_sexpr(reply)
-
-    def read(pos):
-        if tokens[pos] == "(":
-            items = []
-            pos += 1
-            while tokens[pos] != ")":
-                item, pos = read(pos)
-                items.append(item)
-            return items, pos + 1
-        return tokens[pos], pos + 1
-
-    tree, _ = read(0)
-    out: dict[str, str] = {}
-    for pair in tree:
-        name = _unquote(pair[0])
-        out[name] = _flatten(pair[1])
-    return out
-
-
-def _flatten(node) -> str:
-    if isinstance(node, str):
-        return node
-    return "(" + " ".join(_flatten(n) for n in node) + ")"
-
-
-def _parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1].strip()
-        if inner.startswith("- "):
-            return -_parse_rational(inner[2:])
-        if inner.startswith("/ "):
-            a, b = inner[2:].split(None, 1)
-            return _parse_rational(a) / _parse_rational(b)
-        raise ValueError(f"cannot parse rational {text!r}")
-    return Fraction(text)
+def _parse_rational(value) -> Fraction:
+    """The rational a `get-value` val denotes: a numeral, (- x) or (/ a b)."""
+    if isinstance(value, str):
+        return Fraction(value)
+    if len(value) == 2 and value[0] == "-":
+        return -_parse_rational(value[1])
+    if len(value) == 3 and value[0] == "/":
+        return _parse_rational(value[1]) / _parse_rational(value[2])
+    raise ValueError(f"cannot parse rational {value!r}")

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from lbemc.formula import Term, VariableRef, parse_sexpr
+from lbemc.formula import EQ, Atom, Term, VariableRef, parse_sexpr
 from lbemc.smt import InternalSolver
 
 
@@ -12,6 +12,14 @@ def tvar(name: str, index=None) -> Term:
 
 def const(c: int) -> Term:
     return Term.constant(c)
+
+
+def is_copy(g) -> bool:
+    """g is a copy x@i - x@j = 0, i < j: a choice pad or an assignment x = x."""
+    if not (isinstance(g, Atom) and g.rel == EQ and g.term.const == 0):
+        return False
+    return ([c for _, c in g.term.coeffs] == [1, -1]
+            and len({v.name for v, _ in g.term.coeffs}) == 1)
 
 
 @pytest.fixture

@@ -211,7 +211,7 @@ def test_dropping_dead_pads_keeps_every_boolean_post(monkeypatch):
     sources = ([gen_test_locks(n, bug=bug) for n in range(2, 7) for bug in (False, True)]
                + [random_program(k) for k in range(40)])
     pruned = [_boolean_queries(src) for src in sources]
-    monkeypatch.setattr(lbemc.abstraction, "drop_dead_pads", lambda f, pads, targets=(): f)
+    monkeypatch.setattr(lbemc.abstraction, "drop_dead_pads", lambda f, targets=(): f)
     padded = [_boolean_queries(src) for src in sources]
     smaller = 0
     for (verdict, queries), (want_verdict, want_queries) in zip(pruned, padded):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from lbemc.abstraction import Abstractor, BOOLEAN, CARTESIAN, Precision, ProgramPrecision
@@ -262,6 +265,27 @@ class TestVerify:
         assert set(d["predicates"]) == {"total", "avg", "max"}
 
 
+@pytest.mark.parametrize("lbe", [False, True])
+@pytest.mark.parametrize("mode", [CARTESIAN, BOOLEAN])
+def test_a_run_is_freed_by_reference_counting(lbe, mode):
+    # nothing the Abstractor holds points back at it, so dropping the
+    # result frees the run without the cycle collector
+    p = parse_program(gen_test_locks(3))
+    if lbe:
+        p, _ = summarize(p)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = verify(p, mode=mode)
+        abstractor = weakref.ref(result.art.nodes[0].abstract.abstractor)
+        assert abstractor() is not None
+        del result
+        assert abstractor() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_art_dot_export(solver):
     p, _ = summarize(parse_program(gen_test_locks(2)))
     r = verify(p, mode=BOOLEAN)
@@ -372,6 +396,21 @@ def test_counterexample_search_is_linear_in_the_lock_count(monkeypatch):
         assert result.verdict == "unsafe" and result.replayed
         assert len(path_checks) == 1 and path_checks[0] <= 6 * n, (n, path_checks)
         assert solver.theory_checks <= 12 * n, (n, solver.theory_checks)
+
+
+def test_witness_leaves_out_an_unread_copy_assignment():
+    # random_program(197) runs `a = a;`, whose copy a@0 - a@1 = 0 nothing
+    # reads, so the path formula drops it as it drops an unread pad
+    for lbe in (False, True):
+        for mode in (CARTESIAN, BOOLEAN):
+            p = parse_program(random_program(197))
+            if lbe:
+                p, _ = summarize(p)
+            result = verify(p, mode=mode)
+            assert result.verdict == "unsafe", (lbe, mode)
+            assert not {VariableRef("a", 0), VariableRef("a", 1)} & set(result.model)
+            assert VariableRef("d", 0) in result.model
+            assert result.integral_witness and result.replayed, (lbe, mode)
 
 
 def _unsafe_results():

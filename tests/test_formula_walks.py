@@ -48,7 +48,7 @@ from lbemc.oracle import random_comparison, random_formula, random_operation, ra
 from lbemc.semantics import drop_dead_pads, encode_edge
 from lbemc.smt import InternalSolver, _Cnf, normalize
 
-from conftest import const, tvar
+from conftest import const, is_copy, tvar
 
 NAMES = ["a", "b", "c"]
 
@@ -134,24 +134,22 @@ def _ref_map_terms(f, term_map):
     return walk(f)
 
 
-def _ref_drop_dead_pads(f, pads, targets=()):
+def _ref_drop_dead_pads(f, targets=()):
     """drop_dead_pads with its rebuild on an explicit stack of nodes."""
-    if not pads:
-        return f
-    is_pad = {id(a) for a in pads}
     defined = {}
     reads = {}
     live = set()
     for g in _dag_nodes(f):
-        if isinstance(g, Atom):
-            if id(g) in is_pad:
-                (u, _), (v, _) = g.term.coeffs
-                defined[id(g)] = v
-                reads.setdefault(v, []).append(u)
-            else:
-                live.update(w for w, _ in g.term.coeffs)
+        if is_copy(g):
+            (u, _), (v, _) = g.term.coeffs
+            defined[id(g)] = v
+            reads.setdefault(v, []).append(u)
+        elif isinstance(g, Atom):
+            live.update(w for w, _ in g.term.coeffs)
         elif isinstance(g, Not) and isinstance(g.arg, Atom):
             live.update(w for w, _ in g.arg.term.coeffs)
+    if not reads:
+        return f
     for t in targets:
         live.update(variables(t))
     stack = [v for v in live if v in reads]
@@ -362,7 +360,7 @@ def _recorded():
         (`f_not(q)`) it normalizes, in that order;
       - `at_calls`: the (formula, index map) of each `at_indices` call of
         the abstract post;
-      - `pad_calls`: the (formula, pads, targets) of each `drop_dead_pads`
+      - `pad_calls`: the (formula, targets) of each `drop_dead_pads`
         call.
     """
     sessions, at_calls, pad_calls = [], [], []
@@ -372,10 +370,10 @@ def _recorded():
         at_calls.append((f, dict(ssa)))
         return real_at(f, ssa)
 
-    def recording_drop(f, pads, targets=()):
+    def recording_drop(f, targets=()):
         targets = list(targets)
-        pad_calls.append((f, list(pads), targets))
-        return real_drop(f, pads, targets)
+        pad_calls.append((f, targets))
+        return real_drop(f, targets)
 
     abstraction.at_indices = recording_at
     abstraction.drop_dead_pads = recording_drop
@@ -479,15 +477,14 @@ class TestAgainstRecursiveWalks:
         rng = random.Random(67)
         calls = list(pad_calls)
         for _ in range(2000):
-            pads = []
-            f, out = encode_edge(random_operation(rng, NAMES, depth=5), {}, pads)
+            f, out = encode_edge(random_operation(rng, NAMES, depth=5), {})
             targets = [at_indices(random_formula(rng, NAMES, depth=1), out)
                        for _ in range(rng.randint(0, 2))]
-            calls.append((f, pads, targets))
+            calls.append((f, targets))
         pruned = 0
-        for f, pads, targets in calls:
-            got = drop_dead_pads(f, pads, targets)
-            want = _ref_drop_dead_pads(f, pads, targets)
+        for f, targets in calls:
+            got = drop_dead_pads(f, targets)
+            want = _ref_drop_dead_pads(f, targets)
             _same(got, want)
             assert (got is f) == (want is f)
             pruned += got is not f
@@ -528,25 +525,23 @@ def _deep_formula(negations=True):
     """A formula nested DEPTH deep, alternating And and Or, with Not over
     the compound formula below every third level and, every 100 levels, a
     disjunction shared by the levels above.  Each And level holds a dead
-    pad z{k}@1 = z{k}@0, k < 10, that no other atom reads; the pads are
-    returned too.  Without `negations` no pad is under a Not, as in the
-    formulas `encode_edge` builds."""
+    pad z{k}@1 = z{k}@0, k < 10, that no other atom reads.  Without
+    `negations` no pad is under a Not, as in the formulas `encode_edge`
+    builds."""
     f = compare("<=", tvar("x"), const(0))
     shared = PropVar("p")
-    pads = []
     for i in range(DEPTH):
         if negations and i % 3 == 0:
             f = f_not(f)
         atom = compare("<=", tvar("x") + tvar("y"), const(i))
         if i % 2 == 0:
             pad = compare("==", tvar(f"z{i % 10}", 1), tvar(f"z{i % 10}", 0))
-            pads.append(pad)
             f = f_and(f, atom, pad, shared)
         else:
             f = f_or(f, atom, f_not(shared) if negations else shared)
         if i % 100 == 1:  # an Or, which the And levels do not flatten
             shared = f
-    return f, pads
+    return f
 
 
 def _compound_nodes(f):
@@ -558,18 +553,18 @@ class TestDepth:
     recursion limit allows a recursive walk to go."""
 
     def test_nesting(self):
-        f, _ = _deep_formula()
+        f = _deep_formula()
         assert _compound_nodes(f) == DEPTH
 
     def test_normalize(self):
-        f, _ = _deep_formula()
+        f = _deep_formula()
         g = normalize(f)
         assert _compound_nodes(g) >= DEPTH
         assert all(isinstance(h.arg, PropVar) for h in _dag_nodes(g) if isinstance(h, Not))
         assert normalize(g) == g
 
     def test_at_indices_and_rename(self):
-        f, _ = _deep_formula()
+        f = _deep_formula()
         g = at_indices(f, {"x": 3, "y": 4})
         assert {VariableRef("x", 3), VariableRef("y", 4)} <= variables(g)
         assert all(v.index is not None for v in variables(g))
@@ -578,12 +573,12 @@ class TestDepth:
         assert _compound_nodes(h) == DEPTH
 
     def test_drop_dead_pads(self):
-        f, pads = _deep_formula(negations=False)
-        g = drop_dead_pads(f, pads)
+        f = _deep_formula(negations=False)
+        g = drop_dead_pads(f)
         assert not any(v.name.startswith("z") for v in variables(g))
         assert {VariableRef("x"), VariableRef("y")} <= variables(g)
-        assert _compound_nodes(g) == DEPTH and g == _ref_drop_dead_pads(f, pads)
-        assert drop_dead_pads(f, pads, [f]) is f
+        assert _compound_nodes(g) == DEPTH and g == _ref_drop_dead_pads(f)
+        assert drop_dead_pads(f, [f]) is f
 
     def test_str_and_repr(self):
         # no sharing here: the text repeats a shared subformula once per
@@ -609,14 +604,14 @@ class TestDepth:
         assert formula_infix(f) == want_infix
 
     def test_cnf(self):
-        f, _ = _deep_formula()
+        f = _deep_formula()
         cnf = _Cnf()
         lit = cnf.literal(normalize(f))
         assert len(cnf._gate) >= DEPTH and cnf._gate[normalize(f)] == lit
         assert cnf.literal(normalize(f)) == lit
 
     def test_cnf_walk_stops_at_encoded_gates(self, monkeypatch):
-        f, _ = _deep_formula()
+        f = _deep_formula()
         prep = normalize(f)
         cnf = _Cnf()
         cnf.literal(prep)

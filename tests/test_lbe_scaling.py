@@ -27,6 +27,7 @@ def test_run_records_every_size(tmp_path):
         assert r["verdict"] == "safe" and r["art_size"] == 4
         assert r["theory_checks"] > 0 and r["verify_s"] > 0 and r["summarize_s"] > 0
         assert 0 < r["encode_s"] <= r["verify_s"]
+        assert 0 <= r["prune_s"] <= r["verify_s"]
         assert r["decisions"] > 0 and 0 < r["conflicts"] <= r["decisions"]
         assert len(r["query_atoms"]) == 4 and max(r["query_atoms"]) > 0
     # the slope is fitted over n >= 20 only
@@ -44,6 +45,7 @@ def test_sbe_cartesian_run(tmp_path):
         assert r["verdict"] == "safe" and r["art_size"] > 4
         assert r["theory_checks"] > 0 and r["verify_s"] > 0
         assert 0 < r["encode_s"] <= r["verify_s"]
+        assert 0 <= r["prune_s"] <= r["verify_s"]
         assert "summarize_s" not in r and r["query_atoms"] == []
 
 

@@ -5,6 +5,7 @@ from lbemc.formula import (
     TRUE,
     Term,
     VariableRef,
+    _dag_nodes,
     at_indices,
     canon_eq,
     compare,
@@ -31,7 +32,7 @@ from lbemc.semantics import (
 )
 from lbemc.smt import InternalSolver
 
-from conftest import const, tvar
+from conftest import const, is_copy, tvar
 
 
 class TestSp:
@@ -160,30 +161,27 @@ class TestDropDeadPads:
     OP = Choice(Seq(Assign("x", const(1)), Assign("x", tvar("x") + 1)),
                 Assign("x", const(5)))
 
-    @staticmethod
-    def _encode(op):
-        pads = []
-        f, out = encode_edge(op, {}, pads)
-        return f, out, pads
-
     def test_pads_are_reported(self):
-        f, _, pads = self._encode(self.OP)
-        assert pads == [compare("==", tvar("x", 3), tvar("x", 2)),
-                        compare("==", tvar("x", 3), tvar("x", 1))]
-        assert encode_edge(self.OP, {}) == (f, {"x": 3})
+        # the formula holds each pad in the form of a copy x@i - x@j = 0
+        f, out = encode_edge(self.OP, {})
+        assert out == {"x": 3}
+        pads = [g for g in _dag_nodes(f) if is_copy(g)]
+        assert sorted(pads, key=str) == sorted(
+            [compare("==", tvar("x", 3), tvar("x", 2)),
+             compare("==", tvar("x", 3), tvar("x", 1))], key=str)
 
     def test_pads_read_at_the_output_stay(self):
-        f, out, pads = self._encode(self.OP)
+        f, out = encode_edge(self.OP, {})
         assert out == {"x": 3}
-        assert drop_dead_pads(f, pads, [compare("<=", tvar("x", 3), const(0))]) is f
+        assert drop_dead_pads(f, [compare("<=", tvar("x", 3), const(0))]) is f
 
     def test_pads_read_by_a_later_atom_stay(self):
-        f, _, pads = self._encode(Seq(self.OP, Assume(compare("<=", tvar("x"), const(0)))))
-        assert drop_dead_pads(f, pads) is f
+        f, _ = encode_edge(Seq(self.OP, Assume(compare("<=", tvar("x"), const(0)))), {})
+        assert drop_dead_pads(f) is f
 
     def test_unread_pads_become_true(self):
-        f, _, pads = self._encode(self.OP)
-        assert drop_dead_pads(f, pads) == f_or(
+        f, _ = encode_edge(self.OP, {})
+        assert drop_dead_pads(f) == f_or(
             f_and(compare("==", tvar("x", 1), const(1)),
                   compare("==", tvar("x", 2), tvar("x", 1) + 1)),
             compare("==", tvar("x", 1), const(5)))
@@ -194,38 +192,78 @@ class TestDropDeadPads:
         op = Choice(Assign("y", const(0)), Assign("x", const(0)))
         for k in (1, 2):
             op = Seq(op, Choice(Assign("y", const(k)), Assign("x", const(k))))
-        f, out, pads = self._encode(op)
+        f, out = encode_edge(op, {})
         assert out == {"x": 6, "y": 6}
         xs = {v for v in variables(f) if v.name == "x"}
         assert {VariableRef("x", 2), VariableRef("x", 4)} <= xs
-        kept = variables(drop_dead_pads(f, pads, [compare("<=", tvar("x", 6), const(0))]))
+        kept = variables(drop_dead_pads(f, [compare("<=", tvar("x", 6), const(0))]))
         assert xs <= kept and VariableRef("y", 6) not in kept
-        assert not {VariableRef("x", 6), VariableRef("y", 6)} & variables(drop_dead_pads(f, pads))
+        assert not {VariableRef("x", 6), VariableRef("y", 6)} & variables(drop_dead_pads(f))
+
+    def test_copy_assignments_are_pads_by_form(self):
+        # x = x encodes as the copy x@0 - x@1 = 0, the form of a pad
+        y_nonpos = Assume(compare("<=", tvar("y"), const(0)))
+        f, _ = encode_edge(Seq(Assign("x", tvar("x")), y_nonpos), {})
+        copy = compare("==", tvar("x", 1), tvar("x", 0))
+        assert f == f_and(copy, compare("<=", tvar("y", 0), const(0))) and is_copy(copy)
+        assert drop_dead_pads(f) == compare("<=", tvar("y", 0), const(0))
+        assert drop_dead_pads(f, [compare("<=", tvar("x", 1), const(0))]) is f
+        x_nonpos = Assume(compare("<=", tvar("x"), const(0)))
+        f, _ = encode_edge(Seq(Assign("x", tvar("x")), x_nonpos), {})
+        assert drop_dead_pads(f) is f
+
+    def test_a_formula_without_copies_is_returned_before_the_targets_are_read(self):
+        f, _ = encode_edge(Assign("x", tvar("y") + 1), {})
+
+        def unread():
+            raise AssertionError("targets read")
+            yield
+
+        assert drop_dead_pads(f, unread()) is f
 
     def test_models_over_the_targets_are_kept(self, solver):
         rng = random.Random(23)
         names = ["a", "b", "c"]
-        pruned_count = 0
+        pruned_count = copies_dropped = 0
         for _ in range(150):
-            op = random_operation(rng, names, depth=4)
-            f, out, pads = self._encode(op)
+            op = _with_copies(rng, random_operation(rng, names, depth=4), names)
+            f, out = encode_edge(op, {})
             targets = [at_indices(random_formula(rng, names, depth=1), out)
                        for _ in range(rng.randint(0, 2))]
-            pruned = drop_dead_pads(f, pads, targets)
+            pruned = drop_dead_pads(f, targets)
             pruned_count += pruned is not f
+            copies_dropped += bool(_copy_assignments(f) - _copy_assignments(pruned))
             marks = [f"t{i}" for i in range(len(targets))]
             links = [f_iff(t, PropVar(m)) for t, m in zip(targets, marks)]
             want = solver.all_sat(f_and(f, *links), marks)
             got = solver.all_sat(f_and(pruned, *links), marks)
             assert sorted(map(str, got)) == sorted(map(str, want)), op
-        assert pruned_count > 20
+        assert pruned_count > 20 and copies_dropped > 10
+
+
+def _with_copies(rng, op, names):
+    """op with an assignment x = x after about a third of its leaves."""
+    if isinstance(op, Seq):
+        return Seq(_with_copies(rng, op.first, names), _with_copies(rng, op.second, names))
+    if isinstance(op, Choice):
+        return Choice(_with_copies(rng, op.left, names), _with_copies(rng, op.right, names))
+    if rng.random() < 0.3:
+        name = rng.choice(names)
+        return Seq(op, Assign(name, tvar(name)))
+    return op
+
+
+def _copy_assignments(f):
+    """The copies x@0 - x@1 = 0 of f: an assignment x = x makes them, and
+    never a pad, whose fresh index lies above two different indices."""
+    return {g for g in _dag_nodes(f) if is_copy(g) and g.term.coeffs[1][0].index == 1}
 
 
 # ---------------------------------------------------------------------------
 # reference: the encoder that recursed along sequences and keyed every node
 # ---------------------------------------------------------------------------
 
-def _ref_encode(op, ssa, memo, pads):
+def _ref_encode(op, ssa, memo):
     key = (id(op), tuple(sorted(ssa.items())))
     if key in memo:
         return memo[key]
@@ -240,12 +278,12 @@ def _ref_encode(op, ssa, memo, pads):
     elif isinstance(op, Havoc):
         result = TRUE, {**ssa, op.var: ssa.get(op.var, 0) + 1}
     elif isinstance(op, Seq):
-        f1, mid = _ref_encode(op.first, ssa, memo, pads)
-        f2, end = _ref_encode(op.second, mid, memo, pads)
+        f1, mid = _ref_encode(op.first, ssa, memo)
+        f2, end = _ref_encode(op.second, mid, memo)
         result = f_and(f1, f2), end
     else:
-        f1, m1 = _ref_encode(op.left, ssa, memo, pads)
-        f2, m2 = _ref_encode(op.right, ssa, memo, pads)
+        f1, m1 = _ref_encode(op.left, ssa, memo)
+        f2, m2 = _ref_encode(op.right, ssa, memo)
         merged, pads1, pads2 = {}, [], []
         for name in sorted(set(m1) | set(m2)):
             i1, i2 = m1.get(name, 0), m2.get(name, 0)
@@ -254,7 +292,6 @@ def _ref_encode(op, ssa, memo, pads):
                 fresh = Term.variable(VariableRef(name, j))
                 pads1.append(canon_eq(fresh - Term.variable(VariableRef(name, i1))))
                 pads2.append(canon_eq(fresh - Term.variable(VariableRef(name, i2))))
-        pads += pads1 + pads2
         result = f_or(f_and(f1, *pads1), f_and(f2, *pads2)), merged
     memo[key] = result
     return result
@@ -279,6 +316,11 @@ def _encoding_cases():
     return groups + [randoms]
 
 
+def _copy_ids(f):
+    """The ids of f's distinct copy atom objects."""
+    return {id(g) for g in _dag_nodes(f) if is_copy(g)}
+
+
 def _summarized(source):
     from lbemc.cfa import summarize
     from lbemc.frontend import parse_program
@@ -289,10 +331,8 @@ def _summarized(source):
 def test_encoding_matches_reference_encoder():
     for cases in _encoding_cases():
         for op, ssa in cases:
-            want_pads, got_pads = [], []
-            want = _ref_encode(op, dict(ssa), {}, want_pads)
-            assert encode_edge(op, ssa, got_pads) == want, op
-            assert got_pads == want_pads, op
+            # the formula holds the pads
+            assert encode_edge(op, ssa) == _ref_encode(op, dict(ssa), {}), op
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +347,15 @@ class TestSharedEncoder:
             for order in (cases, cases[::-1]):
                 encoder = SsaEncoder(op for op, _ in cases)
                 for op, ssa in order:
-                    want_pads = []
-                    want = encode_edge(op, ssa, want_pads)
+                    want = encode_edge(op, ssa)
                     got = encode_edge(op, ssa, encoder=encoder)
                     assert got == want, op
                     f, out = got
                     reads = [at_indices(compare("<=", tvar(n), const(0)), out)
                              for n in sorted(op_variables(op))[:2]]
                     for targets in ([], reads):
-                        assert (drop_dead_pads(f, encoder.pads, targets)
-                                == drop_dead_pads(want[0], want_pads, targets)), op
+                        assert (drop_dead_pads(f, targets)
+                                == drop_dead_pads(want[0], targets)), op
 
     def test_loop_edge_reuses_the_error_edge_encoding(self):
         from lbemc.cli import gen_test_locks
@@ -326,13 +365,14 @@ class TestSharedEncoder:
         (error_op,) = [e.op for e in program.cfa.edges if e.target == program.error]
         (loop_op,) = [e.op for e in program.cfa.edges if e.source == e.target]
         fresh = SsaEncoder(ops)
-        encode_edge(loop_op, {}, encoder=fresh)
+        alone, _ = encode_edge(loop_op, {}, encoder=fresh)
         encoder = SsaEncoder(ops)
-        encode_edge(error_op, {}, encoder=encoder)
-        entries, pads = len(encoder.memo), len(encoder.pads)
-        encode_edge(loop_op, {}, encoder=encoder)
+        error, _ = encode_edge(error_op, {}, encoder=encoder)
+        entries = len(encoder.memo)
+        loop, _ = encode_edge(loop_op, {}, encoder=encoder)
         assert len(encoder.memo) - entries <= 0.1 * len(fresh.memo)
-        assert len(encoder.pads) - pads <= 0.1 * len(fresh.pads)
+        # the copy atoms (pads) the loop formula adds to the error formula's
+        assert len(_copy_ids(loop) - _copy_ids(error)) <= 0.1 * len(_copy_ids(alone))
 
     def test_a_root_is_encoded_once(self):
         # op has one parent, but a Cartesian post encodes it as a root once

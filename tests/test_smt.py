@@ -98,7 +98,7 @@ def _from_scratch(lins):
 
 def _answer(theory):
     try:
-        return "sat", theory.model()
+        return "sat", theory.model(theory.check())
     except _TheoryConflict as exc:
         return "unsat", exc.core
 
@@ -346,9 +346,9 @@ class _RefTheory:
         reduced = [c for c in map(self._reduce, self._ineqs) if not _ref_const_check(c)]
         return _ref_fourier_motzkin(reduced)[0]
 
-    def model(self):
+    def model(self, levels):
         env = {}
-        for v, with_v in reversed(self.check()):
+        for v, with_v in reversed(levels):
             lo = hi = None
             for c in with_v:
                 a = c.coeffs[v]
@@ -390,7 +390,7 @@ def _state(theory):
     try:
         levels = [(v, [(_row_key(c), c.origins) for c in with_v])
                   for v, with_v in theory.check()]
-        return "sat", levels, theory.model()
+        return "sat", levels, theory.model(theory.check())
     except _TheoryConflict as exc:
         return "unsat", exc.core
 
@@ -458,7 +458,7 @@ class TestAgainstFractionReference:
             assert _pushed(theory, _lin_of_atom(atom, origin)) == \
                 _pushed(ref, _ref_lin_of_atom(atom, origin))
             assert _state(theory) == _state(ref)
-        assert any(v.denominator > 1 for v in ref.model().values())
+        assert any(v.denominator > 1 for v in ref.model(ref.check()).values())
 
     def test_from_scratch_witness(self):
         rng = random.Random(59)
@@ -468,7 +468,7 @@ class TestAgainstFractionReference:
             try:
                 for i, a in enumerate(atoms):
                     ref.push(_ref_lin_of_atom(a, i))
-                want = "sat", ref.model()
+                want = "sat", ref.model(ref.check())
             except _TheoryConflict as exc:
                 want = "unsat", exc.core
             assert _from_scratch([_lin_of_atom(a, i) for i, a in enumerate(atoms)]) == want

@@ -18,6 +18,9 @@ the program as it is), and `verify` runs in the abstraction mode `--mode`
   - `encode_s`: the median time the abstract posts spend in `encode_edge`
     during the timed `verify` (wrapped at `lbemc.abstraction.encode_edge`,
     the name the posts call, so a checkout of any version can be timed);
+  - `prune_s`: the same for `drop_dead_pads`, the time the posts spend
+    dropping the copies nothing reads, or None for a checkout whose posts
+    do not call it;
   - `theory_checks`, `art_size` and `verdict` of the run;
   - `decisions` and `conflicts`: the search counters of the solver, or
     None for a checkout whose `InternalSolver` does not count them;
@@ -60,7 +63,9 @@ def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
     source = lbemc.cli.gen_test_locks(n)
     times = []
     summarize_times = []
-    encode_times = []
+    wrapped = [name for name in ("encode_edge", "drop_dead_pads")
+               if hasattr(lbemc.abstraction, name)]
+    spent: dict[str, list[float]] = {name: [] for name in wrapped}
     for _ in range(repeat):
         program = lbemc.frontend.parse_program(source)
         if encoding == "lbe":
@@ -76,30 +81,27 @@ def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
             return all_sat(phi, important)
 
         solver.all_sat = recording_all_sat
-        encode_edge = lbemc.abstraction.encode_edge
-        encode_time = [0.0]
-
-        def timed_encode_edge(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return encode_edge(*args, **kwargs)
-            finally:
-                encode_time[0] += time.perf_counter() - start
-
-        lbemc.abstraction.encode_edge = timed_encode_edge
+        originals = {name: getattr(lbemc.abstraction, name) for name in wrapped}
+        totals = dict.fromkeys(wrapped, 0.0)
+        for name, original in originals.items():
+            setattr(lbemc.abstraction, name, _timed(original, totals, name))
         try:
             start = time.perf_counter()
             result = lbemc.engine.verify(program, mode=mode, solver=solver)
             times.append(time.perf_counter() - start)
         finally:
-            lbemc.abstraction.encode_edge = encode_edge
-        encode_times.append(encode_time[0])
+            for name, original in originals.items():
+                setattr(lbemc.abstraction, name, original)
+        for name, total in totals.items():
+            spent[name].append(total)
         solver.close()
     # counted after the timed run, on the last run's queries
     atoms = [len({g for g in lbemc.formula._dag_nodes(lbemc.smt.normalize(phi))
                   if isinstance(g, lbemc.formula.Atom)}) for phi in queries]
+    prune = spent.get("drop_dead_pads")
     record = {"n": n, "verify_s": round(statistics.median(times), 4),
-              "encode_s": round(statistics.median(encode_times), 5),
+              "encode_s": round(statistics.median(spent["encode_edge"]), 5),
+              "prune_s": round(statistics.median(prune), 5) if prune else None,
               "verdict": result.verdict, "art_size": result.stats.art_size,
               "theory_checks": solver.theory_checks,
               "decisions": getattr(solver, "decisions", None),
@@ -107,6 +109,18 @@ def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
     if summarize_times:
         record["summarize_s"] = round(statistics.median(summarize_times), 5)
     return record
+
+
+def _timed(function, totals: dict[str, float], name: str):
+    """function, adding the time of each call to totals[name]."""
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            totals[name] += time.perf_counter() - start
+
+    return timed
 
 
 def loglog_slope(records: list[dict], n_min: int = 20) -> float | None:
