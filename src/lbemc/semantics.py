@@ -478,7 +478,7 @@ def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
     """
     defined: dict[int, VariableRef] = {}  # id of a copy -> its x@j
     reads: dict[VariableRef, list[VariableRef]] = {}  # x@j -> the x@i copied
-    live: set[VariableRef] = set()
+    readers: list[Atom] = []  # the atoms that read each of their variables
     for g in _dag_nodes(f):
         if isinstance(g, Atom):
             coeffs = g.term.coeffs
@@ -489,11 +489,12 @@ def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
                 defined[id(g)] = v
                 reads.setdefault(v, []).append(u)
             else:
-                live.update(w for w, _ in coeffs)
+                readers.append(g)
         elif isinstance(g, Not) and isinstance(g.arg, Atom):
-            live.update(w for w, _ in g.arg.term.coeffs)  # read by the negation
+            readers.append(g.arg)  # read by the negation, even a copy
     if not reads:
         return f
+    live = {w for g in readers for w, _ in g.term.coeffs}
     for t in targets:
         live.update(variables(t))
     stack = [v for v in live if v in reads]
