@@ -85,6 +85,7 @@ def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
         totals = dict.fromkeys(wrapped, 0.0)
         for name, original in originals.items():
             setattr(lbemc.abstraction, name, _timed(original, totals, name))
+        result = None  # frees the previous run before the clock starts
         try:
             start = time.perf_counter()
             result = lbemc.engine.verify(program, mode=mode, solver=solver)
