@@ -17,19 +17,20 @@ complement from the formula module, so the theory layer only ever sees
 conjunctions of canonical atoms; it and the Tseitin encoding walk
 formulas iteratively, at any depth.  Theory conflicts are turned into
 clauses over the conflicting atoms, which keeps enumeration on heavily
-disjunctive inputs polynomial in practice.  A model returned by
-`check_sat` is solved from scratch over the final true atoms.
-`entailed` decides which of several predicates a formula entails.  When
-the formula splits into a few conjunctive cubes and each complement is a
-disjunction of atoms, as in every Cartesian post, it asks the theory alone.
-The solver keeps one theory across calls: before a cube is checked, the
-theory is popped to the longest prefix it shares with the cube's atoms and
-only the rest is pushed, so posts that share the incoming state re-push
-little more than the operation's atoms.  Each atom of a complement is then
-pushed on top, checked and popped, except against a cube that has the
-predicate itself as an atom and so entails it.  Otherwise it uses one
-search session: the formula's CNF is built once and each predicate's
-complement is assumed in turn, keeping what earlier answers learned.
+disjunctive inputs polynomial in practice.
+
+The solver keeps one theory across calls and syncs it to each cube (a
+conjunction of atoms) it checks: popped to the longest prefix it shares
+with the cube, then the rest pushed.  `check_sat` decides a one-cube
+formula there, and a search's witness too, over its final true atoms in
+input order.  `entailed` decides which of several predicates a formula
+entails.  When the formula splits into a few cubes and each complement is
+a disjunction of atoms, as in every Cartesian post, it asks that theory
+alone, so posts that share the incoming state re-push little more than
+the operation's atoms; each atom of a complement is pushed on top,
+checked and popped, unless the cube has the predicate itself as an atom.
+Otherwise one search session builds the formula's CNF once and assumes
+each predicate's complement in turn, keeping what earlier answers learned.
 
 An SMT-LIB2 process backend is provided as an alternative; it receives the
 same literal-normalized formulas as the internal engine, so the two agree
@@ -1077,8 +1078,8 @@ class InternalSolver(_SolverBase):
         # phi is unsat
         self._verdicts: dict[Formula, dict[Formula, bool] | None] = {}
         self._complements: dict[Formula, Formula] = {}  # q -> normalize(not q)
-        # the cube path's theory, kept across calls, and the atoms pushed
-        # into it, one per undo record
+        # the theory kept across calls for cubes and search witnesses, and
+        # the atoms pushed into it, one per undo record
         self._theory = _LinTheory()
         self._pushed: list[Atom] = []
 
@@ -1187,10 +1188,8 @@ class InternalSolver(_SolverBase):
         open_qs = list(zip(qs, disjuncts))
         found = False
         for cube in cubes:
-            self.theory_checks += 1
             try:
-                self._sync(cube)
-                levels = self._theory.check()
+                levels = self._check_cube(cube)
             except _TheoryConflict:
                 continue
             if open_qs:
@@ -1209,6 +1208,14 @@ class InternalSolver(_SolverBase):
             for q in qs:
                 known[q] = q in entailed
         return found
+
+    def _check_cube(self, cube: list[Atom]):
+        """One theory check of the conjunction of cube on the solver's one
+        theory: the Fourier-Motzkin levels of `_LinTheory.check`, or
+        _TheoryConflict."""
+        self.theory_checks += 1
+        self._sync(cube)
+        return self._theory.check()
 
     def _sync(self, cube: list[Atom]) -> None:
         """Make the theory hold exactly the atoms of cube: pop to the longest
@@ -1268,19 +1275,16 @@ class InternalSolver(_SolverBase):
     def _solve(self, phi: Formula) -> SatResult:
         prep = normalize(phi)
         if prep == TRUE:
-            return sat(model={v: Fraction(0) for v in variables(phi)})
+            return _fill(phi, {}, {})
         if prep == FALSE:
             return UNSAT
-        lits = _literal_conjunction(prep)
-        if lits is not None:
-            atoms, pos, neg = lits
-            if pos & neg:
+        cubes = _cubes(prep, 1)
+        if cubes is not None:  # one conjunction of atoms
+            try:
+                levels = self._check_cube(cubes[0])
+            except _TheoryConflict:
                 return UNSAT
-            self.theory_checks += 1
-            res = theory_check(atoms)
-            if not res.is_sat:
-                return UNSAT
-            return self._fill(phi, res.model, {n: True for n in pos} | {n: False for n in neg})
+            return _fill(phi, self._theory.model(levels), {})
         cnf = _Cnf()
         cnf.add_clause([cnf.literal(prep)])
         dpll = _Dpll(cnf)
@@ -1288,24 +1292,24 @@ class InternalSolver(_SolverBase):
         self._count(dpll)
         if not found:
             return UNSAT
-        # the witness is solved from scratch over the final true atoms in
-        # input order, independent of the order the search asserted them
-        env = _solve_lin([
-            _lin_of_atom(a, v) for v, a in cnf.atom_of.items() if dpll.assign.get(v)
-        ])
-        return self._fill(phi, env, dpll.bools())
+        # the witness is solved over the final true atoms in input order,
+        # independent of the order the search asserted them
+        self._sync([a for v, a in cnf.atom_of.items() if dpll.assign.get(v)])
+        return _fill(phi, self._theory.model(self._theory.check()), dpll.bools())
 
     def _count(self, dpll: _Dpll) -> None:
         self.theory_checks += dpll.theory_checks
         self.decisions += dpll.decisions
         self.conflicts += dpll.conflicts
 
-    @staticmethod
-    def _fill(phi: Formula, env: dict[VariableRef, Fraction], bools) -> SatResult:
-        model = dict(env)
-        for v in variables(phi):
-            model.setdefault(v, Fraction(0))
-        return sat(model=model, bools=bools)
+
+def _fill(phi: Formula, env: dict[VariableRef, Fraction], bools) -> SatResult:
+    """The sat result of phi with model env, each variable of phi that env
+    leaves out set to 0."""
+    model = dict(env)
+    for v in variables(phi):
+        model.setdefault(v, Fraction(0))
+    return sat(model=model, bools=bools)
 
 
 def _satisfies(f: Formula, env: dict[VariableRef, Fraction],
@@ -1326,6 +1330,10 @@ def _cubes(prep: Formula, bound: int) -> list[list[Atom]] | None:
     if isinstance(prep, FalseF):
         return []
     if isinstance(prep, Or):
+        # each argument of a normalized Or has a cube: return before the
+        # recursion descends, which a deep formula would overflow
+        if len(prep.args) > bound:
+            return None
         out = []
         for arg in prep.args:
             sub = _cubes(arg, bound)
@@ -1368,24 +1376,6 @@ def _atom_holds(atom: Atom, env: dict[VariableRef, Fraction]) -> bool:
         if x:
             total += c * x
     return total == 0 if atom.rel == EQ else total <= 0
-
-
-def _literal_conjunction(prep: Formula):
-    """If prep is a conjunction of atoms / propvar literals, split it."""
-    parts = prep.args if isinstance(prep, And) else (prep,)
-    atoms: list[Atom] = []
-    pos: set[str] = set()
-    neg: set[str] = set()
-    for p in parts:
-        if isinstance(p, Atom):
-            atoms.append(p)
-        elif isinstance(p, PropVar):
-            pos.add(p.name)
-        elif isinstance(p, Not) and isinstance(p.arg, PropVar):
-            neg.add(p.arg.name)
-        else:
-            return None
-    return atoms, pos, neg
 
 
 # ---------------------------------------------------------------------------
@@ -1514,9 +1504,7 @@ class Smtlib2Solver(_SolverBase):
             model, bvals = self._model(prep)
         finally:
             self._send("(pop 1)")
-        for v in variables(phi):
-            model.setdefault(v, Fraction(0))
-        return sat(model=model, bools=bvals)
+        return _fill(phi, model, bvals)
 
     def entailed(self, phi: Formula, qs) -> list[bool] | None:
         """None if phi is unsat, else for each q of qs whether phi entails q.

@@ -610,6 +610,16 @@ class TestDepth:
         assert len(cnf._gate) >= DEPTH and cnf._gate[normalize(f)] == lit
         assert cnf.literal(normalize(f)) == lit
 
+    def test_check_sat(self):
+        # each level is a conjunction, so check_sat first asks whether the
+        # formula is one cube, and must not descend through every level
+        f = compare("<=", tvar("x"), const(0))
+        for i in range(DEPTH):
+            f = f_and(compare("<=", tvar("y", i), const(i)),
+                      f_or(compare("==", tvar("z", i), const(i)), f))
+        res = InternalSolver().check_sat(f)
+        assert res.is_sat and res.model[VariableRef("z", DEPTH - 1)] == DEPTH - 1
+
     def test_cnf_walk_stops_at_encoded_gates(self, monkeypatch):
         f = _deep_formula()
         prep = normalize(f)

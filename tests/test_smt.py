@@ -854,6 +854,79 @@ class TestSharedTheory:
         assert counted["_refutes"] <= 1374 // 2
 
 
+class TestCheckSatOnTheKeptTheory:
+    """check_sat decides one conjunction of atoms on the solver's kept
+    theory, as entailed decides a cube, and solves a search's witness there."""
+
+    def test_builds_no_theory_but_the_search(self, monkeypatch):
+        solver = InternalSolver()
+        built = []
+        init = _LinTheory.__init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(_LinTheory, "__init__", counting)
+        x, y = tvar("x"), tvar("y")
+        assert solver.check_sat(f_and(compare("<=", x, const(3)),
+                                      compare("==", x, y + const(1)))).is_sat
+        assert built == []
+        assert solver.check_sat(f_or(compare("==", x, const(2)),
+                                     compare("==", y, const(7)))).is_sat
+        assert len(built) == 1  # the _Dpll's own
+
+    def test_conjunctions_match_theory_check(self):
+        rng = random.Random(61)
+        solver = InternalSolver()
+        statuses = Counter()
+        for _ in range(300):
+            atoms = [a for a in (_ssa_atom(rng) for _ in range(rng.randint(1, 7)))
+                     if isinstance(a, Atom)]
+            atoms = list(dict.fromkeys(atoms))  # f_and drops repeats
+            phi = f_and(*atoms)
+            want = theory_check(atoms)
+            if want.is_sat:
+                want = smt._fill(phi, want.model, {})
+            assert solver.check_sat(phi) == want, atoms
+            statuses[want.status] += 1
+        assert statuses["sat"] > 30 and statuses["unsat"] > 30
+
+    def test_propositional_literals_go_to_the_search(self, solver):
+        v, w = PropVar("v"), PropVar("w")
+        x_nonpos = compare("<=", tvar("x"), const(0))
+        res = solver.check_sat(f_and(v, f_not(w), x_nonpos))
+        assert res.is_sat and res.bools == {"v": True, "w": False}
+        assert res.model == {X: 0}
+        assert not solver.check_sat(f_and(v, f_not(v), x_nonpos)).is_sat
+
+    def test_interleaved_with_entailed_answers_as_a_fresh_solver(self):
+        calls = []
+        for phi, qs in _entailment_cases(62, 60):
+            calls.append(("entailed", phi, tuple(qs)))
+            calls.append(("check_sat", phi))
+            calls += [("check_sat", f_and(phi, q)) for q in qs[-4:]]
+        calls += [("entailed", phi, tuple(qs)) for phi, qs in
+                  _recorded_entailed_calls(gen_test_locks(2), "sbe")]
+        calls += [("check_sat", phi) for _, phi, *_ in calls[-40:]]
+        unique = {}  # one call per method and formula: no memo hits
+        for call in calls:
+            unique.setdefault(call[:2], call)
+        calls = list(unique.values())
+
+        def ask(solver, call):
+            before = solver.theory_checks
+            answer = getattr(solver, call[0])(*call[1:])
+            return answer, solver.theory_checks - before
+
+        fresh = [ask(InternalSolver(), call) for call in calls]
+        order = list(range(len(calls)))
+        random.Random(63).shuffle(order)
+        solver = InternalSolver()
+        for i in order:
+            assert ask(solver, calls[i]) == fresh[i], calls[i]
+
+
 def _truth_table_cases():
     """Seeded (phi, important, [phi and one assignment of important]),
     assignments in truth-table order."""
