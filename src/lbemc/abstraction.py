@@ -74,9 +74,6 @@ class ProgramPrecision:
         new[location] = self.at(location).merged(preds)
         return ProgramPrecision(new)
 
-    def locations(self) -> list[int]:
-        return sorted(self._by_loc)
-
     def nonempty_sizes(self) -> list[int]:
         return [len(p) for loc, p in sorted(self._by_loc.items()) if len(p) > 0]
 
@@ -160,14 +157,8 @@ class Abstractor:
             self._preds.append(p)
         return i
 
-    def predicate(self, i: int) -> Formula:
-        return self._preds[i]
-
     def true_state(self) -> AbstractFormula:
         return AbstractFormula(self, Bdd.TRUE)
-
-    def false_state(self) -> AbstractFormula:
-        return AbstractFormula(self, Bdd.FALSE)
 
     # -- abstraction operators -----------------------------------------------
 

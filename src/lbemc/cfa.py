@@ -54,8 +54,17 @@ class CFA:
             if e.source not in locs or e.target not in locs:
                 raise ValueError(f"edge {e} mentions unknown location")
 
-    def outgoing(self, loc: int) -> list[Edge]:
-        return [e for e in self.edges if e.source == loc]
+    @cached_property
+    def _edges_from(self) -> dict[int, tuple[Edge, ...]]:
+        """Each source location's outgoing edges in edge order, indexed
+        once per automaton."""
+        out: dict[int, list[Edge]] = {}
+        for e in self.edges:
+            out.setdefault(e.source, []).append(e)
+        return {loc: tuple(es) for loc, es in out.items()}
+
+    def outgoing(self, loc: int) -> tuple[Edge, ...]:
+        return self._edges_from.get(loc, ())
 
     def incoming(self, loc: int) -> list[Edge]:
         return [e for e in self.edges if e.target == loc]

@@ -6,9 +6,9 @@ entailed by the new node's) and otherwise expanded along every CFA edge.
 Successors whose abstraction is False are pruned and never become nodes.
 Construction stops at the first error node; the corresponding path is then
 checked for feasibility on its SSA encoding, without the copies x@j = x@i
-nothing reads (choice pads among them), as the abstract posts drop them.  Infeasible paths refine
-the per-location precisions with atoms harvested from the path
-constraints, and the tree is rebuilt from scratch.
+nothing reads (choice pads among them), as the abstract posts drop them.
+Infeasible paths refine the per-location precisions with atoms harvested
+from the path constraints, and the tree is rebuilt from scratch.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ def build_art(p: Program, precisions: ProgramPrecision, mode: str,
     root = art.add(p.entry, abstractor.true_state(), precisions.at(p.entry))
     if p.entry == p.error:
         return "error", art, art.path_to(root.id)
-    edges_from: dict[int, list[Edge]] = {}
-    for e in p.cfa.edges:
-        edges_from.setdefault(e.source, []).append(e)
-
     art.waitlist.append(root.id)
     while art.waitlist:
         node = art.nodes[art.waitlist.pop()]
@@ -103,7 +99,7 @@ def build_art(p: Program, precisions: ProgramPrecision, mode: str,
         if coverer is not None:
             node.covered_by = coverer
             continue
-        for edge in edges_from.get(node.location, []):
+        for edge in p.cfa.outgoing(node.location):
             succ_pi = precisions.at(edge.target)
             succ = abstractor.abstract_post(node.abstract, edge.op, succ_pi, mode)
             if succ.is_false:

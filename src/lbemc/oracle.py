@@ -119,10 +119,6 @@ def explicit_reachable(p: Program, bound: DomainBound) -> str:
             yield from envs(prefix, tail)
         del prefix[name]
 
-    edges_from: dict[int, list[Edge]] = {}
-    for e in p.cfa.edges:
-        edges_from.setdefault(e.source, []).append(e)
-
     visited: set[tuple] = set()
     queue: deque = deque()
     for env in envs({}, names):
@@ -136,7 +132,7 @@ def explicit_reachable(p: Program, bound: DomainBound) -> str:
         loc, env = queue.popleft()
         if loc == p.error:
             return REACHABLE
-        for e in edges_from.get(loc, []):
+        for e in p.cfa.outgoing(loc):
             for env2 in op_successors(e.op, env, bound):
                 key = (e.target, tuple(env2[n] for n in names))
                 if key not in visited:
@@ -151,15 +147,12 @@ def enum_paths(p: Program, max_len: int) -> list[tuple[Edge, ...]]:
     Ordered by length first, then lexicographically by edge position.
     """
     index = {id(e): i for i, e in enumerate(p.cfa.edges)}
-    edges_from: dict[int, list[Edge]] = {}
-    for e in p.cfa.edges:
-        edges_from.setdefault(e.source, []).append(e)
     out: list[tuple[Edge, ...]] = []
 
     def walk(loc: int, prefix: tuple[Edge, ...]) -> None:
         if len(prefix) == max_len:
             return
-        for e in edges_from.get(loc, []):
+        for e in p.cfa.outgoing(loc):
             out.append(prefix + (e,))
             walk(e.target, prefix + (e,))
 

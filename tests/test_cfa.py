@@ -385,6 +385,14 @@ def test_random_cfas_exercise_every_shape():
     assert all(count >= 30 for count in shapes.values()), shapes
 
 
+def test_outgoing_is_indexed_once_in_edge_order():
+    for seed in range(50):
+        cfa = _random_cfa(seed).cfa
+        for loc in cfa.locations:
+            assert list(cfa.outgoing(loc)) == [e for e in cfa.edges if e.source == loc]
+            assert cfa.outgoing(loc) is cfa.outgoing(loc)
+
+
 def test_summarize_matches_restart_scan_reference():
     for name, p in _summarize_inputs():
         want, want_trace = _ref_summarize(p)
