@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .bdd import Bdd
 from .formula import Formula, PropVar, TRUE, at_indices, f_and, f_iff, f_not, f_or
-from .semantics import Choice, Operation, Seq, SsaEncoder, drop_dead_pads, encode_edge
+from .semantics import (Choice, Operation, Seq, SsaEncoder, drop_dead_pads, encode_edge,
+                        seq_elements)
 
 CARTESIAN = "cartesian"
 BOOLEAN = "boolean"
@@ -141,8 +142,9 @@ class Abstractor:
         self._concretize_memo: dict[int, Formula] = {}
         # BDD node -> its concretization with every variable at index 0
         self._at0_memo: dict[int, Formula] = {}
-        # (state node, op, pi, mode) -> successor node; nodes, not
-        # AbstractFormulas, so the memo holds no reference back to self
+        # (state node, op, pi, mode) -> successor node, for every op but a
+        # Cartesian Seq; nodes, not AbstractFormulas, so the memo holds no
+        # reference back to self
         self._post_memo: dict[tuple, int] = {}
         # (op, pi) -> op's pruned SSA constraint, pi at op's output indices
         self._edge_memo: dict[tuple, tuple[Formula, list[Formula]]] = {}
@@ -206,12 +208,13 @@ class Abstractor:
         linear in the operation size).
 
         Cartesian mode applies the single-operation Cartesian postoperator
-        compositionally: sequencing composes, and a choice joins the two
-        branch results to their common conjuncts.  The join is where the
-        conjunctive representation loses branch correlations, which is the
-        observable difference between the two abstractions on summarized
-        edges; collapsing a composite operation into one Cartesian
-        abstraction query would hide it.
+        compositionally: a sequence folds the post over its elements, and
+        a choice joins the two branch results to their common conjuncts.
+        The join is where the conjunctive representation loses branch
+        correlations, which is the observable difference between the two
+        abstractions on summarized edges; collapsing a composite operation
+        into one Cartesian abstraction query would hide it.  The memo keys
+        a Cartesian post per state on its leaves and choices only.
         """
         # nested Cartesian posts recurse through _post, so a wrapper around
         # abstract_post sees exactly one call per tree edge
@@ -219,42 +222,30 @@ class Abstractor:
 
     def _post(self, node: int, op: Operation, pi: Precision, mode: str) -> int:
         """abstract_post on BDD nodes."""
-        # a Cartesian post of a sequence composes along its right spine in
-        # a loop; each suffix on the spine is memoized with the end result
-        suffixes = []
-        while True:
-            if node == Bdd.FALSE:
-                out = Bdd.FALSE
-                break
-            key = (node, op, pi, mode)
-            out = self._post_memo.get(key)
-            if out is not None:
-                break
-            if mode == CARTESIAN and isinstance(op, Seq):
-                suffixes.append(key)
-                node = self._post(node, op.first, pi, CARTESIAN)
-                op = op.second
-                continue
-            if mode == CARTESIAN:
-                out = self._cartesian_post(node, op, pi)
-            elif mode == BOOLEAN:
+        if node == Bdd.FALSE:
+            return Bdd.FALSE
+        if mode == CARTESIAN and isinstance(op, Seq):
+            # no memo entry of its own: each element's is hit instead
+            for element in seq_elements(op):
+                node = self._post(node, element, pi, CARTESIAN)
+            return node
+        key = (node, op, pi, mode)
+        out = self._post_memo.get(key)
+        if out is None:
+            if mode == BOOLEAN:
                 out = self._boolean_on(*self._post_query(node, op, pi), pi)
-            else:
+            elif mode != CARTESIAN:
                 raise ValueError(f"unknown abstraction mode {mode!r}")
-            self._post_memo[key] = out
-            break
-        for key in reversed(suffixes):
+            elif isinstance(op, Choice):
+                out = self._conjunction_join(
+                    self._post(node, op.left, pi, CARTESIAN),
+                    self._post(node, op.right, pi, CARTESIAN),
+                    pi,
+                )
+            else:
+                out = self._cartesian_on(*self._post_query(node, op, pi), pi)
             self._post_memo[key] = out
         return out
-
-    def _cartesian_post(self, node: int, op: Operation, pi: Precision) -> int:
-        if isinstance(op, Choice):
-            return self._conjunction_join(
-                self._post(node, op.left, pi, CARTESIAN),
-                self._post(node, op.right, pi, CARTESIAN),
-                pi,
-            )
-        return self._cartesian_on(*self._post_query(node, op, pi), pi)
 
     def _post_query(self, node: int, op: Operation, pi: Precision):
         """The incoming region at index 0 conjoined with op's SSA constraint,

@@ -747,11 +747,12 @@ class _Dpll:
 
     # -- propagation ----------------------------------------------------------
 
-    def _unit_literal(self, idx: int) -> int | None:
+    def _unit_literal(self, idx: int) -> int:
+        """The unassigned literal of a clause with no true literal and all
+        others false: there is one, since `_Cnf.add_clause` drops repeats."""
         for lit in self.cnf.clauses[idx]:
             if abs(lit) not in self.assign:
                 return lit
-        return None
 
     def _assign_and_propagate(self, lit: int, reason: list[int] | None) -> list[int] | None:
         """Assign lit, with the clause that forces it as its reason (None
@@ -762,21 +763,17 @@ class _Dpll:
         return self._propagate([abs(lit)])
 
     def _propagate(self, pending: list[int]) -> list[int] | None:
-        """Unit propagation; returns the violated clause on conflict."""
+        """Unit propagation of the assigned variables pending; returns the
+        violated clause on conflict.  No clause is violated on entry: each
+        `_set` returns the first clause it violates, and its caller stops."""
         queue = list(pending)
         while queue:
             var = queue.pop()
             value = self.assign[var]
             for idx in self.cnf.occ[-var if value else var]:
                 clause = self.cnf.clauses[idx]
-                if self._n_true[idx] > 0:
-                    continue
-                if self._n_false[idx] == len(clause):
-                    return clause
-                if self._n_false[idx] == len(clause) - 1:
+                if self._n_true[idx] == 0 and self._n_false[idx] == len(clause) - 1:
                     lit = self._unit_literal(idx)
-                    if lit is None:
-                        continue
                     conflict = self._set(abs(lit), lit > 0, clause)
                     if conflict is not None:
                         return self.cnf.clauses[conflict]
@@ -797,8 +794,6 @@ class _Dpll:
                 return clause
             if self._n_false[idx] == len(clause) - 1:
                 lit = self._unit_literal(idx)
-                if lit is None:
-                    continue
                 conflict = self._assign_and_propagate(lit, clause)
                 if conflict is not None:
                     return conflict
@@ -960,10 +955,9 @@ class _Dpll:
                    default=None)
         if best is None:
             return None
-        for lit in clauses[best][1:]:
+        for lit in clauses[best][1:]:  # pending: two of them are unassigned
             if abs(lit) not in self.assign:
                 return lit
-        return None
 
     def run(self, on_model) -> None:
         """Enumerate models.
@@ -1330,13 +1324,14 @@ def _cubes(prep: Formula, bound: int) -> list[list[Atom]] | None:
     if isinstance(prep, FalseF):
         return []
     if isinstance(prep, Or):
-        # each argument of a normalized Or has a cube: return before the
-        # recursion descends, which a deep formula would overflow
+        # each argument of a normalized Or has a cube, so one with more than
+        # bound - (n - 1) exceeds the bound; lowering it per level of Or ends
+        # the recursion long before a deep formula could overflow it
         if len(prep.args) > bound:
             return None
         out = []
         for arg in prep.args:
-            sub = _cubes(arg, bound)
+            sub = _cubes(arg, bound - len(prep.args) + 1)
             if sub is None or len(out) + len(sub) > bound:
                 return None
             out += sub

@@ -119,6 +119,39 @@ class TestAbstractPost:
         post = ab.abstract_post(ab.true_state(), op, pi, CARTESIAN)
         assert post.is_false  # the assume is dead after the assignment
 
+    def test_cartesian_seq_nesting_does_not_matter(self):
+        a = Assign("x", const(1))
+        b = Assume(compare(">", tvar("x"), const(0)))
+        c = Assign("y", tvar("x"))
+        pi = Precision([compare(">", tvar("x"), const(0)), compare("==", tvar("y"), const(1))])
+        posts = []
+        for ops in ([Seq(Seq(a, b), c)], [Seq(a, Seq(b, c))], [a, b, c]):
+            ab = Abstractor(InternalSolver())
+            state = ab.true_state()
+            for op in ops:
+                state = ab.abstract_post(state, op, pi, CARTESIAN)
+            posts.append((state.node, ab.solver.queries))
+        # one post per element, in order: y = 1 is lost, since the
+        # conjunction x > 0 no longer knows that x = 1
+        assert posts[0] == posts[1] == posts[2]
+        assert posts[0][0] == ab.bdd.var(ab.pred_id(pi.preds[0]))
+
+    def test_cartesian_memo_has_no_seq_key(self, monkeypatch):
+        abstractors = []
+        init = Abstractor.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            abstractors.append(self)
+
+        monkeypatch.setattr(Abstractor, "__init__", recording)
+        p, _ = summarize(parse_program(gen_test_locks(3)))
+        verify(p, mode=CARTESIAN, solver=InternalSolver())
+        [ab] = abstractors
+        ops = [op for _, op, _, _ in ab._post_memo]
+        assert any(isinstance(op, Choice) for op in ops)
+        assert not any(isinstance(op, Seq) for op in ops)
+
 
 class TestProperties:
     def test_strongest_boolean_oracle_and_soundness(self, ab):

@@ -29,6 +29,7 @@ def test_records_of_safe_and_unsafe_tasks():
         assert all(isinstance(v, str) for v in r["witness"].values())
     boolean = [r for r in records if r["task"].endswith("/boolean")]
     assert boolean and all(r["all_sat_models"] for r in boolean)
+    assert all(r["decisions"] > 0 and r["conflicts"] >= 0 for r in boolean)
     # nothing is timed: a second run gives the same records
     assert [tool.dump_task(lbemc, "locks-cex", t) for t in tasks] == records
 

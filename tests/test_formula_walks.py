@@ -548,6 +548,16 @@ def _compound_nodes(f):
     return sum(isinstance(g, (And, Or)) for g in _dag_nodes(f))
 
 
+def _or_ladder(depth):
+    """(y_i <= i & phi) | z_i = i over phi, depth times, from x <= 0:
+    depth + 1 cubes, each level's first argument holding the next."""
+    f = compare("<=", tvar("x"), const(0))
+    for i in range(depth):
+        f = f_or(f_and(compare("<=", tvar("y", i), const(i)), f),
+                 compare("==", tvar("z", i), const(i)))
+    return f
+
+
 class TestDepth:
     """Every rewrite takes a formula nested far deeper than the default
     recursion limit allows a recursive walk to go."""
@@ -619,6 +629,25 @@ class TestDepth:
                       f_or(compare("==", tvar("z", i), const(i)), f))
         res = InternalSolver().check_sat(f)
         assert res.is_sat and res.model[VariableRef("z", DEPTH - 1)] == DEPTH - 1
+
+    def test_cubes(self):
+        # the bound falls with each level of Or, so the count gives up
+        # long before the recursion reaches the bottom
+        prep = normalize(_or_ladder(DEPTH))
+        assert smt._cubes(prep, smt.CUBE_BOUND) is None
+        assert len(smt._cubes(normalize(_or_ladder(5)), 6)) == 6
+        assert smt._cubes(normalize(_or_ladder(6)), 6) is None
+
+    def test_entailed(self):
+        depth = 50
+        f = _or_ladder(depth)
+        qs = [compare("<=", tvar("w"), const(0)), compare("<=", tvar("x"), const(0)),
+              compare("<=", tvar("y", 0), const(0)),
+              f_or(compare("<=", tvar("x"), const(0)),
+                   *(compare("==", tvar("z", i), const(i)) for i in range(depth)))]
+        want = [not InternalSolver().check_sat(f_and(f, f_not(q))).is_sat for q in qs]
+        assert want == [False, False, False, True]
+        assert InternalSolver().entailed(f, qs) == want
 
     def test_cnf_walk_stops_at_encoded_gates(self, monkeypatch):
         f = _deep_formula()

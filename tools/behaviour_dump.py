@@ -11,7 +11,9 @@ way the benchmark runs it (`parse_program`, `summarize` under LBE, `verify`
 with a fresh `InternalSolver`) and gives one JSON line with
 
   - the verdict, reason and the deterministic `--stats` fields;
-  - the solver's theory check count and the model count of each `all_sat`;
+  - the solver's theory check, decision and conflict counts (None for a
+    checkout whose solver has no such counter) and the model count of
+    each `all_sat`;
   - for `unsafe`: the witness (values as exact rationals), whether it is
     integral and was replayed, and the path as (source, target) pairs.
 
@@ -65,7 +67,9 @@ def dump_task(lbemc, workload: str, task) -> dict:
     stats = result.stats.as_dict()
     del stats["wall_time_ms"]
     record.update(verdict=result.verdict, reason=result.reason, stats=stats,
-                  theory_checks=solver.theory_checks, all_sat_models=models)
+                  theory_checks=solver.theory_checks,
+                  decisions=getattr(solver, "decisions", None),
+                  conflicts=getattr(solver, "conflicts", None), all_sat_models=models)
     if result.verdict == "unsafe":
         record.update(
             witness={str(v): str(x) for v, x in sorted(
