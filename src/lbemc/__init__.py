@@ -72,7 +72,6 @@ from .semantics import (
 from .smt import (
     InternalSolver,
     SatResult,
-    Smtlib2Solver,
     make_solver,
     theory_check,
 )
@@ -94,3 +93,12 @@ __all__ = [
     "InternalSolver", "SatResult", "Smtlib2Solver", "make_solver",
     "theory_check",
 ]
+
+
+def __getattr__(name: str):
+    # the SMT-LIB backend loads on first use
+    if name == "Smtlib2Solver":
+        from .smtlib import Smtlib2Solver
+
+        return Smtlib2Solver
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

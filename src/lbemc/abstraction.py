@@ -10,10 +10,10 @@ states is a propositional BDD check even when the two precisions differ.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .bdd import Bdd
 from .formula import Formula, PropVar, TRUE, at_indices, f_and, f_iff, f_not, f_or
+from .record import Record
 from .semantics import (Choice, Operation, Seq, SsaEncoder, drop_dead_pads, encode_edge,
                         seq_elements)
 
@@ -85,12 +85,13 @@ class ProgramPrecision:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class AbstractFormula:
+class AbstractFormula(Record):
     """Canonical propositional combination of predicate ids (a BDD node)."""
 
-    abstractor: "Abstractor"
-    node: int = 0
+    __slots__ = _fields = ("abstractor", "node")
+
+    def __init__(self, abstractor: "Abstractor", node: int = 0) -> None:
+        self.abstractor, self.node = abstractor, node
 
     @property
     def is_false(self) -> bool:

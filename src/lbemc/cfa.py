@@ -27,30 +27,29 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from .record import FrozenRecord
 from .semantics import Choice, Operation, op_label, op_variables, seq_chain
 
 
-@dataclass(frozen=True)
-class Edge:
-    source: int
-    op: Operation
-    target: int
+class Edge(FrozenRecord):
+    __slots__ = _fields = ("source", "op", "target")
+
+    def __init__(self, source: int, op: Operation, target: int) -> None:
+        self.source, self.op, self.target = source, op, target
 
 
-@dataclass(frozen=True)
-class CFA:
-    locations: tuple[int, ...]
-    edges: tuple[Edge, ...]
+class CFA(FrozenRecord):
+    _fields = ("locations", "edges")  # no __slots__: the cached property needs a __dict__
 
-    def __post_init__(self) -> None:
-        locs = set(self.locations)
-        if len(locs) != len(self.locations):
+    def __init__(self, locations: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
+        self.locations, self.edges = locations, edges
+        locs = set(locations)
+        if len(locs) != len(locations):
             raise ValueError("duplicate location ids")
-        for e in self.edges:
+        for e in edges:
             if e.source not in locs or e.target not in locs:
                 raise ValueError(f"edge {e} mentions unknown location")
 
@@ -70,17 +69,15 @@ class CFA:
         return [e for e in self.edges if e.target == loc]
 
 
-@dataclass(frozen=True)
-class Program:
-    cfa: CFA
-    entry: int
-    error: int
+class Program(FrozenRecord):
+    _fields = ("cfa", "entry", "error")  # no __slots__, as for CFA
 
-    def __post_init__(self) -> None:
-        locs = set(self.cfa.locations)
-        if self.entry not in locs or self.error not in locs:
+    def __init__(self, cfa: CFA, entry: int, error: int) -> None:
+        self.cfa, self.entry, self.error = cfa, entry, error
+        locs = set(cfa.locations)
+        if entry not in locs or error not in locs:
             raise ValueError("entry/error must be CFA locations")
-        if any(e.target == self.entry for e in self.cfa.edges):
+        if any(e.target == entry for e in cfa.edges):
             raise ValueError("entry location must have no incoming edges")
 
     @cached_property
@@ -236,10 +233,11 @@ def try_rule2(p: Program, l1: int, l2: int) -> Optional[Program]:
     return rw.program()
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    rule: int
-    detail: dict
+class TraceEntry(FrozenRecord):
+    __slots__ = _fields = ("rule", "detail")
+
+    def __init__(self, rule: int, detail: dict) -> None:
+        self.rule, self.detail = rule, detail
 
     def to_json(self) -> str:
         return json.dumps({"rule": self.rule, **self.detail}, sort_keys=True)

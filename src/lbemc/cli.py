@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .abstraction import BOOLEAN, CARTESIAN
 from .cfa import rule_count, summarize, to_dot, trace_to_json_lines
@@ -26,34 +25,39 @@ from .oracle import (
     DomainBound,
     explicit_reachable,
 )
+from .record import Record
 from .semantics import op_label
 from .smt import make_solver
 
 SOLVER_ENV = "LBEMC_SOLVER"
 
 
-@dataclass
-class RunConfig:
-    input_path: str
-    encoding: str = "lbe"  # "sbe" | "lbe"
-    abstraction: str = BOOLEAN  # "cartesian" | "boolean"
-    max_refinements: int = 100
-    solver_command: str | None = None  # None = internal engine
-    stats_path: str | None = None
-    dot_cfa_path: str | None = None
-    dot_art_path: str | None = None
-    trace_path: str | None = None
-    crosscheck: int | None = None
+class RunConfig(Record):
+    __slots__ = _fields = ("input_path", "encoding", "abstraction", "max_refinements",
+                           "solver_command", "stats_path", "dot_cfa_path", "dot_art_path",
+                           "trace_path", "crosscheck")
 
-    def __post_init__(self) -> None:
-        if self.encoding not in ("sbe", "lbe"):
-            raise ValueError(f"unknown encoding {self.encoding!r}")
-        if self.abstraction not in (CARTESIAN, BOOLEAN):
-            raise ValueError(f"unknown abstraction {self.abstraction!r}")
-        if self.max_refinements < 0:
+    def __init__(self, input_path: str,
+                 encoding: str = "lbe",  # "sbe" | "lbe"
+                 abstraction: str = BOOLEAN,  # "cartesian" | "boolean"
+                 max_refinements: int = 100,
+                 solver_command: str | None = None,  # None = internal engine
+                 stats_path: str | None = None, dot_cfa_path: str | None = None,
+                 dot_art_path: str | None = None, trace_path: str | None = None,
+                 crosscheck: int | None = None) -> None:
+        if encoding not in ("sbe", "lbe"):
+            raise ValueError(f"unknown encoding {encoding!r}")
+        if abstraction not in (CARTESIAN, BOOLEAN):
+            raise ValueError(f"unknown abstraction {abstraction!r}")
+        if max_refinements < 0:
             raise ValueError("--max-refinements must be >= 0")
-        if self.crosscheck is not None and self.crosscheck < 0:
+        if crosscheck is not None and crosscheck < 0:
             raise ValueError("--crosscheck must be >= 0")
+        self.input_path, self.encoding, self.abstraction = input_path, encoding, abstraction
+        self.max_refinements, self.solver_command = max_refinements, solver_command
+        self.stats_path, self.dot_cfa_path = stats_path, dot_cfa_path
+        self.dot_art_path, self.trace_path = dot_art_path, trace_path
+        self.crosscheck = crosscheck
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from the path constraints, and the tree is rebuilt from scratch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .abstraction import (
@@ -30,18 +29,19 @@ from .formula import (
     Atom, Formula, VariableRef, _dag_nodes, f_and, formula_infix, strip_indices_atom,
 )
 from .oracle import replay_path
+from .record import Record
 from .semantics import SsaEncoder, drop_dead_pads, encode_edge, op_label
 from .smt import make_solver
 
 
-@dataclass
-class ArtNode:
-    id: int
-    location: int
-    abstract: AbstractFormula
-    precision: Precision
-    parent: tuple[int, Edge] | None = None
-    covered_by: int | None = None
+class ArtNode(Record):
+    __slots__ = _fields = ("id", "location", "abstract", "precision", "parent", "covered_by")
+
+    def __init__(self, id: int, location: int, abstract: AbstractFormula,
+                 precision: Precision, parent: tuple[int, Edge] | None = None,
+                 covered_by: int | None = None) -> None:
+        self.id, self.location, self.abstract = id, location, abstract
+        self.precision, self.parent, self.covered_by = precision, parent, covered_by
 
 
 class Art:
@@ -213,16 +213,19 @@ def _is_live(atom: Atom, ssa: dict[str, int]) -> bool:
 # statistics and results
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Stats:
-    art_size: int = 0
-    refinement_steps: int = 0
-    predicates_total: int = 0
-    predicates_avg: int = 0
-    predicates_max: int = 0
-    solver_queries: int = 0
-    rule_applications: int = 0
-    wall_time_ms: float = 0.0
+class Stats(Record):
+    __slots__ = _fields = ("art_size", "refinement_steps", "predicates_total",
+                           "predicates_avg", "predicates_max", "solver_queries",
+                           "rule_applications", "wall_time_ms")
+
+    def __init__(self, art_size: int = 0, refinement_steps: int = 0,
+                 predicates_total: int = 0, predicates_avg: int = 0,
+                 predicates_max: int = 0, solver_queries: int = 0,
+                 rule_applications: int = 0, wall_time_ms: float = 0.0) -> None:
+        self.art_size, self.refinement_steps = art_size, refinement_steps
+        self.predicates_total, self.predicates_avg = predicates_total, predicates_avg
+        self.predicates_max, self.solver_queries = predicates_max, solver_queries
+        self.rule_applications, self.wall_time_ms = rule_applications, wall_time_ms
 
     def as_dict(self) -> dict:
         return {
@@ -239,16 +242,18 @@ class Stats:
         }
 
 
-@dataclass
-class VerificationResult:
-    verdict: str  # "safe" | "unsafe" | "unknown"
-    stats: Stats
-    path: list[tuple[Edge, int]] | None = None
-    model: dict[VariableRef, Fraction] | None = None
-    integral_witness: bool = False
-    replayed: bool = False
-    reason: str | None = None
-    art: Art | None = None
+class VerificationResult(Record):
+    __slots__ = _fields = ("verdict", "stats", "path", "model", "integral_witness",
+                           "replayed", "reason", "art")
+
+    def __init__(self, verdict: str,  # "safe" | "unsafe" | "unknown"
+                 stats: Stats, path: list[tuple[Edge, int]] | None = None,
+                 model: dict[VariableRef, Fraction] | None = None,
+                 integral_witness: bool = False, replayed: bool = False,
+                 reason: str | None = None, art: Art | None = None) -> None:
+        self.verdict, self.stats, self.path, self.model = verdict, stats, path, model
+        self.integral_witness, self.replayed = integral_witness, replayed
+        self.reason, self.art = reason, art
 
 
 def _precision_stats(precisions: ProgramPrecision, stats: Stats) -> None:

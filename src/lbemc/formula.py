@@ -20,19 +20,30 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import is_
+
+from .record import Record
 
 EQ = "="
 LE = "<="
 
 
-@dataclass(frozen=True)
-class VariableRef:
-    name: str
-    index: int | None = None
+class VariableRef(Record):
+    __slots__ = ("name", "index", "_h")
+    _fields = ("name", "index")
+
+    def __init__(self, name: str, index: int | None = None) -> None:
+        self.name, self.index = name, index
+        self._h = hash((name, index))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (other.__class__ is VariableRef and self._h == other._h
+                                 and self.name == other.name and self.index == other.index)
+
+    def __hash__(self) -> int:
+        return self._h
 
     def __str__(self) -> str:
         if self.index is None:
@@ -52,12 +63,23 @@ def var_sort_key(v: VariableRef) -> tuple[str, int]:
 # linear terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """const + sum of coeff * var, integer coefficients, one entry per var."""
 
-    const: int = 0
-    coeffs: tuple[tuple[VariableRef, int], ...] = ()
+    __slots__ = ("const", "coeffs", "_h")
+    _fields = ("const", "coeffs")
+
+    def __init__(self, const: int = 0,
+                 coeffs: tuple[tuple[VariableRef, int], ...] = ()) -> None:
+        self.const, self.coeffs = const, coeffs
+        self._h = hash((const, coeffs))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (other.__class__ is Term and self._h == other._h
+                                 and self.const == other.const and self.coeffs == other.coeffs)
+
+    def __hash__(self) -> int:
+        return self._h
 
     @staticmethod
     def of(const: int = 0, coeffs: Mapping[VariableRef, int] | None = None) -> "Term":

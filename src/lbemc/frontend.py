@@ -26,10 +26,9 @@ unreachable once the error location is made a sink).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cfa import CFA, Edge, Program
 from .formula import Formula, Term, TRUE, compare, f_and, f_not, f_or
+from .record import Record
 from .semantics import Assign, Assume, Havoc
 
 
@@ -53,12 +52,12 @@ _SYMBOLS2 = frozenset(sym for sym in SYMBOLS if len(sym) == 2)
 _SYMBOLS1 = frozenset(sym for sym in SYMBOLS if len(sym) == 1)
 
 
-@dataclass
-class Token:
-    kind: str  # "ident" | "int" | keyword | symbol | "eof"
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind = kind  # "ident" | "int" | keyword | symbol | "eof"
+        self.text, self.line, self.col = text, line, col
 
 
 def tokenize(source: str) -> list[Token]:
@@ -114,44 +113,49 @@ def tokenize(source: str) -> list[Token]:
 # statement tree
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SAssign:
-    var: str
-    expr: Term | None  # None means nondet()
+class SAssign(Record):
+    __slots__ = _fields = ("var", "expr")
+
+    def __init__(self, var: str, expr: Term | None) -> None:
+        self.var = var
+        self.expr = expr  # None means nondet()
 
 
-@dataclass
-class SAssume:
-    cond: Formula
+class SAssume(Record):
+    __slots__ = _fields = ("cond",)
+
+    def __init__(self, cond: Formula) -> None:
+        self.cond = cond
 
 
-@dataclass
-class SIf:
-    cond: Formula | None  # None means `*`
-    then: list
-    els: list
+class SIf(Record):
+    __slots__ = _fields = ("cond", "then", "els")
+
+    def __init__(self, cond: Formula | None, then: list, els: list) -> None:
+        self.cond = cond  # None means `*`
+        self.then, self.els = then, els
 
 
-@dataclass
-class SWhile:
-    cond: Formula | None
-    body: list
+class SWhile(Record):
+    __slots__ = _fields = ("cond", "body")
+
+    def __init__(self, cond: Formula | None, body: list) -> None:
+        self.cond, self.body = cond, body
 
 
-@dataclass
-class SError:
-    pass
+class SError(Record):
+    __slots__ = ()
 
 
-@dataclass
-class SSkip:
-    pass
+class SSkip(Record):
+    __slots__ = ()
 
 
-@dataclass
-class SourceProgram:
-    declarations: list[str]
-    body: list
+class SourceProgram(Record):
+    __slots__ = _fields = ("declarations", "body")
+
+    def __init__(self, declarations: list[str], body: list) -> None:
+        self.declarations, self.body = declarations, body
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +344,10 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            value = int(t.text)
+            try:
+                value = int(t.text)
+            except ValueError:  # `str.isdigit` also accepts digits such as "²"
+                raise ParseError(f"invalid integer literal {t.text!r}", t.line, t.col) from None
             if self.peek().kind == "*":
                 self.next()
                 name = self.expect("ident")

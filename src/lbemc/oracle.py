@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cfa import Edge, Program, program_variables
@@ -36,6 +35,7 @@ from .formula import (
     f_and,
     f_or,
 )
+from .record import Record
 from .semantics import (
     Assign,
     Assume,
@@ -57,19 +57,21 @@ NOT_REACHABLE = "not-reachable"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass
-class DomainBound:
+class DomainBound(Record):
     """Inclusive per-variable integer intervals plus a state-count budget."""
 
-    default: tuple[int, int] = (0, 3)
-    intervals: dict[str, tuple[int, int]] = field(default_factory=dict)
-    budget: int = 200_000
+    __slots__ = _fields = ("default", "intervals", "budget")
 
-    def __post_init__(self) -> None:
-        for lo, hi in [self.default, *self.intervals.values()]:
+    def __init__(self, default: tuple[int, int] = (0, 3),
+                 intervals: dict[str, tuple[int, int]] | None = None,
+                 budget: int = 200_000) -> None:
+        self.default = default
+        self.intervals = {} if intervals is None else intervals
+        self.budget = budget
+        for lo, hi in [default, *self.intervals.values()]:
             if lo > hi:
                 raise ValueError("empty interval")
-        if self.budget <= 0:
+        if budget <= 0:
             raise ValueError("budget must be positive")
 
     def interval(self, name: str) -> tuple[int, int]:

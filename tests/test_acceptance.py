@@ -27,7 +27,8 @@ from lbemc.oracle import (
     random_program,
 )
 from lbemc.semantics import sp
-from lbemc.smt import InternalSolver, Smtlib2Solver
+from lbemc.smt import InternalSolver
+from lbemc.smtlib import Smtlib2Solver
 
 from conftest import const, tvar
 

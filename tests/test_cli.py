@@ -127,6 +127,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and err.rstrip().endswith("nesting too deep")
 
+    @pytest.mark.parametrize("source", ["int x; x = \u00b2;", "int x; x = 1\u00b2;"])
+    def test_digit_that_int_refuses_is_a_parse_error(self, tmp_path, capsys, source):
+        path = tmp_path / "digit.imp"
+        path.write_text(source, encoding="utf-8")
+        assert main([str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: 1:12: ") and "internal error" not in err
+
     def test_nested_program_is_verified(self, tmp_path, capsys):
         # no depth cap: what the recursive descent parses still verifies
         depth = 400

@@ -11,7 +11,7 @@ lock ladders of 1..10 locks, their bug twins and corpus programs 0..199
 import functools
 import random
 
-from lbemc import abstraction, smt
+from lbemc import abstraction, smt, smtlib
 from lbemc.cfa import summarize
 from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
@@ -260,7 +260,7 @@ def _ref_formula_infix(f):
 
 
 def _smtlib(f):
-    return to_sexpr(f, smt._smt_symbol, smt._smt_int)
+    return to_sexpr(f, smtlib._smt_symbol, smtlib._smt_int)
 
 
 class _RefCnf(_Cnf):

@@ -50,6 +50,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("int x; if x > 0 { }")
 
+    @pytest.mark.parametrize("source", ["int x; x = \u00b2;", "int x; x = 1\u00b2;"])
+    def test_digit_that_int_refuses_is_a_parse_error(self, source):
+        # str.isdigit accepts a superscript two, so the lexer makes it an
+        # integer token; the parser must reject it at the literal
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert (err.value.line, err.value.col) == (1, 12)
+
     def test_nesting_too_deep_is_a_parse_error(self):
         depth = 5_000
         for source in ("int x;\n" + "if (x < 1) {\n" * depth + "}\n" * depth,

@@ -31,7 +31,6 @@ from lbemc.frontend import parse_program
 from lbemc.oracle import random_formula, random_program
 from lbemc.smt import (
     InternalSolver,
-    Smtlib2Solver,
     _Cnf,
     _Dpll,
     _LinTheory,
@@ -43,6 +42,7 @@ from lbemc.smt import (
     project,
     theory_check,
 )
+from lbemc.smtlib import Smtlib2Solver
 
 from conftest import MOCK_SOLVER_CMD, const, tvar
 
