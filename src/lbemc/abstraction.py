@@ -126,17 +126,15 @@ class Abstractor:
     operators.
 
     Every post, Boolean and Cartesian alike, encodes its operation on the
-    one `SsaEncoder`, whose shared-subtree set is computed over `ops`, the
-    edge operations of the program (`verify` passes them).  Subtrees that
-    several edges share, such as the body the loop edge and the error edge
-    of a large-block program have in common, are then encoded once per
-    index map for the whole run.  Operations outside `ops` are counted in
-    as they are first encoded.
+    one `SsaEncoder`, which memoizes every choice per index map.  Choices
+    that several edges share, such as the body the loop edge and the error
+    edge of a large-block program have in common, are then encoded once
+    per index map for the whole run.
     """
 
-    def __init__(self, solver, ops: Iterable[Operation] = ()) -> None:
+    def __init__(self, solver) -> None:
         self.solver = solver
-        self.encoder = SsaEncoder(ops)
+        self.encoder = SsaEncoder()
         self.bdd = Bdd()
         self._ids: dict[Formula, int] = {}
         self._preds: list[Formula] = []

@@ -24,7 +24,7 @@ from .abstraction import (
     Precision,
     ProgramPrecision,
 )
-from .cfa import Edge, Program, program_variables
+from .cfa import Edge, Program, _dot_escape, program_variables
 from .formula import (
     Atom, Formula, VariableRef, _dag_nodes, f_and, formula_infix, strip_indices_atom,
 )
@@ -275,7 +275,7 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
         raise ValueError(f"unknown abstraction mode {mode!r}")
     start = time.perf_counter()
     solver = solver if solver is not None else make_solver()
-    abstractor = Abstractor(solver, [e.op for e in p.cfa.edges])
+    abstractor = Abstractor(solver)
     precisions = ProgramPrecision()
     names = program_variables(p)
     stats = Stats(rule_applications=rule_applications)
@@ -339,13 +339,13 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
 def art_to_dot(art: Art) -> str:
     lines = ["digraph art {", "  node [shape=ellipse];"]
     for n in art.nodes:
-        label = f"{n.id}: L{n.location}\\n{_short(formula_infix(_concrete(n)))}"
+        label = f"{n.id}: L{n.location}\\n{_dot_escape(_short(formula_infix(_concrete(n))))}"
         style = ' style=dashed' if n.covered_by is not None else ""
         lines.append(f'  n{n.id} [label="{label}"{style}];')
     for n in art.nodes:
         if n.parent is not None:
             pid, edge = n.parent
-            label = _short(op_label(edge.op, limit=80))
+            label = _dot_escape(_short(op_label(edge.op, limit=80)))
             lines.append(f'  n{pid} -> n{n.id} [label="{label}"];')
         if n.covered_by is not None:
             lines.append(f"  n{n.id} -> n{n.covered_by} [style=dotted];")
@@ -358,5 +358,4 @@ def _concrete(node: ArtNode) -> Formula:
 
 
 def _short(text: str, limit: int = 60) -> str:
-    text = text.replace("\\", "\\\\").replace('"', '\\"')
     return text if len(text) <= limit else text[: limit - 3] + "..."

@@ -344,10 +344,10 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            try:
-                value = int(t.text)
-            except ValueError:  # `str.isdigit` also accepts digits such as "²"
-                raise ParseError(f"invalid integer literal {t.text!r}", t.line, t.col) from None
+            # the lexer's `str.isdigit` also accepts digits such as "²" and "٣"
+            if not (t.text.isascii() and t.text.isdigit()):
+                raise ParseError(f"invalid integer literal {t.text!r}", t.line, t.col)
+            value = int(t.text)
             if self.peek().kind == "*":
                 self.next()
                 name = self.expect("ident")

@@ -44,7 +44,6 @@ from .semantics import (
     Operation,
     Seq,
     _merge,
-    _shared_nodes,
     seq_elements,
 )
 # unused here; perfbench/tracer.py wraps `encode_edge` in this module's
@@ -105,7 +104,12 @@ def op_successors(op: Operation, env: dict[str, int], bound: DomainBound) -> lis
 
 
 def explicit_reachable(p: Program, bound: DomainBound) -> str:
-    """BFS over concrete states from every initial environment in the bound."""
+    """BFS over concrete states from every initial environment in the bound.
+
+    Returns BUDGET_EXCEEDED once more states than the budget are stored,
+    the initial environments included, so a bound whose initial states
+    alone exceed the budget is given up before they are all built.
+    """
     names = program_variables(p)
     if p.entry == p.error:
         return REACHABLE
@@ -124,10 +128,10 @@ def explicit_reachable(p: Program, bound: DomainBound) -> str:
     visited: set[tuple] = set()
     queue: deque = deque()
     for env in envs({}, names):
-        key = (p.entry, tuple(env[n] for n in names))
-        if key not in visited:
-            visited.add(key)
-            queue.append((p.entry, env))
+        visited.add((p.entry, tuple(env[n] for n in names)))
+        if len(visited) > bound.budget:
+            return BUDGET_EXCEEDED
+        queue.append((p.entry, env))
     while queue:
         if len(visited) > bound.budget:
             return BUDGET_EXCEEDED
@@ -220,13 +224,13 @@ def replay_path(p: Program, edges: list[Edge], model) -> bool:
     values = {n: model.get(VariableRef(n, 0), Fraction(0)) for n in names}
     ssa = {n: 0 for n in names}
     for edge in edges:
-        values, ssa = _run(edge.op, values, ssa, model, _shared_nodes(edge.op), {})
+        values, ssa = _run(edge.op, values, ssa, model, {})
         if values is None:
             return False
     return True
 
 
-def _run(op: Operation, values, ssa: dict[str, int], model, shared: set[int], memo):
+def _run(op: Operation, values, ssa: dict[str, int], model, memo):
     """(values, index map) after running op from values at index map ssa.
 
     The index maps are `encode_edge`'s.  Once an assume fails the values
@@ -236,16 +240,10 @@ def _run(op: Operation, values, ssa: dict[str, int], model, shared: set[int], me
     model.  An output index the model has no value for constrains no
     branch: the path formula dropped its pads, so no atom reads it, nothing
     reads the variable before it is written again, and either branch is a
-    concrete run.  Subtrees with more than one parent are run once per
-    index map and values, as `encode_edge` encodes them once per index map.
+    concrete run.  Every choice is run once per index map and values, as
+    `encode_edge` encodes it once per index map, so a join that the
+    branches of a summarized edge share is run once.
     """
-    key = None
-    if id(op) in shared:
-        key = (id(op), tuple(sorted(ssa.items())),
-               None if values is None else tuple(sorted(values.items())))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
     if isinstance(op, (Assign, Havoc)):
         i = ssa.get(op.var, 0) + 1
         if values is not None:
@@ -254,28 +252,30 @@ def _run(op: Operation, values, ssa: dict[str, int], model, shared: set[int], me
             else:
                 val = model.get(VariableRef(op.var, i), Fraction(0))
             values = {**values, op.var: val}
-        result = values, {**ssa, op.var: i}
-    elif isinstance(op, Assume):
+        return values, {**ssa, op.var: i}
+    if isinstance(op, Assume):
         if values is not None and not evaluate(
                 op.cond, {VariableRef(n): v for n, v in values.items()}):
             values = None
-        result = values, ssa
-    elif isinstance(op, Seq):
+        return values, ssa
+    if isinstance(op, Seq):
         for element in seq_elements(op):
-            values, ssa = _run(element, values, ssa, model, shared, memo)
-        result = values, ssa
-    elif isinstance(op, Choice):
-        left, m1 = _run(op.left, values, ssa, model, shared, memo)
-        right, m2 = _run(op.right, values, ssa, model, shared, memo)
-        merged = _merge(m1, m2)
-        # a variable the model lacks leaves the branch free (v[n] == v[n])
-        taken = next((v for v in (left, right) if v is not None and all(
-            model.get(VariableRef(n, i), v[n]) == v[n] for n, i in merged.items())), None)
-        result = taken, merged
-    else:
+            values, ssa = _run(element, values, ssa, model, memo)
+        return values, ssa
+    if not isinstance(op, Choice):
         raise TypeError(f"not an operation: {op!r}")
-    if key is not None:
-        memo[key] = result
+    key = (op, tuple(sorted(ssa.items())),
+           None if values is None else tuple(sorted(values.items())))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    left, m1 = _run(op.left, values, ssa, model, memo)
+    right, m2 = _run(op.right, values, ssa, model, memo)
+    merged = _merge(m1, m2)
+    # a variable the model lacks leaves the branch free (v[n] == v[n])
+    taken = next((v for v in (left, right) if v is not None and all(
+        model.get(VariableRef(n, i), v[n]) == v[n] for n, i in merged.items())), None)
+    result = memo[key] = taken, merged
     return result
 
 

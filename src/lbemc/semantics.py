@@ -318,8 +318,8 @@ def encode_edge(op: Operation, ssa: SsaMap,
 
     Without an `encoder` the encoding is one-shot: a fresh `SsaEncoder`
     encodes op alone.  With one, op is encoded on that encoder's memo, so
-    subtrees it shares with operations encoded before come back as the
-    same formula objects.
+    choices it shares with operations encoded before come back as the same
+    formula objects.
     """
     if encoder is None:
         encoder = SsaEncoder()
@@ -332,113 +332,66 @@ class SsaEncoder:
     Summarized operations share subtrees heavily, within one edge and
     across the edges of a program (the loop edge and the error edge of a
     large-block program share most of their body); encoding is memoized
-    per (subtree, index map), so the output formulas are shared the same
-    way.  Only subtrees with more than one parent are keyed, counted over
-    the operations given at construction and those encoded since, and so
-    is an operation encoded again as a root (a Cartesian post encodes its
-    leaf once per precision): the index map a subtree starts at is a
-    one-to-one function of its parent's, so a subtree with one parent never
-    meets an index map twice.  A sequence's right spine is encoded in a
-    loop, with one conjunction for the spine.  The memo keys operations by
-    id, so the encoder keeps every operation it has seen.
+    per (operation, index map), so the output formulas are shared the same
+    way.  Every choice is keyed, and so is every operation encoded as a
+    root (a Cartesian post encodes its leaf once per precision).  The memo
+    keys the operation itself, not its id: equal operations built apart
+    share an entry, which is exact as an encoding depends only on the
+    operation's structure and the index map, and the keys keep the
+    operations alive.  A sequence is encoded over its elements, with one
+    conjunction for the sequence.
     """
 
-    def __init__(self, ops: Iterable[Operation] = ()) -> None:
-        self._roots = list(ops)  # keeps every keyed id alive
-        self._seen: set[int] = set()
-        self._shared: set[int] = set()
-        _mark_shared(self._roots, self._seen, self._shared)
-        self.memo: dict[tuple[int, tuple], tuple[Formula, dict[str, int]]] = {}
+    def __init__(self) -> None:
+        self.memo: dict[tuple[Operation, tuple], tuple[Formula, dict[str, int]]] = {}
 
     def encode(self, op: Operation, ssa: SsaMap) -> tuple[Formula, dict[str, int]]:
         """op's SSA constraint from ssa and its output index map."""
-        if id(op) in self._seen:
-            self._shared.add(id(op))
-        else:
-            self._roots.append(op)
-            _mark_shared([op], self._seen, self._shared)
-        return _encode(op, dict(ssa), self._shared, self.memo)
+        key = (op, tuple(sorted(ssa.items())))
+        result = self.memo.get(key)
+        if result is None:
+            result = self.memo[key] = _encode(op, dict(ssa), self.memo)
+        return result
 
 
-def _shared_nodes(op: Operation) -> set[int]:
-    """The ids of op's subtrees that have more than one parent."""
-    shared: set[int] = set()
-    _mark_shared([op], set(), shared)
-    return shared
-
-
-def _mark_shared(roots: list[Operation], seen: set[int], shared: set[int]) -> None:
-    """Walk the subtrees of roots not in seen, adding them to seen; a
-    subtree reached again goes into shared."""
-    stack = list(roots)
-    while stack:
-        o = stack.pop()
-        if id(o) in seen:
-            shared.add(id(o))
-            continue
-        seen.add(id(o))
-        if isinstance(o, Seq):
-            stack += (o.first, o.second)
-        elif isinstance(o, Choice):
-            stack += (o.left, o.right)
-
-
-def _spine(op: Seq, shared: set[int]) -> list[Operation]:
-    """The operations op runs in sequence along its right spine, down to
-    the first node on the spine that is no Seq or has other parents."""
-    elements: list[Operation] = []
-    while True:
-        elements.append(op.first)
-        op = op.second
-        if not isinstance(op, Seq) or id(op) in shared:
-            elements.append(op)
-            return elements
-
-
-def _encode(op: Operation, ssa: dict[str, int], shared: set[int],
-            memo) -> tuple[Formula, dict[str, int]]:
-    key = None
-    if id(op) in shared:
-        key = (id(op), tuple(sorted(ssa.items())))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+def _encode(op: Operation, ssa: dict[str, int], memo) -> tuple[Formula, dict[str, int]]:
     if isinstance(op, Assign):
         out = dict(ssa)
         i = out.get(op.var, 0) + 1
         rhs = op.expr.at_indices(out)
         out[op.var] = i
         lhs = Term.variable(VariableRef(op.var, i))
-        result = canon_eq(lhs - rhs), out
-    elif isinstance(op, Assume):
-        result = at_indices(op.cond, ssa), ssa
-    elif isinstance(op, Havoc):
+        return canon_eq(lhs - rhs), out
+    if isinstance(op, Assume):
+        return at_indices(op.cond, ssa), ssa
+    if isinstance(op, Havoc):
         out = dict(ssa)
         out[op.var] = out.get(op.var, 0) + 1
-        result = TRUE, out
-    elif isinstance(op, Seq):
+        return TRUE, out
+    if isinstance(op, Seq):
         parts = []
-        for element in _spine(op, shared):
-            f, ssa = _encode(element, ssa, shared, memo)
+        for element in seq_elements(op):
+            f, ssa = _encode(element, ssa, memo)
             parts.append(f)
-        result = f_and(*parts), ssa
-    elif isinstance(op, Choice):
-        f1, m1 = _encode(op.left, ssa, shared, memo)
-        f2, m2 = _encode(op.right, ssa, shared, memo)
-        merged = _merge(m1, m2)
-        pads1: list[Formula] = []
-        pads2: list[Formula] = []
-        for name, j in merged.items():
-            i1, i2 = m1.get(name, 0), m2.get(name, 0)
-            if i1 != i2:
-                fresh = VariableRef(name, j)
-                pads1.append(_pad(VariableRef(name, i1), fresh))
-                pads2.append(_pad(VariableRef(name, i2), fresh))
-        result = f_or(f_and(f1, *pads1), f_and(f2, *pads2)), merged
-    else:
+        return f_and(*parts), ssa
+    if not isinstance(op, Choice):
         raise TypeError(f"not an operation: {op!r}")
-    if key is not None:
-        memo[key] = result
+    key = (op, tuple(sorted(ssa.items())))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    f1, m1 = _encode(op.left, ssa, memo)
+    f2, m2 = _encode(op.right, ssa, memo)
+    merged = _merge(m1, m2)
+    pads1: list[Formula] = []
+    pads2: list[Formula] = []
+    for name, j in merged.items():
+        i1, i2 = m1.get(name, 0), m2.get(name, 0)
+        if i1 != i2:
+            fresh = VariableRef(name, j)
+            pads1.append(_pad(VariableRef(name, i1), fresh))
+            pads2.append(_pad(VariableRef(name, i2), fresh))
+    result = memo[key] = f_or(f_and(f1, *pads1), f_and(f2, *pads2)), merged
     return result
 
 

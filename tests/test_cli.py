@@ -135,6 +135,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("parse error: 1:12: ") and "internal error" not in err
 
+    @pytest.mark.parametrize("source", ["int x; x = \u0663; if (x == 3) { error(); }",
+                                        "int x; x = 1\u0663; if (x == 13) { error(); }"])
+    def test_non_ascii_decimal_digit_is_a_parse_error(self, tmp_path, capsys, source):
+        path = tmp_path / "digit.imp"
+        path.write_text(source, encoding="utf-8")
+        assert main([str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error: 1:12: ")
+        assert "unsafe" not in captured.out
+
     def test_nested_program_is_verified(self, tmp_path, capsys):
         # no depth cap: what the recursive descent parses still verifies
         depth = 400

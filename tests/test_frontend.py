@@ -58,6 +58,15 @@ class TestParse:
             parse(source)
         assert (err.value.line, err.value.col) == (1, 12)
 
+    @pytest.mark.parametrize("source", ["int x; x = \u0663;", "int x; x = 1\u0663;"])
+    def test_non_ascii_decimal_digit_is_a_parse_error(self, source):
+        # int() reads an Arabic-Indic three as 3, so only the parser's own
+        # check keeps `x = \u0663;` from being the literal 3
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert (err.value.line, err.value.col) == (1, 12)
+        assert "invalid integer literal" in str(err.value)
+
     def test_nesting_too_deep_is_a_parse_error(self):
         depth = 5_000
         for source in ("int x;\n" + "if (x < 1) {\n" * depth + "}\n" * depth,

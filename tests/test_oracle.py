@@ -64,6 +64,22 @@ class TestExplicitReachable:
             BUDGET_EXCEEDED
         )
 
+    def test_budget_bounds_the_initial_states(self):
+        # 21^4 initial environments against a budget of 1000: the search
+        # gives up before it builds them all
+        import tracemalloc
+
+        p = parse_program("int a; int b; int c; int d; a = nondet(); b = a; c = b; d = c;"
+                          " if (d == 5) { error(); }")
+        tracemalloc.start()
+        try:
+            verdict = explicit_reachable(p, DomainBound(default=(-10, 10), budget=1_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict == BUDGET_EXCEEDED
+        assert peak < 5 * 2**20, peak
+
     def test_out_of_bound_values_truncate(self):
         p = parse_program("int x; x = 5; error();")
         # the assignment leaves the domain, so the error stays unreached

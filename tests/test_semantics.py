@@ -345,7 +345,7 @@ class TestSharedEncoder:
         # formula, output map and pruned formula of a one-shot encode_edge
         for cases in _encoding_cases():
             for order in (cases, cases[::-1]):
-                encoder = SsaEncoder(op for op, _ in cases)
+                encoder = SsaEncoder()
                 for op, ssa in order:
                     want = encode_edge(op, ssa)
                     got = encode_edge(op, ssa, encoder=encoder)
@@ -364,9 +364,9 @@ class TestSharedEncoder:
         ops = [e.op for e in program.cfa.edges]
         (error_op,) = [e.op for e in program.cfa.edges if e.target == program.error]
         (loop_op,) = [e.op for e in program.cfa.edges if e.source == e.target]
-        fresh = SsaEncoder(ops)
+        fresh = SsaEncoder()
         alone, _ = encode_edge(loop_op, {}, encoder=fresh)
-        encoder = SsaEncoder(ops)
+        encoder = SsaEncoder()
         error, _ = encode_edge(error_op, {}, encoder=encoder)
         entries = len(encoder.memo)
         loop, _ = encode_edge(loop_op, {}, encoder=encoder)
@@ -378,6 +378,30 @@ class TestSharedEncoder:
         # op has one parent, but a Cartesian post encodes it as a root once
         # per precision
         op = Assign("x", tvar("x") + 1)
-        encoder = SsaEncoder([Seq(op, Havoc("y"))])
+        encoder = SsaEncoder()
         first = encode_edge(op, {}, encoder=encoder)
         assert encode_edge(op, {}, encoder=encoder)[0] is first[0]
+
+    def test_equal_choices_built_apart_share_an_encoding(self):
+        # the memo keys a choice by its structure, not its identity
+        def choice():
+            return Choice(Assign("x", tvar("x") + 1), Assume(compare(">", tvar("x"), const(5))))
+
+        one, two = choice(), choice()
+        assert one is not two and one == two
+        encoder = SsaEncoder()
+        # the assumes read z and w but write nothing: both choices start at {}
+        first, _ = encode_edge(Seq(Assume(compare(">", tvar("z"), const(0))), one), {},
+                               encoder=encoder)
+        second, _ = encode_edge(Seq(Assume(compare(">", tvar("w"), const(0))), two), {},
+                                encoder=encoder)
+        assert first.args[1] is second.args[1]
+
+    def test_memo_size_is_linear_in_the_lock_count(self):
+        from lbemc.cli import gen_test_locks
+
+        for n in range(1, 13):
+            encoder = SsaEncoder()
+            for edge in _summarized(gen_test_locks(n)).cfa.edges:
+                encode_edge(edge.op, {}, encoder=encoder)
+            assert len(encoder.memo) <= 3 * n + 2, (n, len(encoder.memo))
