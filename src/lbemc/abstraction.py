@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .bdd import Bdd
-from .formula import Formula, PropVar, TRUE, at_indices, f_and, f_iff, f_not, f_or
+from .formula import Formula, TRUE, at_indices, f_and, f_not, f_or
 from .record import Record
 from .semantics import (Choice, Operation, Seq, SsaEncoder, drop_dead_pads, encode_edge,
                         seq_elements)
@@ -296,18 +296,14 @@ class Abstractor:
         return node
 
     def _boolean_on(self, phi: Formula, shifted, pi: Precision) -> int:
-        """Disjunction of one full minterm over pi per satisfying assignment.
+        """Disjunction of one full minterm over pi per valuation.
 
-        Each predicate of pi gets a propositional variable linked to its
-        shifted form; every assignment to them that extends to a model of
-        phi becomes a cube, negative literals included.
+        The solver gives every valuation of the shifted predicates that
+        extends to a model of phi; each becomes a cube over the predicates'
+        ids, negative literals included.
         """
-        names = [f"@p{self.pred_id(p)}" for p in pi]
-        query = f_and(phi, *(f_iff(q, PropVar(n)) for q, n in zip(shifted, names)))
-        assignments = self.solver.all_sat(query, names)
-        node = Bdd.FALSE
         ids = [self.pred_id(p) for p in pi]
-        for assignment in assignments:
-            cube = self.bdd.cube([(i, assignment[n]) for i, n in zip(ids, names)])
-            node = self.bdd.apply_or(node, cube)
+        node = Bdd.FALSE
+        for valuation in self.solver.valuations(phi, shifted):
+            node = self.bdd.apply_or(node, self.bdd.cube(list(zip(ids, valuation))))
         return node

@@ -158,6 +158,14 @@ class Term(Record):
 # formulas
 # ---------------------------------------------------------------------------
 
+# `repr` writes the whole text of a formula of at most REPR_WHOLE characters;
+# of a longer one it keeps the first REPR_LIMIT characters of each node's
+# text.  The whole text repeats a shared subformula once per path to it, so
+# it can grow exponentially with the depth of a formula small as a DAG.
+REPR_WHOLE = 2**18
+REPR_LIMIT = 200
+
+
 class Formula:
     """Base class: True | False | Atom | PropVar | Not | And | Or."""
 
@@ -170,7 +178,8 @@ class Formula:
         return to_sexpr(self)
 
     def __repr__(self) -> str:
-        return f"<{to_sexpr(self)}>"
+        whole = _render_length(self, _sexpr_node(str, str)) <= REPR_WHOLE
+        return f"<{to_sexpr(self, limit=None if whole else REPR_LIMIT)}>"
 
 
 class TrueF(Formula):
@@ -325,21 +334,29 @@ def f_not(f: Formula) -> Formula:
     return Not(f)
 
 
+_CONSTANTS = (TrueF, FalseF)
+
+
 def _assoc(cls, absorb: Formula, unit: Formula, args: Iterable[Formula]) -> Formula:
+    """cls over args flattened one level, without repeats or the unit;
+    absorb if an argument is.  A constant is told by its type, which is
+    cheaper than comparing every argument with both constants."""
     flat: list[Formula] = []
     seen: set[Formula] = set()
+    absorbing = absorb.__class__
     for a in args:
         if isinstance(a, cls):
             inner = a.args
         else:
             inner = (a,)
         for x in inner:
-            if x == absorb:
-                return absorb
-            if x == unit or x in seen:
-                continue
-            seen.add(x)
-            flat.append(x)
+            if isinstance(x, _CONSTANTS):
+                if x.__class__ is absorbing:
+                    return absorb
+                continue  # the unit
+            if x not in seen:
+                seen.add(x)
+                flat.append(x)
     if not flat:
         return unit
     if len(flat) == 1:
@@ -613,15 +630,21 @@ def _term_sexpr(t: Term, symbol, integer) -> str:
     return "(+ " + " ".join(parts) + ")"
 
 
-def to_sexpr(f: Formula, symbol=str, integer=str) -> str:
+def to_sexpr(f: Formula, symbol=str, integer=str, limit: int | None = None) -> str:
     """f as an s-expression, e.g. `(<= (+ x@1 (* -2 y) 3) 0)`.
 
     `symbol` renders variables and propositional variables and `integer`
     the numbers; the defaults give the text `parse_sexpr` reads, and the
     SMT-LIB backend passes its own (`|x@1|`, `(- 3)`).  One string is built
     per distinct node (see `_render`), so any depth prints.  The text
-    still repeats a shared subformula once per path to it.
+    still repeats a shared subformula once per path to it, unless `limit`
+    cuts each node's text (see `_render`).
     """
+    return _render(f, _sexpr_node(symbol, integer), limit)
+
+
+def _sexpr_node(symbol, integer):
+    """The `_render` node function of `to_sexpr`."""
     def node(g: Formula, parts: list[str]) -> str:
         if isinstance(g, Not):
             return f"(not {parts[0]})"
@@ -637,13 +660,18 @@ def to_sexpr(f: Formula, symbol=str, integer=str) -> str:
             return f"({g.rel} {_term_sexpr(g.term, symbol, integer)} 0)"
         raise TypeError(f"not a formula: {g!r}")
 
-    return _render(f, node)
+    return node
 
 
-def _render(f: Formula, node) -> str:
+def _render(f: Formula, node, limit: int | None = None) -> str:
     """The text of f, built as `node(g, texts of g's arguments)` for each
     distinct node g on the post-order walk; a node's text is dropped once
-    its last parent has used it."""
+    its last parent has used it.
+
+    With `limit`, a node's text longer than that is cut to its first
+    `limit` characters and `...`, so each node costs at most its argument
+    count times the limit, whatever the depth.
+    """
     uses = Counter(id(a) for g in _dag_nodes(f) for a in _args(g))
     text: dict[int, str] = {}
 
@@ -652,8 +680,20 @@ def _render(f: Formula, node) -> str:
         return text[id(a)] if uses[id(a)] else text.pop(id(a))
 
     for g in _postorder(f, _args):
-        text[id(g)] = node(g, [take(a) for a in _args(g)])
+        t = node(g, [take(a) for a in _args(g)])
+        text[id(g)] = t if limit is None or len(t) <= limit else t[:limit] + "..."
     return text[id(f)]
+
+
+def _render_length(f: Formula, node) -> int:
+    """len(_render(f, node)) without building the text: a node's own
+    characters, its text around empty argument texts, plus the lengths of
+    its arguments' texts."""
+    length: dict[int, int] = {}
+    for g in _postorder(f, _args):
+        args = _args(g)
+        length[id(g)] = len(node(g, [""] * len(args))) + sum(length[id(a)] for a in args)
+    return length[id(f)]
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import product
 
 from .cfa import Edge, Program, program_variables
 from .formula import (
@@ -108,42 +109,34 @@ def explicit_reachable(p: Program, bound: DomainBound) -> str:
 
     Returns BUDGET_EXCEEDED once more states than the budget are stored,
     the initial environments included, so a bound whose initial states
-    alone exceed the budget is given up before they are all built.
+    alone exceed the budget is given up before they are all built.  A
+    state is queued as the (location, values) pair that marks it visited,
+    and its environment is rebuilt when it is taken from the queue.
     """
     names = program_variables(p)
     if p.entry == p.error:
         return REACHABLE
-
-    def envs(prefix: dict[str, int], rest: list[str]):
-        if not rest:
-            yield dict(prefix)
-            return
-        name, *tail = rest
-        lo, hi = bound.interval(name)
-        for v in range(lo, hi + 1):
-            prefix[name] = v
-            yield from envs(prefix, tail)
-        del prefix[name]
-
     visited: set[tuple] = set()
     queue: deque = deque()
-    for env in envs({}, names):
-        visited.add((p.entry, tuple(env[n] for n in names)))
+    for values in product(*(range(lo, hi + 1) for lo, hi in map(bound.interval, names))):
+        state = (p.entry, values)
+        visited.add(state)
         if len(visited) > bound.budget:
             return BUDGET_EXCEEDED
-        queue.append((p.entry, env))
+        queue.append(state)
     while queue:
         if len(visited) > bound.budget:
             return BUDGET_EXCEEDED
-        loc, env = queue.popleft()
+        loc, values = queue.popleft()
         if loc == p.error:
             return REACHABLE
+        env = dict(zip(names, values))
         for e in p.cfa.outgoing(loc):
             for env2 in op_successors(e.op, env, bound):
-                key = (e.target, tuple(env2[n] for n in names))
-                if key not in visited:
-                    visited.add(key)
-                    queue.append((e.target, env2))
+                state = (e.target, tuple(env2[n] for n in names))
+                if state not in visited:
+                    visited.add(state)
+                    queue.append(state)
     return NOT_REACHABLE
 
 

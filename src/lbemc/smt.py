@@ -31,6 +31,12 @@ the operation's atoms; each atom of a complement is pushed on top,
 checked and popped, unless the cube has the predicate itself as an atom.
 Otherwise one search session builds the formula's CNF once and assumes
 each predicate's complement in turn, keeping what earlier answers learned.
+`valuations` lists every valuation of several predicates that a formula
+allows.  When the formula splits into a few cubes and every predicate is
+an atom, as in nearly every Boolean post, it extends each cube in that
+theory depth first, one predicate per level; otherwise it asks `all_sat`
+with each predicate tied to a propositional variable.  The solver keeps
+one `normalize` memo, so a formula it met before is not normalized again.
 
 An SMT-LIB2 process backend, in `lbemc.smtlib`, is the alternative that
 `make_solver` loads on first use.
@@ -41,6 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd
+from operator import is_
 
 from .formula import (
     And,
@@ -59,6 +66,7 @@ from .formula import (
     VariableRef,
     evaluate,
     f_and,
+    f_iff,
     f_not,
     f_or,
     _postorder,
@@ -456,31 +464,53 @@ def _polar_args(node: tuple[Formula, bool]) -> tuple[tuple[Formula, bool], ...]:
     return ()
 
 
-def normalize(f: Formula) -> Formula:
+def normalize(f: Formula, memo: dict | None = None) -> Formula:
     """The form both solver backends decide: negations pushed inward (NNF)
     and a negated atom rewritten to its integer-exact complement, so Not
     survives only on propositional variables.
 
     One pass over the (subformula, negated) pairs of f, each rewritten
-    once, so shared subformulas stay shared.
+    once, so shared subformulas stay shared, and a node that nothing below
+    it changed is kept itself.  `memo`, a dict a caller may keep across
+    calls, maps (id, negated) of each subformula rewritten so far, and of
+    each result as its own normal form, to the subformula and its result;
+    a formula met before, or normalized, then costs one lookup.
     """
-    if isinstance(f, Not) and isinstance(f.arg, Atom):
-        return negate_atom(f.arg)
     if not isinstance(f, (Not, And, Or)):
         return f
-    out: dict[tuple[int, bool], Formula] = {}
-    for g, neg in _postorder((f, False), _polar_args, lambda n: (id(n[0]), n[1])):
+    if memo is None:
+        memo = {}
+    else:
+        done = memo.get((id(f), False))
+        if done is not None:
+            return done[1]
+
+    def key(node: tuple[Formula, bool]) -> tuple[int, bool]:
+        return id(node[0]), node[1]
+
+    def todo(node: tuple[Formula, bool]) -> tuple[tuple[Formula, bool], ...]:
+        return () if key(node) in memo else _polar_args(node)
+
+    for node in _postorder((f, False), todo, key):
+        if key(node) in memo:
+            continue
+        g, neg = node
         if isinstance(g, Atom):
             r = negate_atom(g) if neg else g
         elif not isinstance(g, (Not, And, Or)):  # a propositional variable or constant
             r = f_not(g) if neg else g
         elif isinstance(g, Not):
-            r = out[id(g.arg), not neg]
+            r = g if not neg and isinstance(g.arg, PropVar) else memo[id(g.arg), not neg][1]
         else:
-            parts = [out[id(a), neg] for a in g.args]
-            r = (f_and if isinstance(g, And) != neg else f_or)(*parts)
-        out[id(g), neg] = r
-    return out[id(f), False]
+            parts = [memo[id(a), neg][1] for a in g.args]
+            if not neg and all(map(is_, parts, g.args)):
+                r = g
+            else:
+                r = (f_and if isinstance(g, And) != neg else f_or)(*parts)
+        # the entries hold the objects whose ids key them, so no id is reused
+        memo[id(g), neg] = (g, r)
+        memo.setdefault((id(r), False), (r, r))
+    return memo[id(f), False][1]
 
 
 # ---------------------------------------------------------------------------
@@ -1038,12 +1068,24 @@ class _SolverBase:
     def entails(self, a: Formula, b: Formula) -> bool:
         return not self.check_sat(f_and(a, f_not(b))).is_sat
 
+    def valuations(self, phi: Formula, qs) -> list[tuple[bool, ...]]:
+        """Every valuation of the predicates qs, as a tuple in qs order,
+        that extends to a model of phi; one query.
+
+        Asked as one `all_sat` of phi with each q tied to a fresh
+        propositional variable by an equivalence.
+        """
+        names = [f"@p{i}" for i in range(len(qs))]
+        query = f_and(phi, *(f_iff(q, PropVar(n)) for q, n in zip(qs, names)))
+        return [tuple(m[n] for n in names) for m in self.all_sat(query, names)]
+
     def close(self) -> None:
         pass
 
 
-# The most DNF cubes for which `InternalSolver.entailed` decides phi in the
-# theory alone; a larger phi gets a CDCL session.  Measured on 60 seeded phi
+# The most DNF cubes for which `InternalSolver.entailed` and `valuations`
+# decide phi in the theory alone, for Cartesian and Boolean posts alike; a
+# larger phi gets a CDCL session.  Measured for `entailed` on 60 seeded phi
 # of three random atoms over x1..xm, y and `xi != ci` for each i (2^m cubes),
 # 12 atomic predicates each, nine alternating runs per side (Python 3.11,
 # x86_64, 2 CPUs): per phi, the cube path took 0.82/1.39/2.45/3.99/8.00 ms at
@@ -1068,6 +1110,7 @@ class InternalSolver(_SolverBase):
         # phi is unsat
         self._verdicts: dict[Formula, dict[Formula, bool] | None] = {}
         self._complements: dict[Formula, Formula] = {}  # q -> normalize(not q)
+        self._normal: dict = {}  # the memo of every normalize call
         # the theory kept across calls for cubes and search witnesses, and
         # the atoms pushed into it, one per undo record
         self._theory = _LinTheory()
@@ -1087,7 +1130,7 @@ class InternalSolver(_SolverBase):
     def all_sat(self, phi: Formula, important: list[str]) -> list[dict[str, bool]]:
         """All total assignments over `important` extendable to a model of phi."""
         self.queries += 1
-        prep = normalize(phi)
+        prep = normalize(phi, self._normal)
         if prep == FALSE:
             return []
         cnf = _Cnf()
@@ -1141,20 +1184,40 @@ class InternalSolver(_SolverBase):
         self.queries += len(qs)
         return [known[q] for q in qs]
 
+    def valuations(self, phi: Formula, qs) -> list[tuple[bool, ...]]:
+        """Every valuation of qs, as a tuple in qs order, that extends to a
+        model of phi; one query.
+
+        When phi splits into at most CUBE_BOUND cubes and every q is an atom
+        whose complement is a disjunction of atoms, the valuations are
+        enumerated cube by cube in the kept theory (`_valuations_by_cubes`);
+        otherwise the `all_sat` of `_SolverBase.valuations` decides them.
+        Both ask the same complete theory, so they give the same set.
+        """
+        cubes = _cubes(normalize(phi, self._normal), CUBE_BOUND)
+        if cubes is not None and len(cubes) <= CUBE_BOUND:
+            disjuncts = [_disjuncts(self._complement(q)) if isinstance(q, Atom) else None
+                         for q in qs]
+            if None not in disjuncts:
+                self.queries += 1
+                return self._valuations_by_cubes(cubes, qs, disjuncts)
+        return super().valuations(phi, qs)
+
     # -- internals ----------------------------------------------------------
+
+    def _complement(self, q: Formula) -> Formula:
+        nq = self._complements.get(q)
+        if nq is None:
+            nq = self._complements[q] = normalize(f_not(q), self._normal)
+        return nq
 
     def _decide(self, phi: Formula, qs, known: dict[Formula, bool]) -> bool:
         """Whether phi is sat; if so, record in known whether it entails
         each q of qs."""
-        prep = normalize(phi)
+        prep = normalize(phi, self._normal)
         if prep == FALSE:
             return False
-        nqs = []
-        for q in qs:
-            nq = self._complements.get(q)
-            if nq is None:
-                nq = self._complements[q] = normalize(f_not(q))
-            nqs.append(nq)
+        nqs = [self._complement(q) for q in qs]
         cubes = _cubes(prep, CUBE_BOUND)
         if cubes is not None and len(cubes) <= CUBE_BOUND:
             disjuncts = [_disjuncts(nq) for nq in nqs]
@@ -1224,6 +1287,62 @@ class InternalSolver(_SolverBase):
             self._theory.push(_lin_of_atom(atom, 0))
             pushed.append(atom)
 
+    def _valuations_by_cubes(self, cubes, qs, disjuncts) -> list[tuple[bool, ...]]:
+        """valuations for phi with the DNF cubes `cubes`, where disjuncts[i]
+        are the atoms of the complement of qs[i].
+
+        Each satisfiable cube, synced into the kept theory by `_sync`, is
+        extended depth first, one predicate per level: q for true and each
+        atom of its complement for false is pushed on top and checked, and
+        a branch that conflicts is dropped; the theory is popped back
+        before the next branch.  A q whose atom or complement atom the
+        cube states needs no check either way.  Every branch that reaches
+        the last predicate gives a valuation, duplicates dropped.  The
+        search runs on an explicit stack, so any number of predicates fit,
+        and ends once every valuation is found: with no predicates, at the
+        first satisfiable cube.
+        """
+        theory, n = self._theory, len(qs)
+        found: dict[tuple[bool, ...], None] = {}
+        for cube in cubes:
+            if len(found) == 1 << n:
+                break
+            try:
+                self._check_cube(cube)
+            except _TheoryConflict:
+                continue
+            stated = set(cube)
+            # (predicate index, theory length, valuation so far, atom to
+            # push for its value, or None when the cube states it)
+            stack = [(0, len(theory), (), None)]
+            try:
+                while stack:
+                    i, length, prefix, atom = stack.pop()
+                    theory.pop_to(length)
+                    if atom is not None:
+                        self.theory_checks += 1
+                        try:
+                            theory.push(_lin_of_atom(atom, 0))
+                            theory.check()
+                        except _TheoryConflict:
+                            continue
+                    if i == n:
+                        found[prefix] = None
+                        continue
+                    q, falsified = qs[i], disjuncts[i]
+                    length = len(theory)
+                    if q in stated:
+                        stack.append((i + 1, length, prefix + (True,), None))
+                    elif any(a in stated for a in falsified):
+                        stack.append((i + 1, length, prefix + (False,), None))
+                    else:  # popped in order: q, then each complement atom
+                        stack.extend((i + 1, length, prefix + (False,), a)
+                                     for a in reversed(falsified))
+                        stack.append((i + 1, length, prefix + (True,), q))
+            finally:
+                theory.pop_to(len(self._pushed))
+        return list(found)
+
     def _refutes(self, atom: Atom) -> bool:
         """Whether atom contradicts the theory, which is left as it was."""
         theory = self._theory
@@ -1263,7 +1382,7 @@ class InternalSolver(_SolverBase):
             self._count(dpll)
 
     def _solve(self, phi: Formula) -> SatResult:
-        prep = normalize(phi)
+        prep = normalize(phi, self._normal)
         if prep == TRUE:
             return _fill(phi, {}, {})
         if prep == FALSE:

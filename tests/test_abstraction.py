@@ -219,19 +219,19 @@ class TestPrecision:
 
 
 def _boolean_queries(source: str):
-    """LBE+Boolean verify of source: the verdict and, per all_sat call, the
-    query and its models as a set."""
+    """LBE+Boolean verify of source: the verdict and, per Boolean post (one
+    valuations call), the post's formula and its valuations as a set."""
     p, _ = summarize(parse_program(source))
     solver = InternalSolver()
-    all_sat = solver.all_sat
+    valuations = solver.valuations
     queries = []
 
-    def recording(phi, important):
-        out = all_sat(phi, important)
-        queries.append((phi, {tuple(sorted(m.items())) for m in out}))
+    def recording(phi, qs):
+        out = valuations(phi, qs)
+        queries.append((phi, set(out)))
         return out
 
-    solver.all_sat = recording
+    solver.valuations = recording
     return verify(p, mode=BOOLEAN, solver=solver).verdict, queries
 
 

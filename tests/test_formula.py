@@ -1,13 +1,23 @@
 import itertools
+import random
+import time
 
 import pytest
 
+from lbemc.cfa import summarize
+from lbemc.cli import gen_test_locks
 from lbemc.formula import (
+    REPR_LIMIT,
+    REPR_WHOLE,
+    And,
     Atom,
     FALSE,
+    FalseF,
     Not,
+    Or,
     PropVar,
     TRUE,
+    TrueF,
     Term,
     VariableRef,
     atoms,
@@ -21,6 +31,8 @@ from lbemc.formula import (
     to_sexpr,
     variables,
 )
+from lbemc.frontend import parse_program
+from lbemc.semantics import encode_edge
 from lbemc.smt import normalize
 
 from conftest import const, tvar
@@ -263,3 +275,72 @@ class TestDagEquality:
         assert one != two and not (one == two)
         assert atom_comparisons[0] <= 2 * (2 * DEPTH + 2)
         assert _shared_dag(DEPTH, 0, negate)[0] == one
+
+
+def _ref_assoc(cls, absorb, unit, args):
+    """f_and / f_or as they compared every argument with both constants."""
+    flat, seen = [], set()
+    for a in args:
+        for x in (a.args if isinstance(a, cls) else (a,)):
+            if x == absorb:
+                return absorb
+            if x == unit or x in seen:
+                continue
+            seen.add(x)
+            flat.append(x)
+    if not flat:
+        return unit
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+class TestAssoc:
+    def test_matches_comparing_with_the_constants(self):
+        rng = random.Random(7)
+        leaves = [TRUE, FALSE, TrueF(), FalseF(), PropVar("v"), f_not(PropVar("v")),
+                  compare("<=", tvar("x"), const(0)), compare("==", tvar("y"), const(1))]
+        for _ in range(500):
+            pool = list(leaves)
+            for _ in range(3):  # nested operands, flattened one level
+                part = rng.sample(pool, rng.randint(0, 3))
+                pool += [f_and(*part), f_or(*part)]
+            args = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+            assert f_and(*args) == _ref_assoc(And, FALSE, TRUE, args), args
+            assert f_or(*args) == _ref_assoc(Or, TRUE, FALSE, args), args
+
+    def test_constants_are_told_by_type(self, atom_comparisons):
+        atoms = [compare("<=", tvar("x", i), const(0)) for i in range(50)]
+        atom_comparisons[0] = 0
+        f_and(*atoms, TRUE)
+        f_or(FALSE, *atoms)
+        # comparing each argument with both constants made 200 calls
+        assert atom_comparisons[0] == 0
+
+
+class TestRepr:
+    def test_a_text_up_to_the_whole_limit_is_shown_whole(self):
+        f = parse_sexpr("(and (<= x 0) (or v (not w)))")
+        assert repr(f) == f"<{to_sexpr(f)}>"
+        # 12 levels of a shared DAG write out to about 245,000 characters
+        # and 13 to about twice that
+        f, _ = _shared_dag(12, 0)
+        assert REPR_LIMIT < len(str(f)) <= REPR_WHOLE
+        assert repr(f) == f"<{str(f)}>"
+        f, _ = _shared_dag(13, 0)
+        assert len(str(f)) > REPR_WHOLE and len(repr(f)) <= REPR_LIMIT + len("<...>")
+
+    def test_a_shared_dag_shows_a_bounded_text(self):
+        f, _ = _shared_dag(60, 0, negate=True)  # 2**60 paths
+        text = repr(f)
+        assert text.startswith("<(and (or (not ") and text.endswith("...>")
+        assert len(text) <= REPR_LIMIT + len("<...>")
+
+    def test_the_error_edge_of_forty_locks(self):
+        # written out in full, this edge is 15 MB at 8 locks and does not
+        # fit in memory at 12
+        program, _ = summarize(parse_program(gen_test_locks(40)))
+        (edge,) = [e for e in program.cfa.edges if e.target == program.error]
+        phi, _ = encode_edge(edge.op, {})
+        start = time.perf_counter()
+        text = repr(phi)
+        assert time.perf_counter() - start < 2.0
+        assert len(text) <= REPR_LIMIT + len("<...>")

@@ -392,6 +392,7 @@ def _recorded():
 def _recording_solver(sessions):
     solver = InternalSolver()
     check_sat, all_sat, entailed = solver.check_sat, solver.all_sat, solver.entailed
+    valuations = solver.valuations
 
     def recording_check_sat(phi):
         sessions.append([phi])
@@ -405,9 +406,14 @@ def _recording_solver(sessions):
         sessions.append([phi, *(f_not(q) for q in qs)])
         return entailed(phi, qs)
 
+    def recording_valuations(phi, qs):
+        sessions.append([phi, *(f_not(q) for q in qs)])
+        return valuations(phi, qs)
+
     solver.check_sat = recording_check_sat
     solver.all_sat = recording_all_sat
     solver.entailed = recording_entailed
+    solver.valuations = recording_valuations
     return solver
 
 

@@ -80,6 +80,23 @@ class TestExplicitReachable:
         assert verdict == BUDGET_EXCEEDED
         assert peak < 5 * 2**20, peak
 
+    def test_queued_states_share_the_visited_tuples(self):
+        # 11^4 initial environments and a budget of 20,000 states: the
+        # search runs past them and gives up; with an environment dict per
+        # queued state its peak was 11.0 MB, with the visited tuples 5.0 MB
+        import tracemalloc
+
+        p = parse_program("int a; int b; int c; int d; a = nondet(); b = a; c = b; d = c;"
+                          " if (d == 5) { error(); }")
+        tracemalloc.start()
+        try:
+            verdict = explicit_reachable(p, DomainBound(default=(-5, 5), budget=20_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict == BUDGET_EXCEEDED
+        assert peak < 7 * 2**20, peak
+
     def test_out_of_bound_values_truncate(self):
         p = parse_program("int x; x = 5; error();")
         # the assignment leaves the domain, so the error stays unreached

@@ -28,7 +28,7 @@ from lbemc.cfa import summarize
 from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
 from lbemc.frontend import parse_program
-from lbemc.oracle import random_formula, random_program
+from lbemc.oracle import random_comparison, random_formula, random_program, random_term
 from lbemc.smt import (
     InternalSolver,
     _Cnf,
@@ -927,6 +927,153 @@ class TestCheckSatOnTheKeptTheory:
             assert ask(solver, calls[i]) == fresh[i], calls[i]
 
 
+def _valuation_cases(seed: int, count: int):
+    """Seeded (phi, qs) with atomic predicates: random phi over a, b, c
+    (most of at most CUBE_BOUND cubes, and every third conjoined with four
+    random disjunctions, which may take it over), random atoms over them,
+    `a == k` (a two-atom complement) and `a <= k`, and atoms over d, which
+    phi never mentions.  Every fourth phi also fixes `a = k`, so the
+    predicate `a == k + 1` conflicts on push; every seventh opens with two
+    equalities that conflict on push, so no cube is satisfiable."""
+    rng = random.Random(seed)
+    names = ["a", "b", "c"]
+    a, z = tvar("a"), tvar("z")
+    for i in range(count):
+        phi = random_formula(rng, names, depth=2)
+        if i % 3 == 2:
+            phi = f_and(phi, *(f_or(random_comparison(rng, names), random_comparison(rng, names))
+                               for _ in range(4)))
+        k = i % 3 - 1
+        if i % 4 == 0:
+            phi = f_and(compare("==", a, const(k)), phi)
+        if i % 7 == 0:
+            phi = f_and(compare("==", z, const(0)), compare("==", z, const(1)), phi)
+        qs = [compare(rng.choice(["<=", "==", "<", ">"]), random_term(rng, names),
+                      random_term(rng, names)) for _ in range(3)]
+        qs += [compare("==", a, const(k)), compare("<=", a, const(k)),
+               compare("==", a, const(k + 1)),
+               compare(rng.choice(["<=", "=="]), tvar("d") + a, const(k))]
+        yield phi, list(dict.fromkeys(q for q in qs if isinstance(q, Atom)))
+
+
+def _valuations_reference(phi, qs):
+    """The valuations of qs that extend to a model of phi, one check_sat of
+    phi with each q or its negation per valuation, in no order."""
+    return {values for values in itertools.product((True, False), repeat=len(qs))
+            if InternalSolver().check_sat(f_and(phi, *(q if v else f_not(q)
+                                                       for q, v in zip(qs, values)))).is_sat}
+
+
+class TestValuations:
+    """valuations in the kept theory (a phi of at most CUBE_BOUND cubes and
+    atomic predicates) against the all_sat fallback and a check_sat per
+    valuation."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """How many valuations calls each path took."""
+        taken = Counter()
+        for name in ("_valuations_by_cubes", "all_sat"):
+            original = getattr(InternalSolver, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                taken[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(InternalSolver, name, counting)
+        return taken
+
+    def test_matches_a_check_sat_per_valuation(self, paths):
+        cases = list(_valuation_cases(71, 80))
+        solver = InternalSolver()
+        sizes = Counter()
+        for phi, qs in cases:
+            got = solver.valuations(phi, qs)
+            assert len(set(got)) == len(got), (phi, qs)
+            assert set(got) == _valuations_reference(phi, qs), (phi, qs)
+            sizes[min(len(got), 2)] += 1  # none, one, or more
+        assert paths["_valuations_by_cubes"] >= 60 and paths["all_sat"] > 0
+        assert sizes[0] > 10 and sizes[2] > 40
+
+    def test_cube_path_matches_the_fallback(self, paths):
+        cases = list(_valuation_cases(72, 150))
+        fallback = [set(smt._SolverBase.valuations(InternalSolver(), phi, qs))
+                    for phi, qs in cases]
+        assert paths["all_sat"] == len(cases) and paths["_valuations_by_cubes"] == 0
+        fresh = [InternalSolver().valuations(phi, qs) for phi, qs in cases]
+        assert [set(v) for v in fresh] == fallback
+        assert paths["_valuations_by_cubes"] > 100
+        # the kept theory holds whatever the calls before left: one solver
+        # asked in any order gives each answer a fresh solver gives
+        order = list(range(len(cases)))
+        random.Random(73).shuffle(order)
+        solver = InternalSolver()
+        for i in order:
+            assert solver.valuations(*cases[i]) == fresh[i], cases[i]
+
+    def test_unsat_phi_and_no_predicates(self, solver):
+        contradiction = f_and(compare(">", tvar("x"), const(0)),
+                              compare("<", tvar("x"), const(0)))
+        assert solver.valuations(contradiction, [X_NONPOS]) == []
+        assert solver.valuations(FALSE, []) == []
+        assert solver.valuations(contradiction, []) == []
+        assert solver.valuations(HALVES, []) == [()]
+        assert solver.valuations(TRUE, []) == [()]
+        # x = 1/2 is the only model, and it has neither x <= 0 nor the
+        # integer complement x >= 1: no valuation extends, as in all_sat
+        assert solver.valuations(HALVES, [X_NONPOS]) == []
+        assert smt._SolverBase.valuations(solver, HALVES, [X_NONPOS]) == []
+
+    def test_non_atom_predicates_take_the_fallback(self, solver, paths):
+        x_le_0, y_le_0 = X_NONPOS, compare("<=", tvar("y"), const(0))
+        phi = f_or(compare("==", tvar("x"), const(0)), compare("==", tvar("y"), const(3)))
+        for qs in ([f_and(x_le_0, y_le_0)], [x_le_0, compare("!=", tvar("y"), const(3))],
+                   [x_le_0, PropVar("v")]):
+            before = Counter(paths)
+            got = solver.valuations(phi, qs)
+            assert paths - before == Counter(all_sat=1), qs
+            assert set(got) == _valuations_reference(phi, qs)
+        assert solver.valuations(phi, [f_and(x_le_0, y_le_0), x_le_0]) == [
+            (True, True), (False, True), (False, False)]
+
+    def test_each_call_is_one_query(self, solver, paths):
+        x_is_0 = compare("==", tvar("x"), const(0))
+        calls = [(HALVES, [X_NONPOS, x_is_0]), (FALSE, [X_NONPOS]), (TRUE, []),
+                 (HALVES, [f_not(x_is_0)]), (f_or(x_is_0, PropVar("v")), [X_NONPOS])]
+        for phi, qs in calls * 2:
+            before = solver.queries
+            solver.valuations(phi, qs)
+            assert solver.queries == before + 1, (phi, qs)
+        assert paths["_valuations_by_cubes"] == 6 and paths["all_sat"] == 4
+
+    def test_a_precision_deeper_than_the_recursion_limit(self, solver):
+        # one cube fixes every predicate true; each q is pushed and checked
+        # and each of its complement's two atoms conflicts
+        n = 1500
+        xs = [tvar("x", i) for i in range(n)]
+        ys = [tvar("y", i) for i in range(n)]
+        phi = f_and(*(compare("==", x, y) for x, y in zip(xs, ys)),
+                    *(compare("==", y, const(i)) for i, y in enumerate(ys)))
+        qs = [compare("==", x, const(i)) for i, x in enumerate(xs)]
+        assert solver.valuations(phi, qs) == [(True,) * n]
+        assert solver.theory_checks == 1 + 3 * n
+
+
+def test_normalize_memo_keeps_normal_forms():
+    memo = {}
+    rng = random.Random(74)
+    formulas = [random_formula(rng, ["a", "b", "c"], depth=3) for _ in range(300)]
+    formulas += [f_and(f, PropVar("v"), f_not(PropVar("w"))) for f in formulas[:50]]
+    for f in formulas:
+        g = normalize(f, memo)
+        assert g == normalize(f)
+        # a normalized formula is its own normal form, and f is looked up
+        assert normalize(g, memo) is g and normalize(f, memo) is g
+        # a new formula over ones met before
+        h = f_or(f_not(f), g)
+        assert normalize(h, memo) == normalize(h)
+
+
 def _truth_table_cases():
     """Seeded (phi, important, [phi and one assignment of important]),
     assignments in truth-table order."""
@@ -1216,6 +1363,12 @@ class TestExternalBackend:
             want = InternalSolver().entailed(phi, qs)
             assert ext.entailed(phi, qs) == want, (phi, qs)
             assert ext.queries == before + 1 + (0 if want is None else len(qs))
+
+    def test_valuations_agree_with_internal(self, ext):
+        for phi, qs in _valuation_cases(75, 30):
+            before = ext.queries
+            assert set(ext.valuations(phi, qs)) == set(InternalSolver().valuations(phi, qs))
+            assert ext.queries == before + 1
 
     def test_sbe_cartesian_run_matches_internal(self):
         program = parse_program(gen_test_locks(2))

@@ -12,8 +12,9 @@ with a fresh `InternalSolver`) and gives one JSON line with
 
   - the verdict, reason and the deterministic `--stats` fields;
   - the solver's theory check, decision and conflict counts (None for a
-    checkout whose solver has no such counter) and the model count of
-    each `all_sat`;
+    checkout whose solver has no such counter) and, per Boolean post, the
+    number of valuations (`valuations`) or models (`all_sat`, for a
+    checkout whose solver has no `valuations`) it found;
   - for `unsafe`: the witness (values as exact rationals), whether it is
     integral and was replayed, and the path as (source, target) pairs.
 
@@ -43,14 +44,17 @@ def dump_task(lbemc, workload: str, task) -> dict:
     record = {"task": f"{workload}/{task.name}/{task.encoding}/{task.mode}"}
     solver = lbemc.smt.InternalSolver()
     models: list[int] = []
-    all_sat = solver.all_sat
+    # one entry per Boolean post: `valuations`, or `all_sat` for a checkout
+    # whose solver has no `valuations`
+    method = "valuations" if hasattr(solver, "valuations") else "all_sat"
+    post = getattr(solver, method)
 
-    def counting_all_sat(phi, important):
-        result = all_sat(phi, important)
+    def counting(phi, qs):
+        result = post(phi, qs)
         models.append(len(result))
         return result
 
-    solver.all_sat = counting_all_sat
+    setattr(solver, method, counting)
     try:
         program = lbemc.frontend.parse_program(task.source)
         rules = 0

@@ -24,9 +24,10 @@ the program as it is), and `verify` runs in the abstraction mode `--mode`
   - `theory_checks`, `art_size` and `verdict` of the run;
   - `decisions` and `conflicts`: the search counters of the solver, or
     None for a checkout whose `InternalSolver` does not count them;
-  - `query_atoms`: the distinct atoms of each `all_sat` query after
-    `smt.normalize` (the atoms the solver decides), in call order; empty
-    in Cartesian mode, which makes no `all_sat` query.
+  - `query_atoms`: the distinct atoms of each Boolean post's formula
+    after `smt.normalize`, in call order: the formula passed to
+    `valuations`, or the `all_sat` query for a checkout whose solver has
+    no `valuations`; empty in Cartesian mode, which makes no such query.
 
 The run also holds its `encoding` and `mode`, `loglog_slope`, the
 least-squares slope of log(verify_s) over log(n) for n >= 20, and the
@@ -74,13 +75,16 @@ def measure(lbemc, n: int, repeat: int = 1, encoding: str = "lbe",
             summarize_times.append(time.perf_counter() - start)
         solver = lbemc.smt.InternalSolver()
         queries = []
-        all_sat = solver.all_sat
+        # one query per Boolean post: `valuations`, or `all_sat` for a
+        # checkout whose solver has no `valuations`
+        method = "valuations" if hasattr(solver, "valuations") else "all_sat"
+        post = getattr(solver, method)
 
-        def recording_all_sat(phi, important):
+        def recording(phi, qs, post=post):
             queries.append(phi)
-            return all_sat(phi, important)
+            return post(phi, qs)
 
-        solver.all_sat = recording_all_sat
+        setattr(solver, method, recording)
         originals = {name: getattr(lbemc.abstraction, name) for name in wrapped}
         totals = dict.fromkeys(wrapped, 0.0)
         for name, original in originals.items():
