@@ -52,13 +52,7 @@ from .formula import (
     to_sexpr,
 )
 from .frontend import ParseError, parse, parse_program, to_cfa
-from .oracle import (
-    DomainBound,
-    enum_paths,
-    explicit_reachable,
-    project_indexed,
-    semantically_equivalent,
-)
+from .oracle import DomainBound, explicit_reachable
 from .semantics import (
     Assign,
     Assume,
@@ -69,12 +63,7 @@ from .semantics import (
     encode_edge,
     sp,
 )
-from .smt import (
-    InternalSolver,
-    SatResult,
-    make_solver,
-    theory_check,
-)
+from .smt import InternalSolver, SatResult, make_solver
 
 __all__ = [
     "AbstractFormula", "Abstractor", "BOOLEAN", "CARTESIAN", "Precision",
@@ -86,12 +75,10 @@ __all__ = [
     "Atom", "FALSE", "Formula", "PropVar", "TRUE", "Term", "VariableRef",
     "atoms", "compare", "evaluate", "parse_sexpr", "rename", "to_sexpr",
     "ParseError", "parse", "parse_program", "to_cfa",
-    "DomainBound", "enum_paths", "explicit_reachable", "project_indexed",
-    "semantically_equivalent",
+    "DomainBound", "explicit_reachable",
     "Assign", "Assume", "Choice", "Havoc", "Operation", "Seq", "encode_edge",
     "sp",
     "InternalSolver", "SatResult", "Smtlib2Solver", "make_solver",
-    "theory_check",
 ]
 
 

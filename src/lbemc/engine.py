@@ -8,7 +8,11 @@ Construction stops at the first error node; the corresponding path is then
 checked for feasibility on its SSA encoding, without the copies x@j = x@i
 nothing reads (choice pads among them), as the abstract posts drop them.
 Infeasible paths refine the per-location precisions with atoms harvested
-from the path constraints, and the tree is rebuilt from scratch.
+from the path constraints, and the tree is rebuilt from scratch.  A
+feasible path with an integral model is replayed concretely
+(`replay_path`): the run takes havoc values and choice resolutions from
+the model, joining choices with the path encoding's `semantics._merge`, so
+it reads the model at the indices the path formula gave it.
 """
 
 from __future__ import annotations
@@ -26,11 +30,24 @@ from .abstraction import (
 )
 from .cfa import Edge, Program, _dot_escape, program_variables
 from .formula import (
-    Atom, Formula, VariableRef, _dag_nodes, f_and, formula_infix, strip_indices_atom,
+    Atom, Formula, VariableRef, _dag_nodes, evaluate, f_and, formula_infix,
+    strip_indices_atom,
 )
-from .oracle import replay_path
 from .record import Record
-from .semantics import SsaEncoder, drop_dead_pads, encode_edge, op_label
+from .semantics import (
+    Assign,
+    Assume,
+    Choice,
+    Havoc,
+    Operation,
+    Seq,
+    SsaEncoder,
+    _merge,
+    drop_dead_pads,
+    encode_edge,
+    op_label,
+    seq_elements,
+)
 from .smt import make_solver
 
 
@@ -207,6 +224,82 @@ def extract_predicates(path: list[tuple[Edge, int]], variable_names: list[str],
 def _is_live(atom: Atom, ssa: dict[str, int]) -> bool:
     """Every variable of atom is at its index in ssa."""
     return all((v.index or 0) == ssa.get(v.name, 0) for v in atom.term.variables())
+
+
+# ---------------------------------------------------------------------------
+# model-guided replay of counterexample paths
+# ---------------------------------------------------------------------------
+
+def replay_path(p: Program, edges: list[Edge], model) -> bool:
+    """Execute the path concretely, taking havoc values and choice
+    resolutions from the model.
+
+    Returns True when the run reaches the end of the path (whose last edge
+    targets the error location).  It does whenever the model satisfies the
+    path's SSA formula with or without its dead copies (`path_formula`
+    drops them); a havoc or initial value the model lacks is read as 0,
+    and a joined index it lacks leaves the choice free (see `_run`).  A
+    True answer means the run is a concrete execution.
+    """
+    if edges and edges[-1].target != p.error:
+        return False
+    names = program_variables(p)
+    values = {n: model.get(VariableRef(n, 0), Fraction(0)) for n in names}
+    ssa = {n: 0 for n in names}
+    for edge in edges:
+        values, ssa = _run(edge.op, values, ssa, model, {})
+        if values is None:
+            return False
+    return True
+
+
+def _run(op: Operation, values, ssa: dict[str, int], model, memo):
+    """(values, index map) after running op from values at index map ssa.
+
+    The index maps are `encode_edge`'s.  Once an assume fails the values
+    are None, and the run goes on counting indices for the choices above.
+    A choice runs both branches and goes on with the first whose values
+    are the model's at the choice's output indices, so the run follows the
+    model.  An output index the model has no value for constrains no
+    branch: the path formula dropped its pads, so no atom reads it, nothing
+    reads the variable before it is written again, and either branch is a
+    concrete run.  Every choice is run once per index map and values, as
+    `encode_edge` encodes it once per index map, so a join that the
+    branches of a summarized edge share is run once.
+    """
+    if isinstance(op, (Assign, Havoc)):
+        i = ssa.get(op.var, 0) + 1
+        if values is not None:
+            if isinstance(op, Assign):
+                val = op.expr.evaluate({VariableRef(n): v for n, v in values.items()})
+            else:
+                val = model.get(VariableRef(op.var, i), Fraction(0))
+            values = {**values, op.var: val}
+        return values, {**ssa, op.var: i}
+    if isinstance(op, Assume):
+        if values is not None and not evaluate(
+                op.cond, {VariableRef(n): v for n, v in values.items()}):
+            values = None
+        return values, ssa
+    if isinstance(op, Seq):
+        for element in seq_elements(op):
+            values, ssa = _run(element, values, ssa, model, memo)
+        return values, ssa
+    if not isinstance(op, Choice):
+        raise TypeError(f"not an operation: {op!r}")
+    key = (op, tuple(sorted(ssa.items())),
+           None if values is None else tuple(sorted(values.items())))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    left, m1 = _run(op.left, values, ssa, model, memo)
+    right, m2 = _run(op.right, values, ssa, model, memo)
+    merged = _merge(m1, m2)
+    # a variable the model lacks leaves the branch free (v[n] == v[n])
+    taken = next((v for v in (left, right) if v is not None and all(
+        model.get(VariableRef(n, i), v[n]) == v[n] for n, i in merged.items())), None)
+    result = memo[key] = taken, merged
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,56 +1,28 @@
-"""Brute-force semantics used as ground truth, and counterexample replay.
+"""Brute-force semantics used as ground truth.
 
-Explicit-state reachability over bounded integer domains, syntactic path
-enumeration, solver-backed equivalence, existential projection of indexed
-variables, and model-guided concrete replay of counterexample paths.
-Tests use all of it as ground truth; `lbemc --crosscheck` runs the
-reachability search, and `engine.verify` replays every integral witness
-before it calls it replayed.
+Explicit-state reachability over bounded integer domains, and a seeded
+generator of random source programs.  Tests use both as ground truth;
+`lbemc --crosscheck` runs the reachability search, and the benchmark
+builds its random corpus with the generator.
 
-Beyond the formula and operation data types, the module shares this with
-the symbolic engine: projection splits a formula into cubes with the
-solver's `smt._cubes` and eliminates with the theory's own `smt.project`
-(substitution, then Fourier-Motzkin over the integer rows), and replay
-joins choices with the path encoding's `semantics._merge`, so it reads a
-model at the indices the path formula gave it.  That formula leaves out
-the copies x@j = x@i nothing reads, choice pads and assignments x = x
-alike (`semantics.drop_dead_pads`), so replay reads a variable the model
-lacks as one nothing reads.  The reachability search and path enumeration
-share nothing else.
+The module shares only the formula, program and operation data types
+with the symbolic engine: it evaluates each operation on concrete values
+and imports nothing of the solver, the abstraction or the engine.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from fractions import Fraction
 from itertools import product
 
-from .cfa import Edge, Program, program_variables
-from .formula import (
-    Formula,
-    Not,
-    Term,
-    VariableRef,
-    evaluate,
-    f_and,
-    f_or,
-)
+from .cfa import Program, program_variables
+from .formula import VariableRef, evaluate
 from .record import Record
-from .semantics import (
-    Assign,
-    Assume,
-    Choice,
-    Havoc,
-    Operation,
-    Seq,
-    _merge,
-    seq_elements,
-)
+from .semantics import Assign, Assume, Choice, Havoc, Operation, Seq
 # unused here; perfbench/tracer.py wraps `encode_edge` in this module's
 # namespace (looked up through __dict__), so the name has to stay
 from .semantics import encode_edge  # noqa: F401
-from .smt import _TheoryConflict, _atom_of_lin, _cubes, _lin_of_atom, normalize, project
 
 REACHABLE = "reachable"
 NOT_REACHABLE = "not-reachable"
@@ -138,183 +110,6 @@ def explicit_reachable(p: Program, bound: DomainBound) -> str:
                     visited.add(state)
                     queue.append(state)
     return NOT_REACHABLE
-
-
-def enum_paths(p: Program, max_len: int) -> list[tuple[Edge, ...]]:
-    """All syntactic paths from the entry of length 1..max_len.
-
-    Ordered by length first, then lexicographically by edge position.
-    """
-    index = {id(e): i for i, e in enumerate(p.cfa.edges)}
-    out: list[tuple[Edge, ...]] = []
-
-    def walk(loc: int, prefix: tuple[Edge, ...]) -> None:
-        if len(prefix) == max_len:
-            return
-        for e in p.cfa.outgoing(loc):
-            out.append(prefix + (e,))
-            walk(e.target, prefix + (e,))
-
-    walk(p.entry, ())
-    out.sort(key=lambda path: (len(path), tuple(index[id(e)] for e in path)))
-    return out
-
-
-def semantically_equivalent(a: Formula, b: Formula, solver) -> bool:
-    return solver.entails(a, b) and solver.entails(b, a)
-
-
-# ---------------------------------------------------------------------------
-# existential projection of indexed variables
-# ---------------------------------------------------------------------------
-
-def project_indexed(phi: Formula) -> Formula:
-    """Quantifier elimination of the implicitly existential indexed variables.
-
-    The result ranges over current-state variables only and is equivalent
-    (over the rationals) to exists-indexed phi: each DNF cube is projected
-    with `smt.project`, whose rows become atoms without integer tightening.
-    DNF-based, so intended for test-sized formulas; raises ValueError for a
-    propositional literal or more than 20000 cubes.
-    """
-    cubes = _cubes(normalize(phi), 20000)
-    if cubes is None:
-        raise ValueError("projection needs an arithmetic formula of at most 20000 DNF cubes")
-    disjuncts = []
-    for cube in cubes:
-        targets = {v for a in cube for v, _ in a.term.coeffs if v.index is not None}
-        try:
-            residue = project([_lin_of_atom(a, 0) for a in cube], targets)
-        except _TheoryConflict:
-            continue
-        disjuncts.append(f_and(*map(_atom_of_lin, residue)))
-    return f_or(*disjuncts)
-
-
-def equivalent_modulo_indexed(a: Formula, b: Formula, solver) -> bool:
-    """Equivalence treating indexed variables as existential on both sides."""
-    return semantically_equivalent(project_indexed(a), project_indexed(b), solver)
-
-
-# ---------------------------------------------------------------------------
-# model-guided replay of counterexample paths
-# ---------------------------------------------------------------------------
-
-def replay_path(p: Program, edges: list[Edge], model) -> bool:
-    """Execute the path concretely, taking havoc values and choice
-    resolutions from the model.
-
-    Returns True when the run reaches the end of the path (whose last edge
-    targets the error location).  It does whenever the model satisfies the
-    path's SSA formula with or without its dead copies (`engine.path_formula`
-    drops them); a havoc or initial value the model lacks is read as 0,
-    and a joined index it lacks leaves the choice free (see `_run`).  A
-    True answer means the run is a concrete execution.
-    """
-    if edges and edges[-1].target != p.error:
-        return False
-    names = program_variables(p)
-    values = {n: model.get(VariableRef(n, 0), Fraction(0)) for n in names}
-    ssa = {n: 0 for n in names}
-    for edge in edges:
-        values, ssa = _run(edge.op, values, ssa, model, {})
-        if values is None:
-            return False
-    return True
-
-
-def _run(op: Operation, values, ssa: dict[str, int], model, memo):
-    """(values, index map) after running op from values at index map ssa.
-
-    The index maps are `encode_edge`'s.  Once an assume fails the values
-    are None, and the run goes on counting indices for the choices above.
-    A choice runs both branches and goes on with the first whose values
-    are the model's at the choice's output indices, so the run follows the
-    model.  An output index the model has no value for constrains no
-    branch: the path formula dropped its pads, so no atom reads it, nothing
-    reads the variable before it is written again, and either branch is a
-    concrete run.  Every choice is run once per index map and values, as
-    `encode_edge` encodes it once per index map, so a join that the
-    branches of a summarized edge share is run once.
-    """
-    if isinstance(op, (Assign, Havoc)):
-        i = ssa.get(op.var, 0) + 1
-        if values is not None:
-            if isinstance(op, Assign):
-                val = op.expr.evaluate({VariableRef(n): v for n, v in values.items()})
-            else:
-                val = model.get(VariableRef(op.var, i), Fraction(0))
-            values = {**values, op.var: val}
-        return values, {**ssa, op.var: i}
-    if isinstance(op, Assume):
-        if values is not None and not evaluate(
-                op.cond, {VariableRef(n): v for n, v in values.items()}):
-            values = None
-        return values, ssa
-    if isinstance(op, Seq):
-        for element in seq_elements(op):
-            values, ssa = _run(element, values, ssa, model, memo)
-        return values, ssa
-    if not isinstance(op, Choice):
-        raise TypeError(f"not an operation: {op!r}")
-    key = (op, tuple(sorted(ssa.items())),
-           None if values is None else tuple(sorted(values.items())))
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    left, m1 = _run(op.left, values, ssa, model, memo)
-    right, m2 = _run(op.right, values, ssa, model, memo)
-    merged = _merge(m1, m2)
-    # a variable the model lacks leaves the branch free (v[n] == v[n])
-    taken = next((v for v in (left, right) if v is not None and all(
-        model.get(VariableRef(n, i), v[n]) == v[n] for n, i in merged.items())), None)
-    result = memo[key] = taken, merged
-    return result
-
-
-# ---------------------------------------------------------------------------
-# random generators (seeded; used by the property-test harnesses)
-# ---------------------------------------------------------------------------
-
-def random_term(rng: random.Random, names: list[str], max_vars: int = 2) -> Term:
-    t = Term.constant(rng.randint(-3, 3))
-    for name in rng.sample(names, k=min(len(names), rng.randint(0, max_vars))):
-        c = rng.choice([-2, -1, 1, 2])
-        t = t + Term.variable(name).scale(c)
-    return t
-
-
-def random_comparison(rng: random.Random, names: list[str]) -> Formula:
-    rel = rng.choice(["==", "!=", "<", "<=", ">", ">="])
-    from .formula import compare
-
-    return compare(rel, random_term(rng, names), random_term(rng, names))
-
-
-def random_formula(rng: random.Random, names: list[str], depth: int = 2) -> Formula:
-    if depth == 0 or rng.random() < 0.4:
-        return random_comparison(rng, names)
-    kind = rng.choice(["and", "or", "not"])
-    if kind == "not":
-        return Not(random_formula(rng, names, depth - 1))
-    left = random_formula(rng, names, depth - 1)
-    right = random_formula(rng, names, depth - 1)
-    return f_and(left, right) if kind == "and" else f_or(left, right)
-
-
-def random_operation(rng: random.Random, names: list[str], depth: int = 3) -> Operation:
-    if depth == 0 or rng.random() < 0.45:
-        kind = rng.choice(["assign", "assume", "havoc"])
-        if kind == "assign":
-            return Assign(rng.choice(names), random_term(rng, names))
-        if kind == "havoc":
-            return Havoc(rng.choice(names))
-        return Assume(random_comparison(rng, names))
-    if rng.random() < 0.5:
-        return Seq(random_operation(rng, names, depth - 1),
-                   random_operation(rng, names, depth - 1))
-    return Choice(random_operation(rng, names, depth - 1),
-                  random_operation(rng, names, depth - 1))
 
 
 def random_program(seed: int, n_vars: int = 4, max_stmts: int = 12,

@@ -21,22 +21,27 @@ disjunctive inputs polynomial in practice.
 
 The solver keeps one theory across calls and syncs it to each cube (a
 conjunction of atoms) it checks: popped to the longest prefix it shares
-with the cube, then the rest pushed.  `check_sat` decides a one-cube
-formula there, and a search's witness too, over its final true atoms in
-input order.  `entailed` decides which of several predicates a formula
-entails.  When the formula splits into a few cubes and each complement is
-a disjunction of atoms, as in every Cartesian post, it asks that theory
-alone, so posts that share the incoming state re-push little more than
-the operation's atoms; each atom of a complement is pushed on top,
-checked and popped, unless the cube has the predicate itself as an atom.
-Otherwise one search session builds the formula's CNF once and assumes
-each predicate's complement in turn, keeping what earlier answers learned.
-`valuations` lists every valuation of several predicates that a formula
-allows.  When the formula splits into a few cubes and every predicate is
-an atom, as in nearly every Boolean post, it extends each cube in that
-theory depth first, one predicate per level; otherwise it asks `all_sat`
-with each predicate tied to a propositional variable.  The solver keeps
-one `normalize` memo, so a formula it met before is not normalized again.
+with the cube, then the rest pushed.  One generator walks a formula's
+cubes there and yields the satisfiable ones; `check_sat` decides a
+one-cube formula with it, and `entailed` and `valuations` decide their
+posts with it.  A search's witness is solved in that theory too, over
+its final true atoms in input order.  Every search session (`check_sat`,
+`all_sat` and `entailed` over the cube bound) is built by one
+constructor, which adds its counters to the solver's.  `entailed`
+decides which of several predicates a formula entails.  When the formula
+splits into a few cubes and each complement is a disjunction of atoms,
+as in every Cartesian post, it asks that theory alone, so posts that
+share the incoming state re-push little more than the operation's atoms;
+each atom of a complement is pushed on top, checked and popped, unless
+the cube has the predicate itself as an atom.  Otherwise one search
+session builds the formula's CNF once and assumes each predicate's
+complement in turn, keeping what earlier answers learned.  `valuations`
+lists every valuation of several predicates that a formula allows.  When
+the formula splits into a few cubes and every predicate is an atom, as
+in nearly every Boolean post, it extends each cube in that theory depth
+first, one predicate per level; otherwise it asks `all_sat` with each
+predicate tied to a propositional variable.  The solver keeps one
+`normalize` memo, so a formula it met before is not normalized again.
 
 An SMT-LIB2 process backend, in `lbemc.smtlib`, is the alternative that
 `make_solver` loads on first use.
@@ -44,6 +49,7 @@ An SMT-LIB2 process backend, in `lbemc.smtlib`, is the alternative that
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd
@@ -321,19 +327,6 @@ def _rest_value(c: _Lin, v: VariableRef, env: dict[VariableRef, Fraction]):
     return total
 
 
-def _solve_lin(constraints: list[_Lin]):
-    """Decide a conjunction of linear constraints over the rationals.
-
-    Returns a model dict on success; raises _TheoryConflict with the origin
-    set of a contradiction otherwise.  Equalities are used for substitution
-    first, then inequalities are eliminated variable by variable.
-    """
-    theory = _LinTheory()
-    for c in constraints:
-        theory.push(c)
-    return theory.model(theory.check())
-
-
 def _fourier_motzkin(ineqs: list[_Lin], elim: set[VariableRef] | None,
                      levels: list | None = None) -> list[_Lin]:
     """Eliminate the variables of `ineqs` (all `<= 0`, none constant) that
@@ -437,18 +430,6 @@ def _pick_value(lo: Fraction | None, hi: Fraction | None) -> Fraction:
         return Fraction(0)
     c = Fraction(ceil(lo))
     return c if c <= hi else (lo + hi) / 2
-
-
-def theory_check(atoms: list[Atom] | tuple[Atom, ...]) -> SatResult:
-    """Satisfiability of a conjunction of canonical atoms over the rationals."""
-    for a in atoms:
-        if not isinstance(a, Atom):
-            raise TypeError(f"theory_check expects canonical atoms, got {a!r}")
-    try:
-        env = _solve_lin([_lin_of_atom(a, i) for i, a in enumerate(atoms)])
-    except _TheoryConflict:
-        return UNSAT
-    return sat(model=env)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,30 +1114,22 @@ class InternalSolver(_SolverBase):
         prep = normalize(phi, self._normal)
         if prep == FALSE:
             return []
-        cnf = _Cnf()
-        imp_vars = []
-        for name in important:
-            v = cnf.input_var(PropVar(name))
-            cnf.mark_decision(v)
-            imp_vars.append(v)
-        if prep != TRUE:
-            cnf.add_clause([cnf.literal(prep)])
         results: list[dict[str, bool]] = []
-        dpll = _Dpll(cnf)
+        with self._session(prep, important) as dpll:
+            imp_vars = [dpll.cnf.var_of_input[PropVar(name)] for name in important]
 
-        def on_model() -> list[int] | None:
-            assignment = {
-                name: dpll.assign.get(v, False) for name, v in zip(important, imp_vars)
-            }
-            results.append(assignment)
-            if not imp_vars:
-                return None
-            return [
-                -v if assignment[name] else v for name, v in zip(important, imp_vars)
-            ]
+            def on_model() -> list[int] | None:
+                assignment = {
+                    name: dpll.assign.get(v, False) for name, v in zip(important, imp_vars)
+                }
+                results.append(assignment)
+                if not imp_vars:
+                    return None
+                return [
+                    -v if assignment[name] else v for name, v in zip(important, imp_vars)
+                ]
 
-        dpll.run(on_model)
-        self._count(dpll)
+            dpll.run(on_model)
         return results
 
     def entailed(self, phi: Formula, qs) -> list[bool] | None:
@@ -1230,21 +1203,15 @@ class InternalSolver(_SolverBase):
         for every satisfiable cube, q is an atom of the cube or each
         disjunct of q's complement contradicts the cube.
 
-        The cubes are decided one after another on the solver's one theory,
-        synced to each cube by `_sync`, which pushes only the atoms after
-        the prefix the theory already holds.  A complement that the first
-        satisfiable cube's model satisfies is not entailed, as in the
-        session.  Against each satisfiable cube, a q that the cube has as an
+        The satisfiable cubes come from `_sat_cubes`.  A complement that
+        the first satisfiable cube's model satisfies is not entailed, as in
+        the session.  Against each satisfiable cube, a q that the cube has as an
         atom is skipped; for every other q still open, each disjunct is
         pushed on top, checked and popped, until one is not refuted.
         """
         open_qs = list(zip(qs, disjuncts))
         found = False
-        for cube in cubes:
-            try:
-                levels = self._check_cube(cube)
-            except _TheoryConflict:
-                continue
+        for cube, levels in self._sat_cubes(cubes):
             if open_qs:
                 stated = set(cube)  # the cube entails each predicate it states
                 if not found:
@@ -1262,13 +1229,19 @@ class InternalSolver(_SolverBase):
                 known[q] = q in entailed
         return found
 
-    def _check_cube(self, cube: list[Atom]):
-        """One theory check of the conjunction of cube on the solver's one
-        theory: the Fourier-Motzkin levels of `_LinTheory.check`, or
-        _TheoryConflict."""
-        self.theory_checks += 1
-        self._sync(cube)
-        return self._theory.check()
+    def _sat_cubes(self, cubes):
+        """Each cube of cubes whose conjunction is satisfiable, in order,
+        with the Fourier-Motzkin levels of `_LinTheory.check`; one theory
+        check per cube asked for.  The solver's one theory is synced to
+        each cube by `_sync` and holds it while the caller looks at it."""
+        for cube in cubes:
+            self.theory_checks += 1
+            try:
+                self._sync(cube)
+                levels = self._theory.check()
+            except _TheoryConflict:
+                continue
+            yield cube, levels
 
     def _sync(self, cube: list[Atom]) -> None:
         """Make the theory hold exactly the atoms of cube: pop to the longest
@@ -1291,11 +1264,10 @@ class InternalSolver(_SolverBase):
         """valuations for phi with the DNF cubes `cubes`, where disjuncts[i]
         are the atoms of the complement of qs[i].
 
-        Each satisfiable cube, synced into the kept theory by `_sync`, is
-        extended depth first, one predicate per level: q for true and each
-        atom of its complement for false is pushed on top and checked, and
-        a branch that conflicts is dropped; the theory is popped back
-        before the next branch.  A q whose atom or complement atom the
+        Each satisfiable cube from `_sat_cubes` is extended depth first,
+        one predicate per level: q for true and each atom of its complement
+        for false is pushed on top and checked, and a branch that conflicts
+        is dropped; the theory is popped back before the next branch.  A q whose atom or complement atom the
         cube states needs no check either way.  Every branch that reaches
         the last predicate gives a valuation, duplicates dropped.  The
         search runs on an explicit stack, so any number of predicates fit,
@@ -1304,13 +1276,7 @@ class InternalSolver(_SolverBase):
         """
         theory, n = self._theory, len(qs)
         found: dict[tuple[bool, ...], None] = {}
-        for cube in cubes:
-            if len(found) == 1 << n:
-                break
-            try:
-                self._check_cube(cube)
-            except _TheoryConflict:
-                continue
+        for cube, _ in self._sat_cubes(cubes):
             stated = set(cube)
             # (predicate index, theory length, valuation so far, atom to
             # push for its value, or None when the cube states it)
@@ -1341,6 +1307,8 @@ class InternalSolver(_SolverBase):
                         stack.append((i + 1, length, prefix + (True,), q))
             finally:
                 theory.pop_to(len(self._pushed))
+            if len(found) == 1 << n:
+                break
         return list(found)
 
     def _refutes(self, atom: Atom) -> bool:
@@ -1361,11 +1329,7 @@ class InternalSolver(_SolverBase):
         """_decide for the normalized phi `prep` in one search session: a
         complement of q that the first model satisfies is not entailed, and
         each other one is decided under its gate literal."""
-        cnf = _Cnf()
-        if prep != TRUE:
-            cnf.add_clause([cnf.literal(prep)])
-        dpll = _Dpll(cnf)
-        try:
+        with self._session(prep) as dpll:
             if not dpll.solve_under(None):
                 return False
             if qs:
@@ -1376,10 +1340,8 @@ class InternalSolver(_SolverBase):
                 # `x <= 0` is false, but its integer complement `x >= 1` is
                 # false too, and phi can still entail `x <= 0`
                 known[q] = not (_satisfies(nq, env, bools)
-                                or dpll.solve_under(cnf.literal(nq)))
+                                or dpll.solve_under(dpll.cnf.literal(nq)))
             return True
-        finally:
-            self._count(dpll)
 
     def _solve(self, phi: Formula) -> SatResult:
         prep = normalize(phi, self._normal)
@@ -1389,27 +1351,35 @@ class InternalSolver(_SolverBase):
             return UNSAT
         cubes = _cubes(prep, 1)
         if cubes is not None:  # one conjunction of atoms
-            try:
-                levels = self._check_cube(cubes[0])
-            except _TheoryConflict:
-                return UNSAT
-            return _fill(phi, self._theory.model(levels), {})
-        cnf = _Cnf()
-        cnf.add_clause([cnf.literal(prep)])
-        dpll = _Dpll(cnf)
-        found = dpll.solve_under(None)
-        self._count(dpll)
-        if not found:
+            for _, levels in self._sat_cubes(cubes):
+                return _fill(phi, self._theory.model(levels), {})
             return UNSAT
+        with self._session(prep) as dpll:
+            if not dpll.solve_under(None):
+                return UNSAT
         # the witness is solved over the final true atoms in input order,
         # independent of the order the search asserted them
-        self._sync([a for v, a in cnf.atom_of.items() if dpll.assign.get(v)])
+        self._sync([a for v, a in dpll.cnf.atom_of.items() if dpll.assign.get(v)])
         return _fill(phi, self._theory.model(self._theory.check()), dpll.bools())
 
-    def _count(self, dpll: _Dpll) -> None:
-        self.theory_checks += dpll.theory_checks
-        self.decisions += dpll.decisions
-        self.conflicts += dpll.conflicts
+    @contextmanager
+    def _session(self, prep: Formula, decide=()):
+        """A search session over the CNF of the normalized prep, whose
+        theory checks, decisions and conflicts are counted on exit; the
+        propositional variables named in decide are encoded first and
+        decided first, in that order."""
+        cnf = _Cnf()
+        for name in decide:
+            cnf.mark_decision(cnf.input_var(PropVar(name)))
+        if prep != TRUE:
+            cnf.add_clause([cnf.literal(prep)])
+        dpll = _Dpll(cnf)
+        try:
+            yield dpll
+        finally:
+            self.theory_checks += dpll.theory_checks
+            self.decisions += dpll.decisions
+            self.conflicts += dpll.conflicts
 
 
 def _fill(phi: Formula, env: dict[VariableRef, Fraction], bools) -> SatResult:

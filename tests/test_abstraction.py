@@ -16,11 +16,12 @@ from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
 from lbemc.formula import Atom, FALSE, TRUE, _dag_nodes, compare, f_and, f_not, f_or
 from lbemc.frontend import parse_program
-from lbemc.oracle import random_formula, random_program, semantically_equivalent
+from lbemc.oracle import random_program
 from lbemc.semantics import Assign, Assume, Choice, Seq
 from lbemc.smt import InternalSolver, normalize
 
 from conftest import const, tvar
+from references import random_formula, semantically_equivalent
 
 
 @pytest.fixture

@@ -17,20 +17,13 @@ from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
 from lbemc.formula import TRUE, compare, f_and, f_not, f_or
 from lbemc.frontend import parse_program
-from lbemc.oracle import (
-    BUDGET_EXCEEDED,
-    DomainBound,
-    equivalent_modulo_indexed,
-    explicit_reachable,
-    random_formula,
-    random_operation,
-    random_program,
-)
+from lbemc.oracle import BUDGET_EXCEEDED, DomainBound, explicit_reachable, random_program
 from lbemc.semantics import sp
 from lbemc.smt import InternalSolver
 from lbemc.smtlib import Smtlib2Solver
 
 from conftest import const, tvar
+from references import equivalent_modulo_indexed, random_formula, random_operation
 
 RANDOM_PROGRAM_SEEDS = range(200)
 

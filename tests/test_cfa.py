@@ -138,7 +138,7 @@ class TestSummarize:
             ),
         )
         from lbemc.formula import TRUE as T
-        from lbemc.oracle import equivalent_modulo_indexed
+        from references import equivalent_modulo_indexed
         from lbemc.semantics import sp
         from lbemc.smt import InternalSolver
 
@@ -327,7 +327,7 @@ def _random_cfa(seed):
     several exits; entry 0 has no incoming edge, error is 1."""
     import random
 
-    from lbemc.oracle import random_operation
+    from references import random_operation
 
     rng = random.Random(seed)
     names = ["a", "b", "c"]

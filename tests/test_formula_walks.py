@@ -44,11 +44,12 @@ from lbemc.formula import (
     variables,
 )
 from lbemc.frontend import parse_program
-from lbemc.oracle import random_comparison, random_formula, random_operation, random_program
+from lbemc.oracle import random_program
 from lbemc.semantics import drop_dead_pads, encode_edge
 from lbemc.smt import InternalSolver, _Cnf, normalize
 
 from conftest import const, is_copy, tvar
+from references import random_comparison, random_formula, random_operation
 
 NAMES = ["a", "b", "c"]
 

@@ -16,24 +16,26 @@ from lbemc.formula import (
     f_or,
 )
 from lbemc.frontend import parse_program
+from lbemc.engine import replay_path
 from lbemc.oracle import (
     BUDGET_EXCEEDED,
     NOT_REACHABLE,
     REACHABLE,
     DomainBound,
-    enum_paths,
-    equivalent_modulo_indexed,
     explicit_reachable,
-    project_indexed,
-    random_operation,
     random_program,
-    replay_path,
-    semantically_equivalent,
 )
 from lbemc.semantics import Assign, Assume, Choice, Havoc, Seq, encode_edge, sp
 from lbemc.smt import InternalSolver
 
 from conftest import const, tvar
+from references import (
+    enum_paths,
+    equivalent_modulo_indexed,
+    project_indexed,
+    random_operation,
+    semantically_equivalent,
+)
 
 
 class TestExplicitReachable:
@@ -184,7 +186,7 @@ class TestProjection:
 
 class TestLemmaHarnesses:
     def test_sp_distributes_over_disjunction(self, solver):
-        from lbemc.oracle import random_formula, random_operation
+        from references import random_formula, random_operation
 
         rng = random.Random(5)
         for _ in range(30):
@@ -273,13 +275,13 @@ class TestReplay:
         # the joins of a summarized bug twin copy their shared prefix into
         # both arms; running it once per index map and values keeps replay
         # linear, where resolving every choice is exponential
-        from lbemc import oracle
+        from lbemc import engine
         from lbemc.cli import gen_test_locks
         from lbemc.engine import verify
 
         calls = []
-        real = oracle.evaluate
-        monkeypatch.setattr(oracle, "evaluate",
+        real = engine.evaluate
+        monkeypatch.setattr(engine, "evaluate",
                             lambda *args: calls.append(None) or real(*args))
         for n in range(1, 13):
             p, _ = summarize(parse_program(gen_test_locks(n, bug=True)))

@@ -14,7 +14,6 @@ from lbemc.formula import (
     f_or,
     variables,
 )
-from lbemc.oracle import equivalent_modulo_indexed, random_formula, random_operation
 from lbemc.semantics import (
     Assign,
     Assume,
@@ -33,6 +32,7 @@ from lbemc.semantics import (
 from lbemc.smt import InternalSolver
 
 from conftest import const, is_copy, tvar
+from references import equivalent_modulo_indexed, random_formula, random_operation
 
 
 class TestSp:

@@ -28,7 +28,7 @@ from lbemc.cfa import summarize
 from lbemc.cli import gen_test_locks
 from lbemc.engine import verify
 from lbemc.frontend import parse_program
-from lbemc.oracle import random_comparison, random_formula, random_program, random_term
+from lbemc.oracle import random_program
 from lbemc.smt import (
     InternalSolver,
     _Cnf,
@@ -36,15 +36,20 @@ from lbemc.smt import (
     _LinTheory,
     _TheoryConflict,
     _lin_of_atom,
-    _solve_lin,
     make_solver,
     normalize,
     project,
-    theory_check,
 )
 from lbemc.smtlib import Smtlib2Solver
 
 from conftest import MOCK_SOLVER_CMD, const, tvar
+from references import (
+    _solve_lin,
+    random_comparison,
+    random_formula,
+    random_term,
+    theory_check,
+)
 
 X = VariableRef("x")
 
