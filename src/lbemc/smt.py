@@ -1207,7 +1207,9 @@ class InternalSolver(_SolverBase):
         the first satisfiable cube's model satisfies is not entailed, as in
         the session.  Against each satisfiable cube, a q that the cube has as an
         atom is skipped; for every other q still open, each disjunct is
-        pushed on top, checked and popped, until one is not refuted.
+        pushed on top, checked and popped, until one is not refuted.  Once
+        no q is open after a satisfiable cube, no later cube can change an
+        answer, so none is checked.
         """
         open_qs = list(zip(qs, disjuncts))
         found = False
@@ -1223,6 +1225,8 @@ class InternalSolver(_SolverBase):
                 open_qs = [(q, atoms) for q, atoms in open_qs
                            if q in stated or all(self._refutes(a) for a in atoms)]
             found = True
+            if not open_qs:
+                break
         if found:
             entailed = {q for q, _ in open_qs}
             for q in qs:

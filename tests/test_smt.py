@@ -1442,3 +1442,16 @@ def test_theory_check_counter_counts_unsat_conjunctions():
     assert solver.theory_checks == 1
     solver.check_sat(compare(">", tvar("x"), const(0)))
     assert solver.theory_checks == 2
+
+
+def test_entailed_stops_at_the_first_satisfiable_cube_once_nothing_is_open():
+    x, y = tvar("x"), tvar("y")
+    phi = f_or(f_and(compare("==", x, const(1)), compare("<=", y, const(0))),
+               f_and(compare("==", x, const(2)), compare(">=", y, const(3))))
+    solver = InternalSolver()
+    assert solver.entailed(phi, []) == []
+    assert solver.theory_checks == 1
+    # a predicate refuted by the first cube's model is closed there too
+    solver = InternalSolver()
+    assert solver.entailed(phi, [compare("==", x, const(2))]) == [False]
+    assert solver.theory_checks == 1
