@@ -316,32 +316,32 @@ CONTRACT = {
 
 
 THEORY = {
-    "locks1/sbe/cartesian": (43, None),
+    "locks1/sbe/cartesian": (36, None),
     "locks1/lbe/boolean": (8, None),
-    "locks1/lbe/cartesian": (33, None),
-    "locks2/sbe/cartesian": (188, None),
+    "locks1/lbe/cartesian": (27, None),
+    "locks2/sbe/cartesian": (175, None),
     "locks2/lbe/boolean": (13, None),
-    "locks2/lbe/cartesian": (72, None),
-    "locks3/sbe/cartesian": (662, None),
+    "locks2/lbe/cartesian": (62, None),
+    "locks3/sbe/cartesian": (633, None),
     "locks3/lbe/boolean": (19, None),
-    "locks3/lbe/cartesian": (123, None),
+    "locks3/lbe/cartesian": (109, None),
     "bug2/lbe/boolean": (24,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 '
         'lk2@1=0 lk2@2=0 lk2@3=0 p1@1=0 p2@1=0'),
-    "bug2/sbe/cartesian": (17, 'cond@1=-1 lk1@1=0 lk2@1=0 p1@1=0 p2@1=0'),
+    "bug2/sbe/cartesian": (13, 'cond@1=-1 lk1@1=0 lk2@1=0 p1@1=0 p2@1=0'),
     "bug3/lbe/boolean": (30,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk2@1=0 lk2@2=0 '
         'lk2@3=0 lk2@4=0 lk3@1=0 lk3@2=0 lk3@3=0 p1@1=0 p2@1=0 p3@1=0'),
-    "bug3/sbe/cartesian": (21, 'cond@1=-1 lk1@1=0 lk2@1=0 lk3@1=0 p1@1=0 p2@1=0 p3@1=0'),
-    "locks4/sbe/cartesian": (1885, None),
-    "locks4/lbe/cartesian": (187, None),
-    "locks5/lbe/cartesian": (263, None),
-    "locks6/lbe/cartesian": (351, None),
+    "bug3/sbe/cartesian": (16, 'cond@1=-1 lk1@1=0 lk2@1=0 lk3@1=0 p1@1=0 p2@1=0 p3@1=0'),
+    "locks4/sbe/cartesian": (1830, None),
+    "locks4/lbe/cartesian": (169, None),
+    "locks5/lbe/cartesian": (241, None),
+    "locks6/lbe/cartesian": (325, None),
     "bug4/lbe/boolean": (42,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk2@1=0 lk2@2=0 '
         'lk2@3=0 lk2@4=0 lk3@1=0 lk3@2=0 lk3@3=0 lk3@4=0 lk4@1=0 '
         'lk4@2=0 lk4@3=0 p1@1=0 p2@1=0 p3@1=0 p4@1=0'),
-    "bug4/sbe/cartesian": (25,
+    "bug4/sbe/cartesian": (19,
         'cond@1=-1 lk1@1=0 lk2@1=0 lk3@1=0 lk4@1=0 p1@1=0 p2@1=0 '
         'p3@1=0 p4@1=0'),
 }
