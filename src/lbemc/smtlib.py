@@ -211,7 +211,11 @@ class Smtlib2Solver(_SolverBase):
             except Exception:
                 pass
             self.proc.terminate()
-            self.proc.wait(timeout=5)
+            try:
+                self.proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:  # it ignores SIGTERM
+                self.proc.kill()
+                self.proc.wait()
             self.proc = None
 
 

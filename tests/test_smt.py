@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import subprocess
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1413,6 +1414,25 @@ class TestExternalBackend:
             assert ext.check_sat(compare("<", tvar("x"), const(0))).is_sat
         finally:
             ext.close()
+
+    def test_close_kills_a_process_that_outlives_the_wait(self, monkeypatch):
+        ext = Smtlib2Solver(MOCK_SOLVER_CMD)
+        assert ext.check_sat(compare(">", tvar("x"), const(0))).is_sat
+        proc, wait, kill = ext.proc, ext.proc.wait, ext.proc.kill
+        calls = []
+
+        def wait_once(timeout=None):
+            calls.append(("wait", timeout))
+            if len(calls) == 1:
+                raise subprocess.TimeoutExpired(ext.command, timeout)
+            return wait(timeout=timeout)
+
+        monkeypatch.setattr(proc, "wait", wait_once)
+        monkeypatch.setattr(proc, "kill", lambda: calls.append(("kill",)) or kill())
+        ext.close()
+        assert ext.proc is None
+        assert calls == [("wait", 5), ("kill",), ("wait", None)]
+        assert proc.poll() is not None
 
     def test_indexed_variables_round_trip(self, ext):
         f = compare("==", tvar("x", 3), const(4))
