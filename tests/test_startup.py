@@ -1,5 +1,7 @@
-"""What `import lbemc` loads, and the plain record classes it defines."""
+"""What `import lbemc` loads, which lbemc modules import which, and the
+plain record classes it defines."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -54,6 +56,32 @@ def test_backend_names_resolve_and_unknown_names_raise():
     for module in (lbemc, lbemc.smt):
         with pytest.raises(AttributeError):
             module.no_such_name
+
+
+def _lbemc_imports(name: str) -> set[str]:
+    """The lbemc modules that the import statements of `lbemc/<name>.py`
+    name, anywhere in the file."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / "lbemc" / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            paths = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative, so inside lbemc
+                module = f"lbemc.{module}".rstrip(".")
+            paths = [f"{module}.{a.name}" for a in node.names] if module == "lbemc" else [module]
+        else:
+            continue
+        found.update(p.split(".")[1] for p in paths if p.startswith("lbemc."))
+    return found
+
+
+def test_oracle_shares_only_data_types_and_engine_needs_no_oracle():
+    oracle, engine = _lbemc_imports("oracle"), _lbemc_imports("engine")
+    assert {"cfa", "formula", "semantics"} <= oracle
+    assert not oracle & {"smt", "engine", "abstraction"}
+    assert {"abstraction", "smt"} <= engine
+    assert "oracle" not in engine
 
 
 def _x(i=None):
