@@ -21,27 +21,25 @@ disjunctive inputs polynomial in practice.
 
 The solver keeps one theory across calls and syncs it to each cube (a
 conjunction of atoms) it checks: popped to the longest prefix it shares
-with the cube, then the rest pushed.  One generator walks a formula's
-cubes there and yields the satisfiable ones; `check_sat` decides a
-one-cube formula with it, and `entailed` and `valuations` decide their
-posts with it.  A search's witness is solved in that theory too, over
-its final true atoms in input order.  Every search session (`check_sat`,
-`all_sat` and `entailed` over the cube bound) is built by one
-constructor, which adds its counters to the solver's.  `entailed`
-decides which of several predicates a formula entails.  When the formula
-splits into a few cubes and each complement is a disjunction of atoms,
-as in every Cartesian post, it asks that theory alone, so posts that
-share the incoming state re-push little more than the operation's atoms;
-each atom of a complement is pushed on top, checked and popped, unless
-the cube has the predicate itself as an atom.  Otherwise one search
-session builds the formula's CNF once and assumes each predicate's
-complement in turn, keeping what earlier answers learned.  `valuations`
-lists every valuation of several predicates that a formula allows.  When
-the formula splits into a few cubes and every predicate is an atom, as
-in nearly every Boolean post, it extends each cube in that theory depth
-first, one predicate per level; otherwise it asks `all_sat` with each
-predicate tied to a propositional variable.  The solver keeps one
-`normalize` memo, so a formula it met before is not normalized again.
+with the cube, then the rest pushed.  One generator yields the
+satisfiable cubes of a formula there, for `check_sat`'s one-cube case,
+`entailed` and `valuations`; a search's witness is solved there too,
+over its final true atoms in input order.  One constructor builds every
+search session.  `entailed` decides which of several predicates a
+formula entails.  When the formula splits into a few cubes and each
+complement is a disjunction of atoms, as in every Cartesian post, it
+asks that theory alone, so posts that share the incoming state re-push
+little more than the operation's atoms; each atom of a complement is
+pushed on top, checked and popped, unless the cube has the predicate
+itself as an atom.  Otherwise one search session builds the formula's
+CNF once and assumes each predicate's complement in turn, keeping what
+earlier answers learned.  `valuations` lists every valuation of several
+predicates that a formula allows.  When the formula splits into a few
+cubes and every predicate is an atom, as in nearly every Boolean post,
+it extends each cube in that theory depth first, one predicate per
+level; otherwise it asks `all_sat` with each predicate tied to a
+propositional variable.  The solver keeps one `normalize` memo, so a
+formula it met before is not normalized again.
 
 An SMT-LIB2 process backend, in `lbemc.smtlib`, is the alternative that
 `make_solver` loads on first use.
@@ -1205,25 +1203,24 @@ class InternalSolver(_SolverBase):
 
         The satisfiable cubes come from `_sat_cubes`.  A complement that
         the first satisfiable cube's model satisfies is not entailed, as in
-        the session.  Against each satisfiable cube, a q that the cube has as an
-        atom is skipped; for every other q still open, each disjunct is
-        pushed on top, checked and popped, until one is not refuted.  Once
-        no q is open after a satisfiable cube, no later cube can change an
-        answer, so none is checked.
+        the session.  Against each satisfiable cube, a q that the cube has
+        as an atom is skipped; for every other q still open, each disjunct
+        is pushed on top, checked and popped, until one is not refuted.
+        Once no q is open after a satisfiable cube, no later cube can change
+        an answer, so none is checked.
         """
         open_qs = list(zip(qs, disjuncts))
         found = False
         for cube, levels in self._sat_cubes(cubes):
-            if open_qs:
-                stated = set(cube)  # the cube entails each predicate it states
-                if not found:
-                    # the complement, not q: see _decide_in_session; the
-                    # model satisfies a stated q, so not its complement
-                    env = self._theory.model(levels)
-                    open_qs = [(q, atoms) for q, atoms in open_qs if q in stated
-                               or not any(_atom_holds(a, env) for a in atoms)]
-                open_qs = [(q, atoms) for q, atoms in open_qs
-                           if q in stated or all(self._refutes(a) for a in atoms)]
+            stated = set(cube)  # the cube entails each predicate it states
+            if open_qs and not found:
+                # the complement, not q: see _decide_in_session; the model
+                # satisfies a stated q, so not its complement
+                env = self._theory.model(levels)
+                open_qs = [(q, atoms) for q, atoms in open_qs if q in stated
+                           or not any(_atom_holds(a, env) for a in atoms)]
+            open_qs = [(q, atoms) for q, atoms in open_qs
+                       if q in stated or all(self._refutes(a) for a in atoms)]
             found = True
             if not open_qs:
                 break
@@ -1271,12 +1268,13 @@ class InternalSolver(_SolverBase):
         Each satisfiable cube from `_sat_cubes` is extended depth first,
         one predicate per level: q for true and each atom of its complement
         for false is pushed on top and checked, and a branch that conflicts
-        is dropped; the theory is popped back before the next branch.  A q whose atom or complement atom the
-        cube states needs no check either way.  Every branch that reaches
-        the last predicate gives a valuation, duplicates dropped.  The
-        search runs on an explicit stack, so any number of predicates fit,
-        and ends once every valuation is found: with no predicates, at the
-        first satisfiable cube.
+        is dropped; the theory is popped back before the next branch.  A q
+        whose atom or complement atom the cube states needs no check either
+        way.  Every branch that reaches the last predicate gives a
+        valuation, duplicates dropped.  The search runs on an explicit
+        stack, so any number of predicates fit, and ends once every
+        valuation is found: with no predicates, at the first satisfiable
+        cube.
         """
         theory, n = self._theory, len(qs)
         found: dict[tuple[bool, ...], None] = {}
