@@ -514,6 +514,7 @@ class _Cnf:
     def __init__(self) -> None:
         self.nvars = 0
         self.clauses: list[list[int]] = []
+        self.sizes: list[int] = []  # the length of each clause
         self.occ: dict[int, list[int]] = {}  # signed literal -> clause indices
         self.atom_of: dict[int, Atom] = {}
         self.atoms_of: dict[VariableRef, list[int]] = {}  # variable -> atom vars
@@ -532,18 +533,26 @@ class _Cnf:
     def add_clause(self, lits: list[int]) -> int | None:
         """Record the clause of lits, without repeats, in first-occurrence
         order; None (and nothing recorded) if it is a tautology."""
-        out: list[int] = []
-        seen: set[int] = set()
-        for lit in lits:
-            if -lit in seen:
+        if len(lits) == 2:  # most Tseitin clauses: no set needed
+            a, b = lits
+            if a == -b:
                 return None
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
+            out = [a] if a == b else [a, b]
+        else:
+            out = []
+            seen: set[int] = set()
+            for lit in lits:
+                if -lit in seen:
+                    return None
+                if lit not in seen:
+                    seen.add(lit)
+                    out.append(lit)
         idx = len(self.clauses)
         self.clauses.append(out)
+        self.sizes.append(len(out))
+        occ = self.occ
         for lit in out:
-            self.occ[lit].append(idx)
+            occ[lit].append(idx)
         return idx
 
     def mark_decision(self, var: int) -> None:
@@ -682,22 +691,24 @@ class _Dpll:
         self.level_of[var] = self.level
         self.reason[var] = reason
         self.trail.append(var)
+        cnf = self.cnf
         if value:
-            if var in self.cnf.atom_of:
+            if var in cnf.atom_of:
                 self._true_atoms.append(var)
             else:
-                idx = self.cnf.select_guard.get(var)
+                idx = cnf.select_guard.get(var)
                 if idx is not None:
                     self._active.add(idx)
+            lit = var
+        else:
+            lit = -var
+        occ, n_true, n_false, sizes = cnf.occ, self._n_true, self._n_false, cnf.sizes
+        for idx in occ[lit]:
+            n_true[idx] += 1
         conflict = None
-        for idx in self.cnf.occ[var if value else -var]:
-            self._n_true[idx] += 1
-        for idx in self.cnf.occ[-var if value else var]:
-            self._n_false[idx] += 1
-            if (
-                conflict is None
-                and self._n_false[idx] == len(self.cnf.clauses[idx])
-            ):
+        for idx in occ[-lit]:
+            n_false[idx] += 1
+            if conflict is None and n_false[idx] == sizes[idx]:
                 conflict = idx
         return conflict
 
@@ -706,16 +717,21 @@ class _Dpll:
         value = self.assign.pop(var)
         del self.level_of[var]
         del self.reason[var]
+        cnf = self.cnf
         if value:
-            if var in self.cnf.atom_of:
+            if var in cnf.atom_of:
                 self._true_atoms.pop()
                 self._synced = min(self._synced, len(self._true_atoms))
             else:
-                self._active.discard(self.cnf.select_guard.get(var))
-        for idx in self.cnf.occ[var if value else -var]:
-            self._n_true[idx] -= 1
-        for idx in self.cnf.occ[-var if value else var]:
-            self._n_false[idx] -= 1
+                self._active.discard(cnf.select_guard.get(var))
+            lit = var
+        else:
+            lit = -var
+        occ, n_true, n_false = cnf.occ, self._n_true, self._n_false
+        for idx in occ[lit]:
+            n_true[idx] -= 1
+        for idx in occ[-lit]:
+            n_false[idx] -= 1
         self._decide_head = 0
 
     def _pop_to_level(self, level: int) -> None:
@@ -772,16 +788,17 @@ class _Dpll:
         violated clause on conflict.  No clause is violated on entry: each
         `_set` returns the first clause it violates, and its caller stops."""
         queue = list(pending)
+        assign, cnf = self.assign, self.cnf
+        occ, clauses, sizes = cnf.occ, cnf.clauses, cnf.sizes
+        n_true, n_false = self._n_true, self._n_false
         while queue:
             var = queue.pop()
-            value = self.assign[var]
-            for idx in self.cnf.occ[-var if value else var]:
-                clause = self.cnf.clauses[idx]
-                if self._n_true[idx] == 0 and self._n_false[idx] == len(clause) - 1:
+            for idx in occ[-var if assign[var] else var]:
+                if not n_true[idx] and n_false[idx] == sizes[idx] - 1:
                     lit = self._unit_literal(idx)
-                    conflict = self._set(abs(lit), lit > 0, clause)
+                    conflict = self._set(abs(lit), lit > 0, clauses[idx])
                     if conflict is not None:
-                        return self.cnf.clauses[conflict]
+                        return clauses[conflict]
                     queue.append(abs(lit))
         return None
 
@@ -953,14 +970,14 @@ class _Dpll:
             if v not in self.assign:
                 return v
             self._decide_head += 1
-        clauses, n_true, n_false = self.cnf.clauses, self._n_true, self._n_false
+        sizes, n_true, n_false = self.cnf.sizes, self._n_true, self._n_false
         # a unit or conflicting clause is not pending: propagation handles it
         best = min((idx for idx in self._active
-                    if not n_true[idx] and n_false[idx] < len(clauses[idx]) - 1),
+                    if not n_true[idx] and n_false[idx] < sizes[idx] - 1),
                    default=None)
         if best is None:
             return None
-        for lit in clauses[best][1:]:  # pending: two of them are unassigned
+        for lit in self.cnf.clauses[best][1:]:  # pending: two of them are unassigned
             if abs(lit) not in self.assign:
                 return lit
 

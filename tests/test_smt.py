@@ -1475,3 +1475,14 @@ def test_entailed_stops_at_the_first_satisfiable_cube_once_nothing_is_open():
     solver = InternalSolver()
     assert solver.entailed(phi, [compare("==", x, const(2))]) == [False]
     assert solver.theory_checks == 1
+
+
+def test_add_clause_records_sizes_and_folds_two_literal_repeats():
+    cnf = _Cnf()
+    for _ in range(3):
+        cnf.new_var()
+    assert cnf.add_clause([1, -1]) is None and cnf.add_clause([2, 3, -2]) is None
+    idxs = [cnf.add_clause(lits) for lits in ([1, 1], [1, -2], [2, 3, 2], [], [-3])]
+    assert [cnf.clauses[i] for i in idxs] == [[1], [1, -2], [2, 3], [], [-3]]
+    assert cnf.sizes == [1, 2, 2, 0, 1]
+    assert cnf.occ[1] == idxs[:2] and cnf.occ[-2] == [idxs[1]] and cnf.occ[-1] == []
