@@ -31,12 +31,13 @@ LE = "<="
 
 
 class VariableRef(Record):
-    __slots__ = ("name", "index", "_h")
+    __slots__ = ("name", "index", "_h", "_sort_key")
     _fields = ("name", "index")
 
     def __init__(self, name: str, index: int | None = None) -> None:
         self.name, self.index = name, index
         self._h = hash((name, index))
+        self._sort_key = (name, -1 if index is None else index)
 
     def __eq__(self, other) -> bool:
         return self is other or (other.__class__ is VariableRef and self._h == other._h
@@ -56,7 +57,8 @@ class VariableRef(Record):
 
 
 def var_sort_key(v: VariableRef) -> tuple[str, int]:
-    return (v.name, -1 if v.index is None else v.index)
+    """Variables in name order, a current one before its indexed ones."""
+    return v._sort_key
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ class TrueF(Formula):
     __slots__ = ()
 
     def __init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("true",)))
+        self._h = hash(("true",))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TrueF)
@@ -198,7 +200,7 @@ class FalseF(Formula):
     __slots__ = ()
 
     def __init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("false",)))
+        self._h = hash(("false",))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FalseF)
@@ -217,9 +219,9 @@ class Atom(Formula):
 
     def __init__(self, rel: str, term: Term) -> None:
         assert rel in (EQ, LE)
-        object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "_h", hash(("atom", rel, term)))
+        self.rel = rel
+        self.term = term
+        self._h = hash(("atom", rel, term))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -238,8 +240,8 @@ class PropVar(Formula):
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_h", hash(("pv", name)))
+        self.name = name
+        self._h = hash(("pv", name))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PropVar) and self.name == other.name
@@ -251,8 +253,8 @@ class Not(Formula):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Formula) -> None:
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_h", hash(("not", arg)))
+        self.arg = arg
+        self._h = hash(("not", arg))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -266,8 +268,8 @@ class And(Formula):
     __slots__ = ("args",)
 
     def __init__(self, args: tuple[Formula, ...]) -> None:
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_h", hash(("and", args)))
+        self.args = args
+        self._h = hash(("and", args))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -281,8 +283,8 @@ class Or(Formula):
     __slots__ = ("args",)
 
     def __init__(self, args: tuple[Formula, ...]) -> None:
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_h", hash(("or", args)))
+        self.args = args
+        self._h = hash(("or", args))
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -114,14 +114,20 @@ class _Lin(Record):
     so it has that combination's meaning over the rationals.
     """
 
-    __slots__ = _fields = ("coeffs", "const", "is_eq", "origins")
+    __slots__ = ("coeffs", "const", "is_eq", "origins", "_key")
+    _fields = ("coeffs", "const", "is_eq", "origins")
 
     def __init__(self, coeffs: dict[VariableRef, int], const: int, is_eq: bool,
-                 origins: frozenset[int]) -> None:
+                 origins: frozenset[int], key=None) -> None:
         self.coeffs, self.const, self.is_eq, self.origins = coeffs, const, is_eq, origins
+        self._key = key
 
     def key(self):
-        return _key(self.is_eq, self.coeffs, self.const)
+        """The row's `_key`, computed on the first call."""
+        k = self._key
+        if k is None:
+            k = self._key = _key(self.is_eq, self.coeffs, self.const)
+        return k
 
 
 def _key(is_eq: bool, coeffs: dict[VariableRef, int], const: int):
@@ -273,6 +279,8 @@ class _LinTheory:
         returns p, q > 0 such that the row is p/q times the same reduction
         done in rational arithmetic."""
         subst = self._subst
+        if subst.keys().isdisjoint(c.coeffs):
+            return c, 1, 1
         p = q = 1
         while True:
             ranked = [(subst[w][0], w) for w in c.coeffs if w in subst]
@@ -382,7 +390,7 @@ def _fourier_motzkin(ineqs: list[_Lin], elim: set[VariableRef] | None,
                 k = _key(False, coeffs, const)
                 if k not in seen:
                     seen.add(k)
-                    derived.append(_Lin(coeffs, const, False, up.origins | lo.origins))
+                    derived.append(_Lin(coeffs, const, False, up.origins | lo.origins, k))
         cur = rest + derived
     return cur
 
