@@ -22,9 +22,11 @@ from typing import Iterable, Mapping
 
 from .formula import (
     EQ,
+    And,
     Atom,
     Formula,
     Not,
+    Or,
     Term,
     TRUE,
     VariableRef,
@@ -203,19 +205,30 @@ def seq(first: Operation, second: Operation) -> Operation:
 
 
 def op_variables(op: Operation) -> set[str]:
+    """The names of the variables op mentions.  One walk visits each
+    distinct operation and condition subformula once, and reads the names
+    off the atoms' coefficients."""
     out: set[str] = set()
     seen: set[int] = set()
-    stack = [op]
+    stack: list[Operation | Formula] = [op]
     while stack:
         o = stack.pop()
         if id(o) in seen:
             continue
         seen.add(id(o))
-        if isinstance(o, Assign):
+        if isinstance(o, Atom):
+            out.update(v.name for v, _ in o.term.coeffs)
+        elif isinstance(o, (And, Or)):
+            stack.extend(o.args)
+        elif isinstance(o, Not):
+            stack.append(o.arg)
+        elif isinstance(o, Formula):
+            pass  # a constant or propositional variable
+        elif isinstance(o, Assign):
             out.add(o.var)
-            out.update(v.name for v in o.expr.variables())
+            out.update(v.name for v, _ in o.expr.coeffs)
         elif isinstance(o, Assume):
-            out.update(v.name for v in variables(o.cond))
+            stack.append(o.cond)
         elif isinstance(o, Havoc):
             out.add(o.var)
         elif isinstance(o, Seq):

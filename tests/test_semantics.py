@@ -156,6 +156,29 @@ def test_op_label_and_variables():
     assert op_label(op, limit=8).endswith("...")
 
 
+def _op_variables_reference(op):
+    """op_variables as it asked `formula.variables` of each condition."""
+    if isinstance(op, Assign):
+        return {op.var} | {v.name for v in op.expr.variables()}
+    if isinstance(op, Assume):
+        return {v.name for v in variables(op.cond)}
+    if isinstance(op, Havoc):
+        return {op.var}
+    left, right = (op.first, op.second) if isinstance(op, Seq) else (op.left, op.right)
+    return _op_variables_reference(left) | _op_variables_reference(right)
+
+
+def test_op_variables_matches_a_walk_per_condition():
+    rng = random.Random(23)
+    names = ["a", "b", "c", "d", "e"]
+    for _ in range(300):
+        op = random_operation(rng, names)
+        # compound conditions, shared subformulas, propositional leaves
+        cond = random_formula(rng, names)
+        op = Choice(Seq(Assume(f_and(cond, PropVar("v"))), op), Assume(f_or(cond, TRUE)))
+        assert op_variables(op) == _op_variables_reference(op)
+
+
 class TestDropDeadPads:
     # x ends at x@2 on the left and at x@1 on the right; both pad onto x@3
     OP = Choice(Seq(Assign("x", const(1)), Assign("x", tvar("x") + 1)),
