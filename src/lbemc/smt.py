@@ -37,7 +37,10 @@ earlier answers learned.  `valuations` lists every valuation of several
 predicates that a formula allows.  When the formula splits into a few
 cubes and every predicate is an atom, as in nearly every Boolean post,
 it extends each cube in that theory depth first, one predicate per
-level; otherwise it asks `all_sat` with each predicate tied to a
+level.  With no predicates, as in a Boolean post over an empty
+precision, a formula of more cubes is satisfiable if its first cube is,
+and that cube alone is checked there.  Otherwise, or when that cube is
+unsatisfiable, it asks `all_sat` with each predicate tied to a
 propositional variable.  The solver keeps one `normalize` memo, so a
 formula it met before is not normalized again.
 
@@ -1186,17 +1189,27 @@ class InternalSolver(_SolverBase):
 
         When phi splits into at most CUBE_BOUND cubes and every q is an atom
         whose complement is a disjunction of atoms, the valuations are
-        enumerated cube by cube in the kept theory (`_valuations_by_cubes`);
-        otherwise the `all_sat` of `_SolverBase.valuations` decides them.
-        Both ask the same complete theory, so they give the same set.
+        enumerated cube by cube in the kept theory (`_valuations_by_cubes`).
+        With no q, a larger phi is satisfiable if its first cube
+        (`_first_cube`) is, which one check in the kept theory decides.
+        Otherwise, or when that cube is unsatisfiable, the `all_sat` of
+        `_SolverBase.valuations` decides them.  All ask the same complete
+        theory, so they give the same set.
         """
-        cubes = _cubes(normalize(phi, self._normal), CUBE_BOUND)
+        prep = normalize(phi, self._normal)
+        cubes = _cubes(prep, CUBE_BOUND)
         if cubes is not None and len(cubes) <= CUBE_BOUND:
             disjuncts = [_disjuncts(self._complement(q)) if isinstance(q, Atom) else None
                          for q in qs]
             if None not in disjuncts:
                 self.queries += 1
                 return self._valuations_by_cubes(cubes, qs, disjuncts)
+        if not qs:
+            cube = _first_cube(prep)
+            if cube is not None:
+                for _ in self._sat_cubes([cube]):
+                    self.queries += 1
+                    return [()]
         return super().valuations(phi, qs)
 
     # -- internals ----------------------------------------------------------
@@ -1461,6 +1474,27 @@ def _cubes(prep: Formula, bound: int) -> list[list[Atom]] | None:
                 out = [c + d for c in out for d in sub]
         return out
     return None
+
+
+def _first_cube(prep: Formula) -> list[Atom] | None:
+    """The atoms of the first of `_cubes(prep, ...)`, for a normalized prep
+    of any size: every argument of a conjunction and the first of a
+    disjunction, walked on an explicit stack, each shared node once.  None
+    if the walk meets FALSE or a propositional literal."""
+    cube: list[Atom] = []
+    seen: set[int] = set()
+    stack = [prep]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            cube.append(f)
+        elif isinstance(f, (And, Or)):
+            if id(f) not in seen:
+                seen.add(id(f))
+                stack.extend(reversed(f.args) if isinstance(f, And) else f.args[:1])
+        elif not isinstance(f, TrueF):
+            return None
+    return cube
 
 
 def _disjuncts(nq: Formula) -> tuple[Atom, ...] | None:

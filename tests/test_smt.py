@@ -1065,6 +1065,87 @@ class TestValuations:
         assert solver.theory_checks == 1 + 3 * n
 
 
+def _choices(*triples):
+    """The conjunction of `v == a or v == b` for each (v, a, b): 2^k cubes,
+    the first of which takes every a."""
+    return f_and(*(f_or(compare("==", tvar(v), const(a)), compare("==", tvar(v), const(b)))
+                   for v, a, b in triples))
+
+
+FREE_CHOICES = [("y0", 0, 1), ("y1", 0, 1), ("y2", 0, 1)]  # CUBE_BOUND cubes
+
+
+class TestFirstCube:
+    """valuations(phi, []) for a phi of more than CUBE_BOUND cubes checks
+    phi's first cube in the kept theory before it asks all_sat."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The _Dpll searches built and the all_sat calls made."""
+        taken = Counter()
+        init, all_sat = _Dpll.__init__, InternalSolver.all_sat
+
+        def counting_init(self, cnf):
+            taken["_Dpll"] += 1
+            init(self, cnf)
+
+        def counting_all_sat(self, *args):
+            taken["all_sat"] += 1
+            return all_sat(self, *args)
+
+        monkeypatch.setattr(_Dpll, "__init__", counting_init)
+        monkeypatch.setattr(InternalSolver, "all_sat", counting_all_sat)
+        return taken
+
+    def test_a_satisfiable_first_cube_needs_no_search(self, solver, searches):
+        phi = _choices(("x", 0, 1), *FREE_CHOICES)
+        assert len(smt._cubes(normalize(phi), 1 << 10)) > smt.CUBE_BOUND
+        assert solver.valuations(phi, []) == [()]
+        assert searches == Counter()
+        assert solver.queries == 1 and solver.theory_checks == 1
+
+    def test_an_unsatisfiable_first_cube_falls_back_to_all_sat(self, solver, searches):
+        # the first cube states x = 0 and x = 1; x = 1 satisfies phi
+        phi = _choices(("x", 0, 1), ("x", 1, 2), *FREE_CHOICES)
+        assert solver.valuations(phi, []) == [()]
+        assert searches == Counter(_Dpll=1, all_sat=1) and solver.queries == 1
+
+    def test_an_unsatisfiable_phi_gives_no_valuation(self, solver, searches):
+        phi = _choices(("x", 0, 1), ("x", 2, 3), *FREE_CHOICES)
+        assert solver.valuations(phi, []) == []
+        assert searches == Counter(_Dpll=1, all_sat=1) and solver.queries == 1
+
+    def test_a_propositional_literal_takes_all_sat(self, solver, searches):
+        x_is_0 = compare("==", tvar("x"), const(0))
+        for lit in (PropVar("v"), f_not(PropVar("v"))):
+            phi = f_and(f_or(lit, x_is_0), *(f_or(x_is_0, PropVar(f"w{i}")) for i in range(4)))
+            assert smt._first_cube(normalize(phi)) is None
+            before, fallback = solver.theory_checks, InternalSolver()
+            assert smt._SolverBase.valuations(fallback, phi, []) == [()]
+            assert solver.valuations(phi, []) == [()]
+            # no check of a cube before the search
+            assert solver.theory_checks - before == fallback.theory_checks
+        assert searches == Counter(_Dpll=4, all_sat=4) and solver.queries == 2
+
+    def test_matches_all_sat_on_random_formulas(self, searches):
+        rng = random.Random(75)
+        names = ["a", "b", "c"]
+        taken = Counter()
+        for _ in range(300):
+            phi = f_and(*(random_formula(rng, names, depth=3) for _ in range(4)))
+            prep = normalize(phi)
+            cubes = smt._cubes(prep, 1 << 12)
+            if cubes:  # the first cube, up to repeats
+                assert set(smt._first_cube(prep)) == set(cubes[0]), phi
+            want = smt._SolverBase.valuations(InternalSolver(), phi, [])
+            before = searches["all_sat"]
+            assert InternalSolver().valuations(phi, []) == want, phi
+            if cubes is not None and len(cubes) > smt.CUBE_BOUND:
+                taken[want == [()], searches["all_sat"] > before] += 1
+        # large phi: sat without a search, sat with one, unsat with one
+        assert taken[True, False] > 15 and taken[True, True] > 10 and taken[False, True] > 5
+
+
 def test_normalize_memo_keeps_normal_forms():
     memo = {}
     rng = random.Random(74)
