@@ -320,16 +320,16 @@ THEORY = {
     "locks1/lbe/boolean": (8, None),
     "locks1/lbe/cartesian": (27, None),
     "locks2/sbe/cartesian": (175, None),
-    "locks2/lbe/boolean": (13, None),
+    "locks2/lbe/boolean": (12, None),
     "locks2/lbe/cartesian": (62, None),
     "locks3/sbe/cartesian": (633, None),
-    "locks3/lbe/boolean": (19, None),
+    "locks3/lbe/boolean": (17, None),
     "locks3/lbe/cartesian": (109, None),
-    "bug2/lbe/boolean": (24,
+    "bug2/lbe/boolean": (26,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 '
         'lk2@1=0 lk2@2=0 lk2@3=0 p1@1=0 p2@1=0'),
     "bug2/sbe/cartesian": (13, 'cond@1=-1 lk1@1=0 lk2@1=0 p1@1=0 p2@1=0'),
-    "bug3/lbe/boolean": (30,
+    "bug3/lbe/boolean": (31,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk2@1=0 lk2@2=0 '
         'lk2@3=0 lk2@4=0 lk3@1=0 lk3@2=0 lk3@3=0 p1@1=0 p2@1=0 p3@1=0'),
     "bug3/sbe/cartesian": (16, 'cond@1=-1 lk1@1=0 lk2@1=0 lk3@1=0 p1@1=0 p2@1=0 p3@1=0'),
@@ -337,7 +337,7 @@ THEORY = {
     "locks4/lbe/cartesian": (169, None),
     "locks5/lbe/cartesian": (241, None),
     "locks6/lbe/cartesian": (325, None),
-    "bug4/lbe/boolean": (42,
+    "bug4/lbe/boolean": (43,
         'cond@1=-1 lk1@1=0 lk1@2=0 lk1@3=0 lk1@4=0 lk2@1=0 lk2@2=0 '
         'lk2@3=0 lk2@4=0 lk3@1=0 lk3@2=0 lk3@3=0 lk3@4=0 lk4@1=0 '
         'lk4@2=0 lk4@3=0 p1@1=0 p2@1=0 p3@1=0 p4@1=0'),
