@@ -11,8 +11,16 @@ tightened at construction (``t < 0`` becomes ``t + 1 <= 0``), and an
 equality whose coefficient gcd does not divide its constant (``2x = 1``) is
 FALSE, which is exact because all program variables range over integers;
 ``!=``, ``>=``, ``>`` are rewritten.  Everything in this module is
-immutable; formulas hash and compare structurally, with the hash cached per
-node.
+immutable.
+
+Formulas, and the edge operations of `lbemc.semantics`, are hash-consed
+(Filliatre & Conchon, "Type-Safe Modular Hash-Consing", 2006): a
+constructor returns the live node of the same class and fields when there
+is one, through one intern table of weak references, so there is one object
+per structure.  Equality and hashing are therefore Python's identity
+defaults, and the formula walks key nodes by themselves.  Terms and
+variable references are value records, compared and hashed by their
+fields; an atom's key holds its term.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd
 from operator import is_
+from weakref import ref
 
 from .record import Record
 
@@ -168,13 +177,52 @@ REPR_WHOLE = 2**18
 REPR_LIMIT = 200
 
 
-class Formula:
+class _Entry(ref):
+    """An intern table entry: a weak reference to a node that keeps the
+    node's key, so that one callback, shared by every entry, can remove it."""
+
+    __slots__ = ("key",)
+
+
+# The intern table: the key of every live formula and operation, its class
+# and fields, maps to a weak reference to it.  The table keeps no node
+# alive, so a node lives as long as its users.
+_table: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    """The callback of every entry, run when its node dies: remove entry,
+    unless its key was entered again for a new node in between (a garbage
+    collection clears the references to the nodes it frees before it runs
+    their callbacks)."""
+    if _table.get(entry.key) is entry:
+        del _table[entry.key]
+
+
+class Interned:
+    """Base of formulas and operations, which are hash-consed: constructing
+    one returns the live node of the same class and fields when there is
+    one, and enters a new node in the table otherwise, so equality and
+    hashing are identity.  A subclass's `__init__` sets the fields; on a
+    node found in the table it writes back values equal to its own."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        entry = _table.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            node = object.__new__(cls)
+            entry = _table[key] = _Entry(node, _forget)
+            entry.key = key
+        return node
+
+
+class Formula(Interned):
     """Base class: True | False | Atom | PropVar | Not | And | Or."""
 
-    __slots__ = ("_h",)
-
-    def __hash__(self) -> int:
-        return self._h
+    __slots__ = ()
 
     def __str__(self) -> str:
         return to_sexpr(self)
@@ -185,27 +233,15 @@ class Formula:
 
 
 class TrueF(Formula):
+    """The formula true; TRUE is its only object."""
+
     __slots__ = ()
-
-    def __init__(self) -> None:
-        self._h = hash(("true",))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TrueF)
-
-    __hash__ = Formula.__hash__
 
 
 class FalseF(Formula):
+    """The formula false; FALSE is its only object."""
+
     __slots__ = ()
-
-    def __init__(self) -> None:
-        self._h = hash(("false",))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FalseF)
-
-    __hash__ = Formula.__hash__
 
 
 TRUE = TrueF()
@@ -221,19 +257,6 @@ class Atom(Formula):
         assert rel in (EQ, LE)
         self.rel = rel
         self.term = term
-        self._h = hash(("atom", rel, term))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Atom)
-            and self._h == other._h
-            and self.rel == other.rel
-            and self.term == other.term
-        )
-
-    __hash__ = Formula.__hash__
 
 
 class PropVar(Formula):
@@ -241,12 +264,6 @@ class PropVar(Formula):
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._h = hash(("pv", name))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PropVar) and self.name == other.name
-
-    __hash__ = Formula.__hash__
 
 
 class Not(Formula):
@@ -254,14 +271,6 @@ class Not(Formula):
 
     def __init__(self, arg: Formula) -> None:
         self.arg = arg
-        self._h = hash(("not", arg))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Not) and self._h == other._h and _same_dag(self, other)
-
-    __hash__ = Formula.__hash__
 
 
 class And(Formula):
@@ -269,14 +278,6 @@ class And(Formula):
 
     def __init__(self, args: tuple[Formula, ...]) -> None:
         self.args = args
-        self._h = hash(("and", args))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, And) and self._h == other._h and _same_dag(self, other)
-
-    __hash__ = Formula.__hash__
 
 
 class Or(Formula):
@@ -284,78 +285,33 @@ class Or(Formula):
 
     def __init__(self, args: tuple[Formula, ...]) -> None:
         self.args = args
-        self._h = hash(("or", args))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Or) and self._h == other._h and _same_dag(self, other)
-
-    __hash__ = Formula.__hash__
-
-
-def _same_dag(f: Formula, g: Formula) -> bool:
-    """Structural equality of two Not/And/Or nodes of equal type and hash.
-
-    Separately built formulas can share subformulas, so comparing arguments
-    recursively revisits a shared node once per path to it, which is
-    exponential in the depth.  This walk compares each pair of subformula
-    objects at most once: the two are equal iff every pair of corresponding
-    subformulas reached from them passes the local test.
-    """
-    seen = {(id(f), id(g))}
-    stack = [(f, g)]
-    while stack:
-        a, b = stack.pop()
-        xs = (a.arg,) if isinstance(a, Not) else a.args
-        ys = (b.arg,) if isinstance(b, Not) else b.args
-        if len(xs) != len(ys):
-            return False
-        for x, y in zip(xs, ys):
-            if x is y:
-                continue
-            if type(x) is not type(y) or x._h != y._h:
-                return False
-            if isinstance(x, (Not, And, Or)):
-                pair = (id(x), id(y))
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append((x, y))
-            elif x != y:
-                return False
-    return True
 
 
 def f_not(f: Formula) -> Formula:
-    if f is TRUE or isinstance(f, TrueF):
+    if f is TRUE:
         return FALSE
-    if f is FALSE or isinstance(f, FalseF):
+    if f is FALSE:
         return TRUE
     if isinstance(f, Not):
         return f.arg
     return Not(f)
 
 
-_CONSTANTS = (TrueF, FalseF)
-
-
 def _assoc(cls, absorb: Formula, unit: Formula, args: Iterable[Formula]) -> Formula:
     """cls over args flattened one level, without repeats or the unit;
-    absorb if an argument is.  A constant is told by its type, which is
-    cheaper than comparing every argument with both constants."""
+    absorb if an argument is."""
     flat: list[Formula] = []
     seen: set[Formula] = set()
-    absorbing = absorb.__class__
     for a in args:
         if isinstance(a, cls):
             inner = a.args
         else:
             inner = (a,)
         for x in inner:
-            if isinstance(x, _CONSTANTS):
-                if x.__class__ is absorbing:
-                    return absorb
-                continue  # the unit
+            if x is absorb:
+                return absorb
+            if x is unit:
+                continue
             if x not in seen:
                 seen.add(x)
                 flat.append(x)
@@ -449,22 +405,21 @@ def negate_atom(atom: Atom) -> Formula:
 # structural operations
 # ---------------------------------------------------------------------------
 
-def _postorder(root, children, key=id):
+def _postorder(root, children):
     """Iterate each distinct node under root once, after its children, in
     the order a memoized left-to-right recursive walk finishes them.
 
     `children(node)` is asked when the walk first reaches node, as the
-    recursive walk would ask, and `key` tells nodes apart.  The walk runs
-    on an explicit stack, so it goes as deep as the formula nests.
+    recursive walk would ask.  The walk runs on an explicit stack, so it
+    goes as deep as the formula nests.
     """
-    seen = {key(root)}
+    seen = {root}
     stack = [(root, iter(children(root)))]
     while stack:
         node, todo = stack[-1]
         for child in todo:
-            k = key(child)
-            if k not in seen:
-                seen.add(k)
+            if child not in seen:
+                seen.add(child)
                 below = children(child)
                 if below:
                     stack.append((child, iter(below)))
@@ -492,31 +447,31 @@ def rebuild(f: Formula, leaf) -> Formula:
     """
     if not isinstance(f, (Not, And, Or)):
         return leaf(f)
-    out: dict[int, Formula] = {}
+    out: dict[Formula, Formula] = {}
     for g in _postorder(f, _args):
         if isinstance(g, Not):
-            arg = out[id(g.arg)]
-            out[id(g)] = g if arg is g.arg else f_not(arg)
+            arg = out[g.arg]
+            out[g] = g if arg is g.arg else f_not(arg)
         elif isinstance(g, (And, Or)):
-            args = [out[id(a)] for a in g.args]
+            args = [out[a] for a in g.args]
             if all(map(is_, args, g.args)):
-                out[id(g)] = g
+                out[g] = g
             else:
-                out[id(g)] = (f_and if isinstance(g, And) else f_or)(*args)
+                out[g] = (f_and if isinstance(g, And) else f_or)(*args)
         else:
-            out[id(g)] = leaf(g)
-    return out[id(f)]
+            out[g] = leaf(g)
+    return out[f]
 
 
 def _dag_nodes(f: Formula):
-    """Iterate each distinct subformula object once (formulas may share)."""
-    seen: set[int] = set()
+    """Iterate each distinct subformula once (formulas may share)."""
+    seen: set[Formula] = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        if id(g) in seen:
+        if g in seen:
             continue
-        seen.add(id(g))
+        seen.add(g)
         yield g
         if isinstance(g, (And, Or)):
             stack.extend(g.args)
@@ -597,9 +552,9 @@ def evaluate(
     env: Mapping[VariableRef, int | Fraction],
     bools: Mapping[str, bool] | None = None,
 ) -> bool:
-    if isinstance(f, TrueF):
+    if f is TRUE:
         return True
-    if isinstance(f, FalseF):
+    if f is FALSE:
         return False
     if isinstance(f, Atom):
         val = f.term.evaluate(env)
@@ -652,9 +607,9 @@ def _sexpr_node(symbol, integer):
             return f"(not {parts[0]})"
         if isinstance(g, (And, Or)):
             return ("(and " if isinstance(g, And) else "(or ") + " ".join(parts) + ")"
-        if isinstance(g, TrueF):
+        if g is TRUE:
             return "true"
-        if isinstance(g, FalseF):
+        if g is FALSE:
             return "false"
         if isinstance(g, PropVar):
             return symbol(g.name)
@@ -674,28 +629,28 @@ def _render(f: Formula, node, limit: int | None = None) -> str:
     `limit` characters and `...`, so each node costs at most its argument
     count times the limit, whatever the depth.
     """
-    uses = Counter(id(a) for g in _dag_nodes(f) for a in _args(g))
-    text: dict[int, str] = {}
+    uses = Counter(a for g in _dag_nodes(f) for a in _args(g))
+    text: dict[Formula, str] = {}
 
     def take(a: Formula) -> str:
-        uses[id(a)] -= 1
-        return text[id(a)] if uses[id(a)] else text.pop(id(a))
+        uses[a] -= 1
+        return text[a] if uses[a] else text.pop(a)
 
     for g in _postorder(f, _args):
         t = node(g, [take(a) for a in _args(g)])
-        text[id(g)] = t if limit is None or len(t) <= limit else t[:limit] + "..."
-    return text[id(f)]
+        text[g] = t if limit is None or len(t) <= limit else t[:limit] + "..."
+    return text[f]
 
 
 def _render_length(f: Formula, node) -> int:
     """len(_render(f, node)) without building the text: a node's own
     characters, its text around empty argument texts, plus the lengths of
     its arguments' texts."""
-    length: dict[int, int] = {}
+    length: dict[Formula, int] = {}
     for g in _postorder(f, _args):
         args = _args(g)
-        length[id(g)] = len(node(g, [""] * len(args))) + sum(length[id(a)] for a in args)
-    return length[id(f)]
+        length[g] = len(node(g, [""] * len(args))) + sum(length[a] for a in args)
+    return length[f]
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
@@ -809,9 +764,9 @@ def formula_infix(f: Formula) -> str:
     """Human-oriented rendering used in DOT labels and traces; built
     iteratively like `to_sexpr`, so any depth prints."""
     def node(g: Formula, parts: list[str]) -> str:
-        if isinstance(g, TrueF):
+        if g is TRUE:
             return "true"
-        if isinstance(g, FalseF):
+        if g is FALSE:
             return "false"
         if isinstance(g, PropVar):
             return g.name

@@ -25,6 +25,7 @@ from .formula import (
     And,
     Atom,
     Formula,
+    Interned,
     Not,
     Or,
     Term,
@@ -44,17 +45,11 @@ from .formula import (
 )
 
 
-class Operation:
-    """Edge label; immutable, structurally compared, hash cached per node.
+class Operation(Interned):
+    """Edge label; immutable and hash-consed like formulas
+    (`formula.Interned`), so an operation built twice is one object."""
 
-    Composite operations share subtrees heavily after summarization, so
-    the hash must not be recomputed recursively on every use.
-    """
-
-    __slots__ = ("_h",)
-
-    def __hash__(self) -> int:
-        return self._h
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"<{op_label(self, limit=60)}>"
@@ -66,15 +61,6 @@ class Assign(Operation):
     def __init__(self, var: str, expr: Term) -> None:
         self.var = var
         self.expr = expr
-        self._h = hash(("assign", var, expr))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, Assign) and self._h == other._h
-                and self.var == other.var and self.expr == other.expr)
-
-    __hash__ = Operation.__hash__
 
 
 class Assume(Operation):
@@ -82,15 +68,6 @@ class Assume(Operation):
 
     def __init__(self, cond: Formula) -> None:
         self.cond = cond
-        self._h = hash(("assume", cond))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, Assume) and self._h == other._h
-                and self.cond == other.cond)
-
-    __hash__ = Operation.__hash__
 
 
 class Havoc(Operation):
@@ -98,15 +75,6 @@ class Havoc(Operation):
 
     def __init__(self, var: str) -> None:
         self.var = var
-        self._h = hash(("havoc", var))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, Havoc) and self._h == other._h
-                and self.var == other.var)
-
-    __hash__ = Operation.__hash__
 
 
 class Seq(Operation):
@@ -115,14 +83,6 @@ class Seq(Operation):
     def __init__(self, first: Operation, second: Operation) -> None:
         self.first = first
         self.second = second
-        self._h = hash(("seq", first._h, second._h))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Seq) and self._h == other._h and _same_op(self, other)
-
-    __hash__ = Operation.__hash__
 
 
 class Choice(Operation):
@@ -131,41 +91,6 @@ class Choice(Operation):
     def __init__(self, left: Operation, right: Operation) -> None:
         self.left = left
         self.right = right
-        self._h = hash(("choice", left._h, right._h))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Choice) and self._h == other._h and _same_op(self, other)
-
-    __hash__ = Operation.__hash__
-
-
-def _same_op(a: Operation, b: Operation) -> bool:
-    """Structural equality of two Seq/Choice nodes of equal type and hash.
-
-    Like `formula._same_dag`: each pair of subtrees is compared once, so
-    shared subtrees cost no more than once and long sequences do not
-    recurse.
-    """
-    seen = {(id(a), id(b))}
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        pairs = (((x.first, y.first), (x.second, y.second)) if isinstance(x, Seq)
-                 else ((x.left, y.left), (x.right, y.right)))
-        for u, v in pairs:
-            if u is v:
-                continue
-            if type(u) is not type(v) or u._h != v._h:
-                return False
-            if isinstance(u, (Seq, Choice)):
-                if (id(u), id(v)) not in seen:
-                    seen.add((id(u), id(v)))
-                    stack.append((u, v))
-            elif u != v:
-                return False
-    return True
 
 
 def seq_elements(op: Operation) -> list[Operation]:
@@ -209,13 +134,13 @@ def op_variables(op: Operation) -> set[str]:
     distinct operation and condition subformula once, and reads the names
     off the atoms' coefficients."""
     out: set[str] = set()
-    seen: set[int] = set()
+    seen: set[Operation | Formula] = set()
     stack: list[Operation | Formula] = [op]
     while stack:
         o = stack.pop()
-        if id(o) in seen:
+        if o in seen:
             continue
-        seen.add(id(o))
+        seen.add(o)
         if isinstance(o, Atom):
             out.update(v.name for v, _ in o.term.coeffs)
         elif isinstance(o, (And, Or)):
@@ -347,12 +272,10 @@ class SsaEncoder:
     large-block program share most of their body); encoding is memoized
     per (operation, index map), so the output formulas are shared the same
     way.  Every choice is keyed, and so is every operation encoded as a
-    root (a Cartesian post encodes its leaf once per precision).  The memo
-    keys the operation itself, not its id: equal operations built apart
-    share an entry, which is exact as an encoding depends only on the
-    operation's structure and the index map, and the keys keep the
-    operations alive.  A sequence is encoded over its elements, with one
-    conjunction for the sequence.
+    root (a Cartesian post encodes its leaf once per precision).  Operations
+    are hash-consed, so equal operations built apart are one object and
+    share an entry, and the keys keep the operations alive.  A sequence is
+    encoded over its elements, with one conjunction for the sequence.
     """
 
     def __init__(self) -> None:
@@ -442,7 +365,7 @@ def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
     Shared subformulas stay shared, and a node that nothing below it
     changed is kept itself (`formula.rebuild`).
     """
-    defined: dict[int, VariableRef] = {}  # id of a copy -> its x@j
+    defined: dict[Atom, VariableRef] = {}  # a copy -> its x@j
     reads: dict[VariableRef, list[VariableRef]] = {}  # x@j -> the x@i copied
     readers: list[Atom] = []  # the atoms that read each of their variables
     for g in _dag_nodes(f):
@@ -452,7 +375,7 @@ def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
                     and coeffs[0][1] == 1 and coeffs[1][1] == -1
                     and coeffs[0][0].name == coeffs[1][0].name):
                 (u, _), (v, _) = coeffs  # in variable order: u = x@i
-                defined[id(g)] = v
+                defined[g] = v
                 reads.setdefault(v, []).append(u)
             else:
                 readers.append(g)
@@ -472,5 +395,5 @@ def drop_dead_pads(f: Formula, targets: Iterable[Formula] = ()) -> Formula:
                     stack.append(u)
     if live.issuperset(reads):
         return f
-    dead = {i for i, v in defined.items() if v not in live}
-    return rebuild(f, lambda g: TRUE if id(g) in dead else g)
+    dead = {g for g, v in defined.items() if v not in live}
+    return rebuild(f, lambda g: TRUE if g in dead else g)

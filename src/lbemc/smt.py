@@ -61,7 +61,6 @@ from .formula import (
     Atom,
     EQ,
     FALSE,
-    FalseF,
     Formula,
     LE,
     Not,
@@ -69,7 +68,6 @@ from .formula import (
     PropVar,
     TRUE,
     Term,
-    TrueF,
     VariableRef,
     evaluate,
     f_and,
@@ -462,27 +460,24 @@ def normalize(f: Formula, memo: dict | None = None) -> Formula:
     One pass over the (subformula, negated) pairs of f, each rewritten
     once, so shared subformulas stay shared, and a node that nothing below
     it changed is kept itself.  `memo`, a dict a caller may keep across
-    calls, maps (id, negated) of each subformula rewritten so far, and of
-    each result as its own normal form, to the subformula and its result;
-    a formula met before, or normalized, then costs one lookup.
+    calls, maps (subformula, negated) for each subformula rewritten so far
+    to its result, and (result, False) to the result itself; a formula met
+    before, or normalized, then costs one lookup.
     """
     if not isinstance(f, (Not, And, Or)):
         return f
     if memo is None:
         memo = {}
     else:
-        done = memo.get((id(f), False))
+        done = memo.get((f, False))
         if done is not None:
-            return done[1]
-
-    def key(node: tuple[Formula, bool]) -> tuple[int, bool]:
-        return id(node[0]), node[1]
+            return done
 
     def todo(node: tuple[Formula, bool]) -> tuple[tuple[Formula, bool], ...]:
-        return () if key(node) in memo else _polar_args(node)
+        return () if node in memo else _polar_args(node)
 
-    for node in _postorder((f, False), todo, key):
-        if key(node) in memo:
+    for node in _postorder((f, False), todo):
+        if node in memo:
             continue
         g, neg = node
         if isinstance(g, Atom):
@@ -490,17 +485,16 @@ def normalize(f: Formula, memo: dict | None = None) -> Formula:
         elif not isinstance(g, (Not, And, Or)):  # a propositional variable or constant
             r = f_not(g) if neg else g
         elif isinstance(g, Not):
-            r = g if not neg and isinstance(g.arg, PropVar) else memo[id(g.arg), not neg][1]
+            r = g if not neg and isinstance(g.arg, PropVar) else memo[g.arg, not neg]
         else:
-            parts = [memo[id(a), neg][1] for a in g.args]
+            parts = [memo[a, neg] for a in g.args]
             if not neg and all(map(is_, parts, g.args)):
                 r = g
             else:
                 r = (f_and if isinstance(g, And) != neg else f_or)(*parts)
-        # the entries hold the objects whose ids key them, so no id is reused
-        memo[id(g), neg] = (g, r)
-        memo.setdefault((id(r), False), (r, r))
-    return memo[id(f), False][1]
+        memo[node] = r
+        memo.setdefault((r, False), r)
+    return memo[f, False]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +502,7 @@ def normalize(f: Formula, memo: dict | None = None) -> Formula:
 # ---------------------------------------------------------------------------
 
 class _Cnf:
-    """Tseitin encoding keyed by structural formula identity.
+    """Tseitin encoding keyed by formula node.
 
     Gates are never decided: they are functions of the inputs and get their
     values by propagation.  For every disjunction the clause requiring one
@@ -586,15 +580,15 @@ class _Cnf:
         the post-order of a recursive walk that stops at every node with a
         gate, so the variables and clauses are numbered as that walk
         would number them."""
-        lits: dict[int, int] = {}
+        lits: dict[Formula, int] = {}
 
         def unencoded(h: Formula) -> tuple[Formula, ...]:
             return h.args if isinstance(h, (And, Or)) and h not in self._gate else ()
 
         for h in _postorder(f, unencoded):
-            if isinstance(h, TrueF):
+            if h is TRUE:
                 lit = self.true_lit()
-            elif isinstance(h, FalseF):
+            elif h is FALSE:
                 lit = -self.true_lit()
             elif isinstance(h, Not):
                 lit = -self.input_var(h.arg)
@@ -603,7 +597,7 @@ class _Cnf:
             elif h in self._gate:
                 lit = self._gate[h]
             else:
-                args = [lits[id(a)] for a in h.args]
+                args = [lits[a] for a in h.args]
                 g = self.new_var()
                 if isinstance(h, And):
                     for a in args:
@@ -616,8 +610,8 @@ class _Cnf:
                     if idx is not None:
                         self.select_guard[g] = idx
                 lit = self._gate[h] = g
-            lits[id(h)] = lit
-        return lits[id(f)]
+            lits[h] = lit
+        return lits[f]
 
     def true_lit(self) -> int:
         if self._const_true is None:
@@ -1289,7 +1283,7 @@ class InternalSolver(_SolverBase):
         pushed = self._pushed
         k = 0
         for have, want in zip(pushed, cube):
-            if have is not want and have != want:
+            if have is not want:
                 break
             k += 1
         if k < len(pushed):
@@ -1444,9 +1438,9 @@ def _cubes(prep: Formula, bound: int) -> list[list[Atom]] | None:
     cubes or prep has a propositional literal."""
     if isinstance(prep, Atom):
         return [[prep]]
-    if isinstance(prep, TrueF):
+    if prep is TRUE:
         return [[]]
-    if isinstance(prep, FalseF):
+    if prep is FALSE:
         return []
     if isinstance(prep, Or):
         # each argument of a normalized Or has a cube, so one with more than
@@ -1482,17 +1476,17 @@ def _first_cube(prep: Formula) -> list[Atom] | None:
     disjunction, walked on an explicit stack, each shared node once.  None
     if the walk meets FALSE or a propositional literal."""
     cube: list[Atom] = []
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     stack = [prep]
     while stack:
         f = stack.pop()
         if isinstance(f, Atom):
             cube.append(f)
         elif isinstance(f, (And, Or)):
-            if id(f) not in seen:
-                seen.add(id(f))
+            if f not in seen:
+                seen.add(f)
                 stack.extend(reversed(f.args) if isinstance(f, And) else f.args[:1])
-        elif not isinstance(f, TrueF):
+        elif f is not TRUE:
             return None
     return cube
 
@@ -1501,7 +1495,7 @@ def _disjuncts(nq: Formula) -> tuple[Atom, ...] | None:
     """nq as a disjunction of atoms (FALSE has none), or None."""
     if isinstance(nq, Atom):
         return (nq,)
-    if isinstance(nq, FalseF):
+    if nq is FALSE:
         return ()
     if isinstance(nq, Or) and all(isinstance(a, Atom) for a in nq.args):
         return nq.args

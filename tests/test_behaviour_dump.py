@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "behaviour_dump.py"
@@ -77,3 +80,34 @@ def test_compare_shows_an_absent_field(tmp_path, capsys):
         '  exception: (absent) -> "RecursionError: deep"',
         '  verdict: "safe" -> (absent)',
     ]
+
+
+# Dumps the records of `locks-cex` at reduced size and of corpus programs
+# 0..19 under all four configurations, one JSON line each.
+_SEEDED_DUMP = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("behaviour_dump", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+lbemc = tool.workloads.load_lbemc(tool.ROOT)
+for workload, count in (("locks-cex", None), ("corpus", 80)):
+    for task in tool.workloads.build_tasks(lbemc, workload, scale="reduced")[:count]:
+        print(json.dumps(tool.dump_task(lbemc, workload, task), sort_keys=True))
+"""
+
+
+def test_records_do_not_depend_on_the_hash_seed():
+    # formulas and operations hash by identity, so the order of a set or
+    # dict of them follows memory addresses; no record may follow it
+    outputs = []
+    for seed in ("1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _SEEDED_DUMP, str(TOOL)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    records = [json.loads(line) for line in outputs[0].splitlines()]
+    assert len(records) == 6 + 80
+    assert {r["verdict"] for r in records} >= {"safe", "unsafe"}
+    assert all("witness" in r for r in records if r["verdict"] == "unsafe")
+    assert outputs[0] == outputs[1]

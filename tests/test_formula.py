@@ -1,11 +1,15 @@
+import gc
 import itertools
 import random
+import sys
 import time
 
 import pytest
 
+from lbemc import formula
 from lbemc.cfa import summarize
 from lbemc.cli import gen_test_locks
+from lbemc.engine import verify
 from lbemc.formula import (
     REPR_LIMIT,
     REPR_WHOLE,
@@ -33,7 +37,7 @@ from lbemc.formula import (
 )
 from lbemc.frontend import parse_program
 from lbemc.semantics import encode_edge
-from lbemc.smt import normalize
+from lbemc.smt import InternalSolver, normalize
 
 from conftest import const, tvar
 
@@ -216,17 +220,14 @@ def test_evaluate_with_propvars():
 def _shared_dag(depth: int, leaf: int, negate: bool = False):
     """A depth-`depth` formula in which every level uses the level below
     twice (under two separately built `Not`s when `negate`), so it has
-    2**depth paths; also returns every node built, in construction order."""
+    2**depth paths."""
     f = compare("<=", tvar("x"), const(leaf))
-    nodes = [f]
     for i in range(depth):
         a = compare("<=", tvar("y", i), const(0))
         b = compare(">=", tvar("y", i), const(2))
         below = [f_not(f), f_not(f)] if negate else [f, f]
-        left, right = f_or(below[0], a), f_or(below[1], b)
-        f = f_and(left, right)
-        nodes += [a, b, *below[:2 if negate else 0], left, right, f]
-    return f, nodes
+        f = f_and(f_or(below[0], a), f_or(below[1], b))
+    return f
 
 
 DEPTH = 16
@@ -247,34 +248,86 @@ def atom_comparisons(monkeypatch):
 
 
 class TestDagEquality:
-    # a comparison meets the two atoms of each level once and the shared
-    # leaf atom once from each of the two lowest nodes above it: 2 * DEPTH + 2
-    # atom comparisons, where one per path would be about 2**DEPTH
+    # formulas are hash-consed: a DAG built again is the same object, so a
+    # comparison or a dict lookup compares no atoms, however many paths the
+    # DAG has (2**DEPTH here)
 
     @pytest.mark.parametrize("negate", [False, True])
-    def test_shared_subformulas_compare_once(self, negate, atom_comparisons):
-        one, _ = _shared_dag(DEPTH, 0, negate)
-        two, _ = _shared_dag(DEPTH, 0, negate)
-        assert one is not two
-        atom_comparisons[0] = 0
-        assert one == two
-        assert atom_comparisons[0] <= 2 * DEPTH + 2
+    def test_equal_dags_built_apart_are_one_object(self, negate, atom_comparisons):
+        one = _shared_dag(DEPTH, 0, negate)
+        two = _shared_dag(DEPTH, 0, negate)
+        assert one is two
         atom_comparisons[0] = 0
         assert {one: 1}[two] == 1
-        assert atom_comparisons[0] <= 2 * DEPTH + 2
+        assert atom_comparisons[0] == 0
 
     @pytest.mark.parametrize("negate", [False, True])
-    def test_difference_below_equal_hashes(self, negate, atom_comparisons):
-        one, one_nodes = _shared_dag(DEPTH, 0, negate)
-        two, two_nodes = _shared_dag(DEPTH, 1, negate)
-        # give the second formula the first one's hashes, as if they all
-        # collided, so only the walk down to the leaf can tell them apart
-        for p, q in zip(one_nodes, two_nodes):
-            object.__setattr__(q, "_h", p._h)
-        atom_comparisons[0] = 0
+    def test_dags_that_differ_at_a_leaf_are_distinct(self, negate):
+        one = _shared_dag(DEPTH, 0, negate)
+        two = _shared_dag(DEPTH, 1, negate)
+        assert one is not two
         assert one != two and not (one == two)
-        assert atom_comparisons[0] <= 2 * (2 * DEPTH + 2)
-        assert _shared_dag(DEPTH, 0, negate)[0] == one
+        assert two not in {one: 1}
+
+
+class TestInternTable:
+    # the table holds its nodes weakly: once nothing else holds a node, its
+    # entry goes, and with it the references its key holds to its children
+
+    def test_constructors_return_the_live_node(self):
+        atom = compare("<=", tvar("x"), const(0))
+        assert Atom(atom.rel, Term(atom.term.const, atom.term.coeffs)) is atom
+        assert Not(atom) is Not(atom) and PropVar("v") is PropVar("v")
+        assert And((atom, PropVar("v"))) is And((atom, PropVar("v")))
+        assert Or((atom, PropVar("v"))) is not And((atom, PropVar("v")))
+        assert TrueF() is TRUE and FalseF() is FALSE
+
+    def test_a_verification_leaves_the_table_as_it_found_it(self):
+        gc.collect()
+        before = len(formula._table)
+        for encoding, mode in (("sbe", "cartesian"), ("lbe", "boolean")):
+            program = parse_program(gen_test_locks(4))
+            if encoding == "lbe":
+                program = summarize(program)[0]
+            solver = InternalSolver()
+            result = verify(program, mode=mode, solver=solver)
+            assert result.verdict == "safe"
+            assert len(formula._table) > before
+            del program, solver, result
+        gc.collect()
+        assert len(formula._table) == before
+
+    @pytest.mark.parametrize("build", [Not, lambda f: And((PropVar("v"), f))],
+                             ids=["not", "and"])
+    def test_a_deep_chain_frees_without_error(self, build, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        gc.collect()
+        before = len(formula._table)
+        f = compare("<=", tvar("chain"), const(0))
+        for _ in range(200_000):
+            f = build(f)
+        assert len(formula._table) >= before + 200_000
+        del f
+        gc.collect()
+        assert unraisable == []
+        assert len(formula._table) == before
+
+    def test_a_late_callback_leaves_a_newer_entry(self):
+        # a garbage collection clears the weak references to the nodes it
+        # frees before it runs their callbacks, so a key can be entered
+        # again, for a new node, before the callback of the old one runs
+        key = (PropVar, "late")
+        node = PropVar("late")
+        old = formula._table.pop(key)
+        again = PropVar("late")
+        assert again is not node
+        formula._forget(old)
+        assert formula._table[key]() is again
+        del node
+        assert formula._table[key]() is again
+        del again
+        assert key not in formula._table
 
 
 def _ref_assoc(cls, absorb, unit, args):
@@ -322,14 +375,14 @@ class TestRepr:
         assert repr(f) == f"<{to_sexpr(f)}>"
         # 12 levels of a shared DAG write out to about 245,000 characters
         # and 13 to about twice that
-        f, _ = _shared_dag(12, 0)
+        f = _shared_dag(12, 0)
         assert REPR_LIMIT < len(str(f)) <= REPR_WHOLE
         assert repr(f) == f"<{str(f)}>"
-        f, _ = _shared_dag(13, 0)
+        f = _shared_dag(13, 0)
         assert len(str(f)) > REPR_WHOLE and len(repr(f)) <= REPR_LIMIT + len("<...>")
 
     def test_a_shared_dag_shows_a_bounded_text(self):
-        f, _ = _shared_dag(60, 0, negate=True)  # 2**60 paths
+        f = _shared_dag(60, 0, negate=True)  # 2**60 paths
         text = repr(f)
         assert text.startswith("<(and (or (not ") and text.endswith("...>")
         assert len(text) <= REPR_LIMIT + len("<...>")

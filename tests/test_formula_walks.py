@@ -664,8 +664,8 @@ class TestDepth:
         visited = []
         postorder = smt._postorder
 
-        def recording(root, children, key=id):
-            for g in postorder(root, children, key):
+        def recording(root, children):
+            for g in postorder(root, children):
                 visited.append(g)
                 yield g
 

@@ -1,6 +1,10 @@
 import random
 
 from lbemc.formula import (
+    And,
+    Atom,
+    Not,
+    Or,
     PropVar,
     TRUE,
     Term,
@@ -344,6 +348,29 @@ def _copy_ids(f):
     return {id(g) for g in _dag_nodes(f) if is_copy(g)}
 
 
+def _structures(f):
+    """The number of distinct structures among f's subformulas: each node
+    is numbered by its class and fields, its arguments by their numbers,
+    so the count does not rest on object identity."""
+    number, structures = {}, {}
+
+    def visit(g):
+        if id(g) not in number:
+            if isinstance(g, Atom):
+                key = ("atom", g.rel, g.term)
+            elif isinstance(g, Not):
+                key = ("not", visit(g.arg))
+            elif isinstance(g, (And, Or)):
+                key = (type(g).__name__, tuple(visit(a) for a in g.args))
+            else:
+                key = ("leaf", str(g))
+            number[id(g)] = structures.setdefault(key, len(structures))
+        return number[id(g)]
+
+    visit(f)
+    return len(structures)
+
+
 def _summarized(source):
     from lbemc.cfa import summarize
     from lbemc.frontend import parse_program
@@ -406,12 +433,12 @@ class TestSharedEncoder:
         assert encode_edge(op, {}, encoder=encoder)[0] is first[0]
 
     def test_equal_choices_built_apart_share_an_encoding(self):
-        # the memo keys a choice by its structure, not its identity
+        # choices built apart are one object, so they share a memo entry
         def choice():
             return Choice(Assign("x", tvar("x") + 1), Assume(compare(">", tvar("x"), const(5))))
 
         one, two = choice(), choice()
-        assert one is not two and one == two
+        assert one is two
         encoder = SsaEncoder()
         # the assumes read z and w but write nothing: both choices start at {}
         first, _ = encode_edge(Seq(Assume(compare(">", tvar("z"), const(0))), one), {},
@@ -419,6 +446,22 @@ class TestSharedEncoder:
         second, _ = encode_edge(Seq(Assume(compare(">", tvar("w"), const(0))), two), {},
                                 encoder=encoder)
         assert first.args[1] is second.args[1]
+
+    def test_each_structure_is_one_object(self):
+        # the error edge and the loop edge of a summarized ladder, encoded on
+        # one encoder: no two node objects of either formula have one
+        # structure, so each walk visits each distinct formula once
+        from lbemc.cli import gen_test_locks
+
+        program = _summarized(gen_test_locks(10))
+        (error_op,) = [e.op for e in program.cfa.edges if e.target == program.error]
+        (loop_op,) = [e.op for e in program.cfa.edges if e.source == e.target]
+        encoder = SsaEncoder()
+        counts = []
+        for op in (error_op, loop_op):
+            f, _ = encode_edge(op, {}, encoder=encoder)
+            counts.append((len(list(_dag_nodes(f))), _structures(f)))
+        assert counts == [(283, 283), (162, 162)]
 
     def test_memo_size_is_linear_in_the_lock_count(self):
         from lbemc.cli import gen_test_locks
