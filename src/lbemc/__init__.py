@@ -12,7 +12,6 @@ from .abstraction import (
     BOOLEAN,
     CARTESIAN,
     Precision,
-    ProgramPrecision,
 )
 from .cfa import (
     CFA,
@@ -67,7 +66,6 @@ from .smt import InternalSolver, SatResult, make_solver
 
 __all__ = [
     "AbstractFormula", "Abstractor", "BOOLEAN", "CARTESIAN", "Precision",
-    "ProgramPrecision",
     "CFA", "Edge", "Program", "apply_rule0", "program_variables", "summarize",
     "to_dot", "try_rule1", "try_rule2",
     "Art", "ArtNode", "Stats", "VerificationResult", "build_art", "check_path",

@@ -1,10 +1,13 @@
 """Cartesian and Boolean predicate abstraction over BDD-represented states.
 
 A precision is an ordered list of predicate formulas over current-state
-variables.  Predicates get stable global ids (registration order) inside an
-Abstractor, and abstract states are BDDs over those ids, so semantically
-equal abstract states are pointer-equal and entailment between abstract
-states is a propositional BDD check even when the two precisions differ.
+variables; a program's precision maps locations to precisions, and a
+location without an entry has `EMPTY_PRECISION`.  Predicates get stable
+global ids (registration order) inside an Abstractor, and abstract states
+are BDDs over those ids, so semantically equal abstract states are
+pointer-equal and entailment between abstract states is a propositional
+BDD check even when the two precisions differ.  Precisions are
+hash-consed like formulas: equal ones are one object.
 """
 
 from __future__ import annotations
@@ -12,32 +15,28 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .bdd import Bdd
-from .formula import Formula, TRUE, at_indices, f_and, f_not, f_or
+from .formula import Formula, Interned, TRUE, at_indices, f_and, f_not, f_or
 from .record import Record
-from .semantics import (Choice, Operation, Seq, SsaEncoder, drop_dead_pads, encode_edge,
-                        seq_elements)
+from .semantics import Choice, Operation, Seq, SsaEncoder, drop_dead_pads, encode_edge
 
 CARTESIAN = "cartesian"
 BOOLEAN = "boolean"
 
 
-class Precision:
-    """Ordered, duplicate-free list of predicates."""
+class Precision(Interned):
+    """Ordered, duplicate-free list of predicates; hash-consed like
+    formulas (`formula.Interned`), so equal precisions are one object."""
 
-    __slots__ = ("preds", "_h")
+    __slots__ = ("preds",)
 
-    def __init__(self, preds: Iterable[Formula] = ()) -> None:
-        out: list[Formula] = []
-        seen: set[Formula] = set()
-        for p in preds:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        self.preds: tuple[Formula, ...] = tuple(out)
-        self._h = hash(self.preds)  # precisions key the post memos
+    def __new__(cls, preds: Iterable[Formula] = ()) -> "Precision":
+        unique = tuple(dict.fromkeys(preds))
+        node = super().__new__(cls, unique)
+        node.preds = unique
+        return node
 
     def merged(self, more: Iterable[Formula]) -> "Precision":
-        return Precision(list(self.preds) + list(more))
+        return Precision((*self.preds, *more))
 
     def __iter__(self):
         return iter(self.preds)
@@ -48,41 +47,11 @@ class Precision:
     def __contains__(self, p: Formula) -> bool:
         return p in self.preds
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Precision) and self.preds == other.preds
-
-    def __hash__(self) -> int:
-        return self._h
-
     def __repr__(self) -> str:
         return f"Precision({list(map(str, self.preds))})"
 
 
 EMPTY_PRECISION = Precision()
-
-
-class ProgramPrecision:
-    """Per-location precisions; locations without an entry are empty."""
-
-    def __init__(self, by_location: dict[int, Precision] | None = None) -> None:
-        self._by_loc = dict(by_location or {})
-
-    def at(self, location: int) -> Precision:
-        return self._by_loc.get(location, EMPTY_PRECISION)
-
-    def with_added(self, location: int, preds: Iterable[Formula]) -> "ProgramPrecision":
-        new = dict(self._by_loc)
-        new[location] = self.at(location).merged(preds)
-        return ProgramPrecision(new)
-
-    def nonempty_sizes(self) -> list[int]:
-        return [len(p) for loc, p in sorted(self._by_loc.items()) if len(p) > 0]
-
-    def distinct_predicates(self) -> set[Formula]:
-        out: set[Formula] = set()
-        for p in self._by_loc.values():
-            out.update(p.preds)
-        return out
 
 
 class AbstractFormula(Record):
@@ -225,7 +194,7 @@ class Abstractor:
             return Bdd.FALSE
         if mode == CARTESIAN and isinstance(op, Seq):
             # no memo entry of its own: each element's is hit instead
-            for element in seq_elements(op):
+            for element in op.ops:
                 node = self._post(node, element, pi, CARTESIAN)
             return node
         key = (node, op, pi, mode)

@@ -30,8 +30,8 @@ import json
 from functools import cached_property
 from typing import Optional
 
-from .record import FrozenRecord
-from .semantics import Choice, Operation, op_label, op_variables, seq_chain
+from .record import FrozenRecord, Record
+from .semantics import Choice, Operation, Seq, op_label, op_variables
 
 
 class Edge(FrozenRecord):
@@ -116,9 +116,9 @@ class _Rewriter:
     to the keys of its outgoing and incoming edges, in the same order.
 
     Fused operations are kept as pairs (first, second) until the end or
-    until a choice takes them in, and only then built into Seq chains,
-    right-associated and once: fusing along a straight line copies no
-    spine.
+    until a choice takes them in, and only then built into one Seq of
+    their leaves: splicing a Seq at every fusion would copy its elements
+    each time, quadratic along a straight line.
     """
 
     def __init__(self, p: Program) -> None:
@@ -201,7 +201,7 @@ def _build(op) -> Operation:
             leaves.append(o)
         else:
             stack += (o[1], o[0])
-    return seq_chain(leaves)
+    return Seq(*leaves)
 
 
 def try_rule1(p: Program, l2: int) -> Optional[Program]:
@@ -233,7 +233,7 @@ def try_rule2(p: Program, l1: int, l2: int) -> Optional[Program]:
     return rw.program()
 
 
-class TraceEntry(FrozenRecord):
+class TraceEntry(Record):
     __slots__ = _fields = ("rule", "detail")
 
     def __init__(self, rule: int, detail: dict) -> None:

@@ -25,8 +25,8 @@ from .abstraction import (
     Abstractor,
     BOOLEAN,
     CARTESIAN,
+    EMPTY_PRECISION,
     Precision,
-    ProgramPrecision,
 )
 from .cfa import Edge, Program, _dot_escape, program_variables
 from .formula import (
@@ -46,19 +46,18 @@ from .semantics import (
     drop_dead_pads,
     encode_edge,
     op_label,
-    seq_elements,
 )
 from .smt import make_solver
 
 
 class ArtNode(Record):
-    __slots__ = _fields = ("id", "location", "abstract", "precision", "parent", "covered_by")
+    __slots__ = _fields = ("id", "location", "abstract", "parent", "covered_by")
 
     def __init__(self, id: int, location: int, abstract: AbstractFormula,
-                 precision: Precision, parent: tuple[int, Edge] | None = None,
+                 parent: tuple[int, Edge] | None = None,
                  covered_by: int | None = None) -> None:
         self.id, self.location, self.abstract = id, location, abstract
-        self.precision, self.parent, self.covered_by = precision, parent, covered_by
+        self.parent, self.covered_by = parent, covered_by
 
 
 class Art:
@@ -69,9 +68,9 @@ class Art:
         self.by_location: dict[int, list[ArtNode]] = {}  # in id order
         self.waitlist: list[int] = []
 
-    def add(self, location: int, abstract: AbstractFormula, precision: Precision,
+    def add(self, location: int, abstract: AbstractFormula,
             parent: tuple[int, Edge] | None = None) -> ArtNode:
-        node = ArtNode(len(self.nodes), location, abstract, precision, parent)
+        node = ArtNode(len(self.nodes), location, abstract, parent)
         self.nodes.append(node)
         self.by_location.setdefault(location, []).append(node)
         return node
@@ -102,11 +101,15 @@ def is_covered(node: ArtNode, art: Art) -> int | None:
     return None
 
 
-def build_art(p: Program, precisions: ProgramPrecision, mode: str,
+def build_art(p: Program, precisions: dict[int, Precision], mode: str,
               abstractor: Abstractor):
-    """Returns ("complete", art) or ("error", art, path-to-error-node)."""
+    """Returns ("complete", art) or ("error", art, path-to-error-node).
+
+    `precisions` maps locations to their precisions; a location without an
+    entry has the empty one.
+    """
     art = Art()
-    root = art.add(p.entry, abstractor.true_state(), precisions.at(p.entry))
+    root = art.add(p.entry, abstractor.true_state())
     if p.entry == p.error:
         return "error", art, art.path_to(root.id)
     art.waitlist.append(root.id)
@@ -117,11 +120,11 @@ def build_art(p: Program, precisions: ProgramPrecision, mode: str,
             node.covered_by = coverer
             continue
         for edge in p.cfa.outgoing(node.location):
-            succ_pi = precisions.at(edge.target)
+            succ_pi = precisions.get(edge.target, EMPTY_PRECISION)
             succ = abstractor.abstract_post(node.abstract, edge.op, succ_pi, mode)
             if succ.is_false:
                 continue
-            child = art.add(edge.target, succ, succ_pi, parent=(node.id, edge))
+            child = art.add(edge.target, succ, parent=(node.id, edge))
             if edge.target == p.error:
                 return "error", art, art.path_to(child.id)
             art.waitlist.append(child.id)
@@ -282,7 +285,7 @@ def _run(op: Operation, values, ssa: dict[str, int], model, memo):
             values = None
         return values, ssa
     if isinstance(op, Seq):
-        for element in seq_elements(op):
+        for element in op.ops:
             values, ssa = _run(element, values, ssa, model, memo)
         return values, ssa
     if not isinstance(op, Choice):
@@ -349,9 +352,9 @@ class VerificationResult(Record):
         self.reason, self.art = reason, art
 
 
-def _precision_stats(precisions: ProgramPrecision, stats: Stats) -> None:
-    sizes = precisions.nonempty_sizes()
-    stats.predicates_total = len(precisions.distinct_predicates())
+def _precision_stats(precisions: dict[int, Precision], stats: Stats) -> None:
+    sizes = [len(pi) for pi in precisions.values()]  # verify adds no empty one
+    stats.predicates_total = len({p for pi in precisions.values() for p in pi})
     stats.predicates_avg = sum(sizes) // len(sizes) if sizes else 0
     stats.predicates_max = max(sizes) if sizes else 0
 
@@ -369,7 +372,7 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
     start = time.perf_counter()
     solver = solver if solver is not None else make_solver()
     abstractor = Abstractor(solver)
-    precisions = ProgramPrecision()
+    precisions: dict[int, Precision] = {}
     names = program_variables(p)
     stats = Stats(rule_applications=rule_applications)
 
@@ -402,7 +405,7 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
             )
         harvest = extract_predicates(path, names, _encoded=encoded)
         fresh = {
-            loc: [q for q in preds if q not in precisions.at(loc)]
+            loc: [q for q in preds if q not in precisions.get(loc, EMPTY_PRECISION)]
             for loc, preds in harvest.items()
         }
         fresh = {loc: preds for loc, preds in fresh.items() if preds}
@@ -421,7 +424,7 @@ def verify(p: Program, mode: str = BOOLEAN, max_refinements: int = 100,
                 )
             )
         for loc, preds in fresh.items():
-            precisions = precisions.with_added(loc, preds)
+            precisions[loc] = precisions.get(loc, EMPTY_PRECISION).merged(preds)
         stats.refinement_steps += 1
 
 

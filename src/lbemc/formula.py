@@ -200,11 +200,14 @@ def _forget(entry: _Entry) -> None:
 
 
 class Interned:
-    """Base of formulas and operations, which are hash-consed: constructing
-    one returns the live node of the same class and fields when there is
-    one, and enters a new node in the table otherwise, so equality and
-    hashing are identity.  A subclass's `__init__` sets the fields; on a
-    node found in the table it writes back values equal to its own."""
+    """Base of the hash-consed classes (formulas, operations and
+    precisions): constructing one returns the live node of the same class
+    and fields when there is one, and enters a new node in the table
+    otherwise, so equality and hashing are identity.  A subclass's
+    `__init__` sets the fields; on a node found in the table it writes back
+    values equal to its own.  A subclass whose arguments are not its fields
+    computes them in its own `__new__`, keys the node on them and sets
+    them there, with no `__init__`: an iterator argument is read once."""
 
     __slots__ = ("__weakref__",)
 

@@ -67,10 +67,10 @@ def op_successors(op: Operation, env: dict[str, int], bound: DomainBound) -> lis
         lo, hi = bound.interval(op.var)
         return [{**env, op.var: k} for k in range(lo, hi + 1)]
     if isinstance(op, Seq):
-        out = []
-        for mid in op_successors(op.first, env, bound):
-            out.extend(op_successors(op.second, mid, bound))
-        return out
+        envs = [env]
+        for element in op.ops:
+            envs = [out for mid in envs for out in op_successors(element, mid, bound)]
+        return envs
     if isinstance(op, Choice):
         return op_successors(op.left, env, bound) + op_successors(op.right, env, bound)
     raise TypeError(f"not an operation: {op!r}")

@@ -5,7 +5,7 @@ An operation is the label of a control-flow edge:
     Assign(x, e)   deterministic update
     Assume(p)      blocks executions not satisfying p
     Havoc(x)       x receives an arbitrary integer
-    Seq(a, b)      run a then b
+    Seq(a, b, ...) run a, then b, ...: one node for the whole sequence
     Choice(a, b)   run a or b
 
 ``sp`` computes postconditions directly, introducing a fresh indexed
@@ -78,11 +78,19 @@ class Havoc(Operation):
 
 
 class Seq(Operation):
-    __slots__ = ("first", "second")
+    """The operations `ops` run in order.  `Seq(*ops)` splices in the
+    elements of every Seq argument, so no element is a Seq, and a single
+    operation is its own sequence: `Seq(op)` is op."""
 
-    def __init__(self, first: Operation, second: Operation) -> None:
-        self.first = first
-        self.second = second
+    __slots__ = ("ops",)
+
+    def __new__(cls, *ops: Operation) -> Operation:
+        flat = tuple(e for op in ops for e in (op.ops if isinstance(op, Seq) else (op,)))
+        if len(flat) == 1:
+            return flat[0]
+        node = super().__new__(cls, flat)
+        node.ops = flat
+        return node
 
 
 class Choice(Operation):
@@ -91,42 +99,6 @@ class Choice(Operation):
     def __init__(self, left: Operation, right: Operation) -> None:
         self.left = left
         self.right = right
-
-
-def seq_elements(op: Operation) -> list[Operation]:
-    """The operations op runs in sequence: the leaves of its Seq nodes, in
-    order (op itself when it is no Seq)."""
-    out: list[Operation] = []
-    stack = [op]
-    while stack:
-        o = stack.pop()
-        if isinstance(o, Seq):
-            stack.append(o.second)
-            stack.append(o.first)
-        else:
-            out.append(o)
-    return out
-
-
-def seq_chain(ops: list[Operation]) -> Operation:
-    """The right-associated sequence of ops, built once from the right.
-
-    Every operation but the last contributes its `seq_elements`; the last
-    one is the tail, kept whole.  Folding `seq` over ops from the left
-    gives an equal operation, but copies the incoming spine at every step;
-    this builds one Seq node per element.
-    """
-    out = ops[-1]
-    for op in reversed(ops[:-1]):
-        for element in reversed(seq_elements(op)):
-            out = Seq(element, out)
-    return out
-
-
-def seq(first: Operation, second: Operation) -> Operation:
-    """Sequence constructor keeping the tree right-associated: the
-    elements of first, then second."""
-    return seq_chain([first, second])
 
 
 def op_variables(op: Operation) -> set[str]:
@@ -157,7 +129,7 @@ def op_variables(op: Operation) -> set[str]:
         elif isinstance(o, Havoc):
             out.add(o.var)
         elif isinstance(o, Seq):
-            stack.extend((o.first, o.second))
+            stack.extend(o.ops)
         elif isinstance(o, Choice):
             stack.extend((o.left, o.right))
         else:
@@ -187,7 +159,9 @@ def op_label(op: Operation, seq_sep: str = "; ", limit: int | None = None) -> st
         elif isinstance(o, Havoc):
             text = f"{o.var} = *"
         elif isinstance(o, Seq):
-            stack += (o.second, seq_sep, o.first)
+            for element in reversed(o.ops[1:]):
+                stack += (element, seq_sep)
+            stack.append(o.ops[0])
             continue
         elif isinstance(o, Choice):
             stack += (")", o.right, " || ", o.left, "(")
@@ -227,7 +201,7 @@ def sp(op: Operation, phi: Formula) -> Formula:
             return rename(phi, {cur: fresh})
         return phi
     if isinstance(op, Seq):
-        for element in seq_elements(op):
+        for element in op.ops:
             phi = sp(element, phi)
         return phi
     if isinstance(op, Choice):
@@ -306,7 +280,7 @@ def _encode(op: Operation, ssa: dict[str, int], memo) -> tuple[Formula, dict[str
         return TRUE, out
     if isinstance(op, Seq):
         parts = []
-        for element in seq_elements(op):
+        for element in op.ops:
             f, ssa = _encode(element, ssa, memo)
             parts.append(f)
         return f_and(*parts), ssa

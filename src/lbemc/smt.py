@@ -62,12 +62,10 @@ from .formula import (
     EQ,
     FALSE,
     Formula,
-    LE,
     Not,
     Or,
     PropVar,
     TRUE,
-    Term,
     VariableRef,
     evaluate,
     f_and,
@@ -139,20 +137,6 @@ def _key(is_eq: bool, coeffs: dict[VariableRef, int], const: int):
 def _lin_of_atom(atom: Atom, origin: int) -> _Lin:
     # canonical atoms are primitive already
     return _Lin(dict(atom.term.coeffs), atom.term.const, atom.rel == EQ, frozenset([origin]))
-
-
-def _atom_of_lin(c: _Lin) -> Atom:
-    """The atom of a non-constant row, the inverse of `_lin_of_atom`.
-
-    Built as it is, without `canon_le`: its integer tightening would turn
-    `2x - 1 <= 0` into `x <= 0` and lose the row's rational meaning.  An
-    equality is signed with a positive first coefficient, as canonical ones
-    are.
-    """
-    term = Term.of(c.const, c.coeffs)
-    if c.is_eq and term.coeffs[0][1] < 0:
-        term = -term
-    return Atom(EQ if c.is_eq else LE, term)
 
 
 class _TheoryConflict(Exception):
@@ -1110,7 +1094,6 @@ class InternalSolver(_SolverBase):
         # phi -> {q: phi entails q} for the q decided so far, or None if
         # phi is unsat
         self._verdicts: dict[Formula, dict[Formula, bool] | None] = {}
-        self._complements: dict[Formula, Formula] = {}  # q -> normalize(not q)
         self._normal: dict = {}  # the memo of every normalize call
         # the theory kept across calls for cubes and search witnesses, and
         # the atoms pushed into it, one per undo record
@@ -1193,8 +1176,8 @@ class InternalSolver(_SolverBase):
         prep = normalize(phi, self._normal)
         cubes = _cubes(prep, CUBE_BOUND)
         if cubes is not None and len(cubes) <= CUBE_BOUND:
-            disjuncts = [_disjuncts(self._complement(q)) if isinstance(q, Atom) else None
-                         for q in qs]
+            disjuncts = [_disjuncts(normalize(f_not(q), self._normal))
+                         if isinstance(q, Atom) else None for q in qs]
             if None not in disjuncts:
                 self.queries += 1
                 return self._valuations_by_cubes(cubes, qs, disjuncts)
@@ -1208,19 +1191,13 @@ class InternalSolver(_SolverBase):
 
     # -- internals ----------------------------------------------------------
 
-    def _complement(self, q: Formula) -> Formula:
-        nq = self._complements.get(q)
-        if nq is None:
-            nq = self._complements[q] = normalize(f_not(q), self._normal)
-        return nq
-
     def _decide(self, phi: Formula, qs, known: dict[Formula, bool]) -> bool:
         """Whether phi is sat; if so, record in known whether it entails
         each q of qs."""
         prep = normalize(phi, self._normal)
         if prep == FALSE:
             return False
-        nqs = [self._complement(q) for q in qs]
+        nqs = [normalize(f_not(q), self._normal) for q in qs]
         cubes = _cubes(prep, CUBE_BOUND)
         if cubes is not None and len(cubes) <= CUBE_BOUND:
             disjuncts = [_disjuncts(nq) for nq in nqs]

@@ -5,8 +5,9 @@ against; no verification run uses them.
 - `semantically_equivalent`, `project_indexed` and
   `equivalent_modulo_indexed`: solver-backed equivalence, with existential
   projection of indexed variables.  Projection splits a formula into cubes
-  with the solver's `smt._cubes` and eliminates with the theory's own
-  `smt.project` (substitution, then Fourier-Motzkin over the integer rows).
+  with the solver's `smt._cubes`, eliminates with the theory's own
+  `smt.project` (substitution, then Fourier-Motzkin over the integer rows)
+  and reads the rows back as atoms with `_atom_of_lin`.
 - `theory_check` and `_solve_lin`: a from-scratch theory decision of one
   conjunction, on a fresh `_LinTheory`.
 - `random_term`, `random_comparison`, `random_formula` and
@@ -18,14 +19,14 @@ from __future__ import annotations
 import random
 
 from lbemc.cfa import Edge, Program
-from lbemc.formula import Atom, Formula, Not, Term, compare, f_and, f_or
+from lbemc.formula import EQ, LE, Atom, Formula, Not, Term, compare, f_and, f_or
 from lbemc.semantics import Assign, Assume, Choice, Havoc, Operation, Seq
 from lbemc.smt import (
     UNSAT,
     SatResult,
+    _Lin,
     _LinTheory,
     _TheoryConflict,
-    _atom_of_lin,
     _cubes,
     _lin_of_atom,
     normalize,
@@ -56,6 +57,20 @@ def enum_paths(p: Program, max_len: int) -> list[tuple[Edge, ...]]:
 
 def semantically_equivalent(a: Formula, b: Formula, solver) -> bool:
     return solver.entails(a, b) and solver.entails(b, a)
+
+
+def _atom_of_lin(c: _Lin) -> Atom:
+    """The atom of a non-constant row, the inverse of `smt._lin_of_atom`.
+
+    Built as it is, without `canon_le`: its integer tightening would turn
+    `2x - 1 <= 0` into `x <= 0` and lose the row's rational meaning.  An
+    equality is signed with a positive first coefficient, as canonical ones
+    are.
+    """
+    term = Term.of(c.const, c.coeffs)
+    if c.is_eq and term.coeffs[0][1] < 0:
+        term = -term
+    return Atom(EQ if c.is_eq else LE, term)
 
 
 def project_indexed(phi: Formula) -> Formula:

@@ -8,8 +8,8 @@ from lbemc.abstraction import (
     Abstractor,
     BOOLEAN,
     CARTESIAN,
+    EMPTY_PRECISION,
     Precision,
-    ProgramPrecision,
 )
 from lbemc.cfa import summarize
 from lbemc.cli import gen_test_locks
@@ -137,6 +137,19 @@ class TestAbstractPost:
         assert posts[0] == posts[1] == posts[2]
         assert posts[0][0] == ab.bdd.var(ab.pred_id(pi.preds[0]))
 
+    @pytest.mark.parametrize("mode", [CARTESIAN, BOOLEAN])
+    def test_equal_posts_are_equal_states(self, ab, mode):
+        # abstract states are not hash-consed: each post builds its own
+        # object, equal to and hashed as any state of the same BDD node
+        pi = Precision([compare(">", tvar("x"), const(0))])
+        op = Seq(Assign("x", tvar("x") + 1), Assume(compare("<", tvar("x"), const(3))))
+        first = ab.abstract_post(ab.true_state(), op, pi, mode)
+        second = ab.abstract_post(ab.true_state(), op, pi, mode)
+        assert second == first and hash(second) == hash(first)
+        assert ab.true_state() == ab.true_state()
+        # one node of two abstractors is two states
+        assert Abstractor(ab.solver).true_state() != ab.true_state()
+
     def test_cartesian_memo_has_no_seq_key(self, monkeypatch):
         abstractors = []
         init = Abstractor.__init__
@@ -211,12 +224,23 @@ class TestPrecision:
         pi = Precision([a]).merged([b, a])
         assert pi.preds == (a, b)
 
+    def test_one_object_per_precision(self):
+        a = compare(">", tvar("x"), const(0))
+        b = compare("<", tvar("x"), const(5))
+        assert Precision([a, b, a]) is Precision(iter([a, b]))  # read once
+        assert Precision([a]).merged([b]) is Precision([a, b])
+        assert Precision([b, a]) is not Precision([a, b])  # the order counts
+
     def test_program_precision_defaults_empty(self):
-        pp = ProgramPrecision()
-        assert len(pp.at(3)) == 0
-        pp2 = pp.with_added(3, [compare(">", tvar("x"), const(0))])
-        assert len(pp2.at(3)) == 1
-        assert len(pp.at(3)) == 0  # original untouched
+        # a program's precision is a dict from locations to precisions, as
+        # `verify` keeps it; a location without an entry has the empty one
+        precisions = {}
+        assert len(precisions.get(3, EMPTY_PRECISION)) == 0
+        assert EMPTY_PRECISION is Precision() is Precision([])
+        precisions[3] = precisions.get(3, EMPTY_PRECISION).merged(
+            [compare(">", tvar("x"), const(0))])
+        assert len(precisions[3]) == 1
+        assert len(EMPTY_PRECISION) == 0  # merged builds a new precision
 
 
 def _boolean_queries(source: str):

@@ -18,7 +18,7 @@ from lbemc.cfa import (
 from lbemc.formula import TRUE, compare, f_not
 from lbemc.frontend import parse_program
 from lbemc.oracle import DomainBound, explicit_reachable
-from lbemc.semantics import Assign, Assume, Choice, Havoc, Seq, seq
+from lbemc.semantics import Assign, Assume, Choice, Havoc, Seq
 
 from conftest import const, tvar
 
@@ -127,15 +127,13 @@ class TestSummarize:
         # the loop body folds into the single self-loop operation; rule order
         # may distribute the guard over the branch choice, so the check is
         # semantic (the summarized shape is not asserted to be unique)
-        reference = seq(
+        reference = Seq(
             Assume(ci),
-            seq(
-                Choice(
-                    seq(Assume(cx), Assign("z", const(0))),
-                    seq(Assume(f_not(cx)), Assign("z", const(1))),
-                ),
-                Assign("i", tvar("i") - 1),
+            Choice(
+                Seq(Assume(cx), Assign("z", const(0))),
+                Seq(Assume(f_not(cx)), Assign("z", const(1))),
             ),
+            Assign("i", tvar("i") - 1),
         )
         from lbemc.formula import TRUE as T
         from references import equivalent_modulo_indexed
@@ -250,12 +248,6 @@ def test_program_variables(monkeypatch):
 # reference: the restart-the-scan summarization the worklist must reproduce
 # ---------------------------------------------------------------------------
 
-def _ref_seq(first, second):
-    if isinstance(first, Seq):
-        return _ref_seq(first.first, _ref_seq(first.second, second))
-    return Seq(first, second)
-
-
 def _ref_rule1(p, l2):
     if l2 in (p.entry, p.error):
         return None
@@ -269,7 +261,7 @@ def _ref_rule1(p, l2):
     removed = {incoming[0]} | set(outgoing)
     new_edges = [e for e in p.cfa.edges if e not in removed]
     for e in outgoing:
-        new_edges.append(Edge(l1, _ref_seq(op1, e.op), e.target))
+        new_edges.append(Edge(l1, Seq(op1, e.op), e.target))
     locations = tuple(l for l in p.cfa.locations if l != l2)
     return Program(CFA(locations, tuple(new_edges)), p.entry, p.error)
 
@@ -405,19 +397,45 @@ def test_summarize_matches_restart_scan_reference():
         assert to_dot(got) == to_dot(want), name
 
 
-def test_straight_line_builds_one_seq_per_statement(monkeypatch):
+def test_no_element_of_a_summarized_sequence_is_a_sequence():
+    from lbemc.cli import gen_test_locks
+    from lbemc.oracle import random_program
+
+    sources = [gen_test_locks(n) for n in range(1, 11)]
+    sources += [random_program(k) for k in range(50)]
+    seqs = 0
+    for source in sources:
+        q, _ = summarize(parse_program(source))
+        seen = set()
+        stack = [e.op for e in q.cfa.edges]
+        while stack:
+            op = stack.pop()
+            if op in seen:
+                continue
+            seen.add(op)
+            if isinstance(op, Seq):
+                seqs += 1
+                assert not any(isinstance(element, Seq) for element in op.ops), source
+                stack.extend(op.ops)
+            elif isinstance(op, Choice):
+                stack += (op.left, op.right)
+    assert seqs > 100
+
+
+def test_straight_line_builds_one_seq(monkeypatch):
     k = 300
     p = parse_program("int x;\n" + "x = x + 1;\n" * k)
     built = []
-    init = Seq.__init__
+    new = Seq.__new__
 
-    def counting_init(self, first, second):
-        built.append(self)
-        init(self, first, second)
+    def counting_new(cls, *ops):
+        built.append(len(ops))
+        return new(cls, *ops)
 
-    monkeypatch.setattr(Seq, "__init__", counting_init)
+    monkeypatch.setattr(Seq, "__new__", counting_new)
     q, trace = summarize(p)
-    assert len(built) <= 2 * k
+    assert built == [k]  # one node, its k statements passed once
     (edge,) = q.cfa.edges
     assert rule_count(trace) == k - 1
+    assert len(edge.op.ops) == k
     assert edge.op == _ref_summarize(p)[0].cfa.edges[0].op

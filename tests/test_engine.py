@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from lbemc.abstraction import Abstractor, BOOLEAN, CARTESIAN, Precision, ProgramPrecision
+from lbemc.abstraction import Abstractor, BOOLEAN, CARTESIAN, Precision
 from lbemc.cfa import program_variables, summarize
 from lbemc.cli import gen_test_locks
 from lbemc.engine import (
@@ -41,7 +41,7 @@ class TestBuildArt:
         # every edge into the error location is infeasible inside its block,
         # so the empty precision already proves the program
         p, _ = summarize(parse_program(gen_test_locks(3)))
-        outcome = build_art(p, ProgramPrecision(), BOOLEAN, ab)
+        outcome = build_art(p, {}, BOOLEAN, ab)
         assert outcome[0] == "complete"
         art = outcome[1]
         assert len(art) <= 5
@@ -50,7 +50,7 @@ class TestBuildArt:
     def test_precision_blocks_dead_branch(self, ab):
         p = parse_program("int x; x = 0; assume(x > 0); error();")
         pos = compare(">", tvar("x"), const(0))
-        pi = ProgramPrecision({loc: Precision([pos]) for loc in p.cfa.locations})
+        pi = {loc: Precision([pos]) for loc in p.cfa.locations}
         outcome = build_art(p, pi, BOOLEAN, ab)
         assert outcome[0] == "complete"
         assert not any(n.location == p.error for n in outcome[1].nodes)
@@ -58,12 +58,12 @@ class TestBuildArt:
         # assignment, so the same precision leaves the error reachable
         assert build_art(p, pi, CARTESIAN, ab)[0] == "error"
         neg = compare("<=", tvar("x"), const(0))
-        pi2 = ProgramPrecision({loc: Precision([neg]) for loc in p.cfa.locations})
+        pi2 = {loc: Precision([neg]) for loc in p.cfa.locations}
         assert build_art(p, pi2, CARTESIAN, ab)[0] == "complete"
 
     def test_empty_precision_reaches_error(self, ab):
         p = parse_program("int x; x = 0; assume(x > 0); error();")
-        outcome = build_art(p, ProgramPrecision(), BOOLEAN, ab)
+        outcome = build_art(p, {}, BOOLEAN, ab)
         assert outcome[0] == "error"
         _, art, path = outcome
         assert path[-1][0].target == p.error
@@ -73,7 +73,7 @@ class TestCoverage:
     def _node(self, art, ab, location, formula_node):
         from lbemc.abstraction import AbstractFormula
 
-        return art.add(location, AbstractFormula(ab, formula_node), Precision([]))
+        return art.add(location, AbstractFormula(ab, formula_node))
 
     def test_conjunction_covered_by_conjunct(self, ab):
         art = Art()
@@ -108,7 +108,7 @@ class TestCoverage:
 class TestCheckPath:
     def _error_path(self, source, solver, mode=BOOLEAN):
         p = parse_program(source)
-        outcome = build_art(p, ProgramPrecision(), mode, Abstractor(solver))
+        outcome = build_art(p, {}, mode, Abstractor(solver))
         assert outcome[0] == "error"
         return p, outcome[2]
 
@@ -130,7 +130,7 @@ class TestCheckPath:
 class TestExtractPredicates:
     def test_assignment_fact_at_intermediate_location(self, solver):
         p = parse_program("int x; x = 0; assume(x > 0); error();")
-        outcome = build_art(p, ProgramPrecision(), BOOLEAN, Abstractor(solver))
+        outcome = build_art(p, {}, BOOLEAN, Abstractor(solver))
         path = outcome[2]
         harvest = extract_predicates(path, program_variables(p))
         mid_location = path[0][0].target
@@ -140,7 +140,7 @@ class TestExtractPredicates:
 
     def test_lock_discipline_predicates(self, solver):
         p = parse_program(gen_test_locks(1))
-        outcome = build_art(p, ProgramPrecision(), BOOLEAN, Abstractor(solver))
+        outcome = build_art(p, {}, BOOLEAN, Abstractor(solver))
         assert outcome[0] == "error"
         harvest = extract_predicates(outcome[2], program_variables(p))
         all_preds = {q for preds in harvest.values() for q in preds}
@@ -149,13 +149,13 @@ class TestExtractPredicates:
 
     def test_feasible_path_rejected(self, solver):
         p = parse_program("int x; x = nondet(); assume(x > 0); error();")
-        outcome = build_art(p, ProgramPrecision(), BOOLEAN, Abstractor(solver))
+        outcome = build_art(p, {}, BOOLEAN, Abstractor(solver))
         with pytest.raises(ValueError):
             extract_predicates(outcome[2], program_variables(p), solver=solver)
 
     def test_lazy_refinement_touches_only_path_locations(self, solver):
         p = parse_program(gen_test_locks(2))
-        outcome = build_art(p, ProgramPrecision(), CARTESIAN, Abstractor(solver))
+        outcome = build_art(p, {}, CARTESIAN, Abstractor(solver))
         assert outcome[0] == "error"
         path = outcome[2]
         harvest = extract_predicates(path, program_variables(p))

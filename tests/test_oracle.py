@@ -233,9 +233,9 @@ class TestReplay:
         src = "int x; x = nondet(); if (x > 3) { error(); }"
         p = parse_program(src)
         from lbemc.engine import build_art, check_path
-        from lbemc.abstraction import Abstractor, ProgramPrecision
+        from lbemc.abstraction import Abstractor
 
-        outcome = build_art(p, ProgramPrecision(), "boolean", Abstractor(solver))
+        outcome = build_art(p, {}, "boolean", Abstractor(solver))
         assert outcome[0] == "error"
         path = outcome[2]
         status, model = check_path(path, program_variables(p), solver)
@@ -295,7 +295,7 @@ class TestReplay:
 def _choice_depth(op) -> int:
     """Largest number of choices on one root-to-leaf path of op."""
     if isinstance(op, Seq):
-        return max(_choice_depth(op.first), _choice_depth(op.second))
+        return max(map(_choice_depth, op.ops))
     if isinstance(op, Choice):
         return 1 + max(_choice_depth(op.left), _choice_depth(op.right))
     return 0

@@ -29,8 +29,6 @@ from lbemc.semantics import (
     encode_edge,
     op_label,
     op_variables,
-    seq,
-    seq_chain,
     sp,
 )
 from lbemc.smt import InternalSolver
@@ -123,27 +121,31 @@ class TestEncodeEdge:
             assert lhs == rhs, (op, phi)
 
 
-def test_seq_constructor_right_associates():
+def test_seq_is_one_node_of_its_elements():
     a, b, c = Havoc("a"), Havoc("b"), Havoc("c")
-    s = seq(Seq(a, b), c)
-    assert s == Seq(a, Seq(b, c))
+    s = Seq(a, Seq(b, c))
+    assert s is Seq(a, b, c) and s is Seq(Seq(a, b), c)
+    assert s.ops == (a, b, c)
+    assert Seq(a) is a and Seq(s) is s
 
 
-def test_seq_chain_equals_folding_seq():
+def test_seq_of_many_equals_folding_seq():
     rng = random.Random(3)
     for _ in range(100):
         ops = [random_operation(rng, ["a", "b"], depth=2) for _ in range(rng.randint(1, 5))]
         folded = ops[0]
         for op in ops[1:]:
-            folded = seq(folded, op)
-        assert seq_chain(ops) == folded
+            folded = Seq(folded, op)
+        assert Seq(*ops) is folded
+        if isinstance(folded, Seq):
+            assert not any(isinstance(element, Seq) for element in folded.ops)
 
 
 def test_long_sequences_need_no_recursion():
     k = 3000  # beyond the interpreter's default recursion limit
     ops = [Assign("x", tvar("x") + 1) for _ in range(k)]
-    op = seq_chain(ops)
-    assert op == seq_chain(list(ops))
+    op = Seq(*ops)
+    assert op == Seq(*list(ops)) and len(op.ops) == k
     f, out = encode_edge(op, {})
     assert out == {"x": k} and len(f.args) == k
     assert op_label(op).count(";") == k - 1
@@ -168,7 +170,7 @@ def _op_variables_reference(op):
         return {v.name for v in variables(op.cond)}
     if isinstance(op, Havoc):
         return {op.var}
-    left, right = (op.first, op.second) if isinstance(op, Seq) else (op.left, op.right)
+    left, right = (op.ops[0], Seq(*op.ops[1:])) if isinstance(op, Seq) else (op.left, op.right)
     return _op_variables_reference(left) | _op_variables_reference(right)
 
 
@@ -271,7 +273,7 @@ class TestDropDeadPads:
 def _with_copies(rng, op, names):
     """op with an assignment x = x after about a third of its leaves."""
     if isinstance(op, Seq):
-        return Seq(_with_copies(rng, op.first, names), _with_copies(rng, op.second, names))
+        return Seq(*[_with_copies(rng, element, names) for element in op.ops])
     if isinstance(op, Choice):
         return Choice(_with_copies(rng, op.left, names), _with_copies(rng, op.right, names))
     if rng.random() < 0.3:
@@ -291,7 +293,8 @@ def _copy_assignments(f):
 # ---------------------------------------------------------------------------
 
 def _ref_encode(op, ssa, memo):
-    key = (id(op), tuple(sorted(ssa.items())))
+    # keyed on the operation, not its id: a sequence's tail is built here
+    key = (op, tuple(sorted(ssa.items())))
     if key in memo:
         return memo[key]
     if isinstance(op, Assign):
@@ -305,8 +308,8 @@ def _ref_encode(op, ssa, memo):
     elif isinstance(op, Havoc):
         result = TRUE, {**ssa, op.var: ssa.get(op.var, 0) + 1}
     elif isinstance(op, Seq):
-        f1, mid = _ref_encode(op.first, ssa, memo)
-        f2, end = _ref_encode(op.second, mid, memo)
+        f1, mid = _ref_encode(op.ops[0], ssa, memo)
+        f2, end = _ref_encode(Seq(*op.ops[1:]), mid, memo)
         result = f_and(f1, f2), end
     else:
         f1, m1 = _ref_encode(op.left, ssa, memo)

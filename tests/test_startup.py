@@ -15,6 +15,7 @@ from lbemc.cfa import CFA, Edge, Program, TraceEntry
 from lbemc.cli import RunConfig
 from lbemc.formula import Term, VariableRef
 from lbemc.oracle import DomainBound
+from lbemc.record import FrozenRecord, Record
 from lbemc.semantics import Assign, Havoc
 
 SRC = Path(lbemc.__file__).resolve().parent.parent
@@ -111,6 +112,15 @@ def test_equal_fields_compare_and_hash_equal(name):
     assert a != c and not a == c
     assert len({a, b, c}) == 2
     assert repr(a) == repr(b) and repr(a).startswith(f"{name}(")
+
+
+def test_every_frozen_record_is_hashed_above():
+    # a frozen record promises a hash of its fields, so a class with a dict
+    # field, such as TraceEntry's detail, is a plain Record
+    import lbemc.cli  # noqa: F401  (imports every module that defines records)
+
+    assert {cls.__name__ for cls in FrozenRecord.__subclasses__()} <= set(_VARIANTS)
+    assert issubclass(TraceEntry, Record) and not issubclass(TraceEntry, FrozenRecord)
 
 
 def test_trace_entries_compare_by_fields_and_are_unhashable():
